@@ -3,7 +3,7 @@ engines over reified computation graphs, with a batch oracle for
 from-scratch consistency checking."""
 
 from .batch import BatchResult, batch_analyze
-from .engine import Engine, EngineError, MemoTable, Metrics, PreservationError
+from .engine import Engine, EngineError, Metrics, PreservationError
 from .graph import (
     Daig,
     check_ai_consistency,
@@ -22,7 +22,6 @@ __all__ = [
     "batch_analyze",
     "Engine",
     "EngineError",
-    "MemoTable",
     "Metrics",
     "PreservationError",
     "Daig",

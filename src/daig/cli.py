@@ -81,7 +81,10 @@ class Session:
         inner = token[2:-1].strip()
         if not inner:
             return ENTRY_CONTEXT
-        ids = [int(x) for x in inner.split(",")]
+        try:
+            ids = [int(x) for x in inner.split(",")]
+        except ValueError:
+            raise SessionError(f"bad context {token!r}") from None
         for (p, ctx) in self.forest.live_keys():
             if p == proc and [l for (_cp, l) in ctx.sites] == ids:
                 return ctx

@@ -67,7 +67,8 @@ class AbstractDomain(ABC):
         return a == b
 
     def digest(self, state: Any) -> str:
-        """Collision-free memo key: the full canonical form, domain-tagged."""
+        """The full canonical form, domain-tagged: equal exactly when the
+        states are equal.  The engine's memo keys by the states themselves."""
         return f"{self.name}|{self.to_text(state)}"
 
     # -- interprocedural hooks ---------------------------------------------

@@ -10,8 +10,7 @@ nothing until demanded again.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from .graph import (
@@ -32,7 +31,7 @@ from .graph import (
     stmt_cell_locs,
 )
 from .lang.cfg import Cfg, Edge, Loc
-from .lang.edits import EditDelta, ProgramEdit, apply_edit, stable_join_indices
+from .lang.edits import EditDelta, EditError, ProgramEdit, apply_edit, relabel, stable_join_indices
 from .lang.loops import LoopInfo, analyze_loops
 from .lang.syntax import Call, Stmt, is_stmt, stmt_text
 from .domains.base import ContractViolation
@@ -46,29 +45,6 @@ class PreservationError(AssertionError):
     """A debug-mode invariant check failed after a public operation."""
 
 
-class MemoTable:
-    """Location-independent cache keyed by function symbol and argument
-    digests; digests are full canonical forms, so collisions cannot occur."""
-
-    def __init__(self):
-        self._entries: dict[tuple, object] = {}
-
-    def get(self, key: tuple):
-        return self._entries.get(key, _MISS)
-
-    def put(self, key: tuple, value) -> None:
-        self._entries[key] = value
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def __len__(self):
-        return len(self._entries)
-
-
-_MISS = object()
-
-
 @dataclass
 class Metrics:
     transfer_evals: int = 0
@@ -78,7 +54,6 @@ class Metrics:
     memo_misses: int = 0
     unrollings: int = 0
     cells_dirtied: int = 0
-    query_times: list[float] = field(default_factory=list)
     # Per fix cell: unrollings spent reaching its most recent fixed point.
     loop_episodes: dict[Name, int] = field(default_factory=dict)
 
@@ -98,7 +73,6 @@ class Metrics:
     def add(self, other: "Metrics") -> None:
         for f in self.COUNTER_FIELDS:
             setattr(self, f, getattr(self, f) + getattr(other, f))
-        self.query_times.extend(other.query_times)
 
 
 def _fix_head(fix_dest: Name) -> Loc:
@@ -110,7 +84,12 @@ def _fix_head(fix_dest: Name) -> Loc:
 
 
 class Engine:
-    """Single-procedure analysis session: one graph, one memo table.
+    """Single-procedure analysis session: one graph, one memo.
+
+    The memo maps ``(fn, domain name, statement, state)`` for transfers and
+    ``(fn, domain name, *states)`` for joins and widens to the result;
+    states and statements are immutable with canonical equality, so the
+    values themselves are the key.
 
     Mutating operations (query, write_cell, apply_program_edit) must be
     externally serialized; ``snapshot`` produces an independent copy.
@@ -123,7 +102,7 @@ class Engine:
         *,
         loops: Optional[LoopInfo] = None,
         mode: str = "eq",
-        memo: Optional[MemoTable] = None,
+        memo: Optional[dict] = None,
         enable_memo: bool = True,
         debug: bool = False,
         call_handler: Optional[Callable] = None,
@@ -135,7 +114,7 @@ class Engine:
         self.domain = domain
         self.loops = loops if loops is not None else analyze_loops(cfg)
         self.mode = mode
-        self.memo = memo if memo is not None else MemoTable()
+        self.memo = memo if memo is not None else {}
         self.enable_memo = enable_memo
         self.debug = debug
         self.call_handler = call_handler
@@ -265,16 +244,12 @@ class Engine:
         # callee's current code, so the query loop dispatches them to the
         # interprocedural handler without memoization.
         domain = self.domain
-        if comp.fn is FnSymbol.TRANSFER:
-            stmt, pre = vals
-            if isinstance(stmt, Call):
-                raise ContractViolation("call transfer cannot be applied locally")
-            key = (comp.fn, f"stmt|{stmt_text(stmt)}", domain.digest(pre))
-        else:
-            key = (comp.fn,) + tuple(domain.digest(v) for v in vals)
+        if comp.fn is FnSymbol.TRANSFER and isinstance(vals[0], Call):
+            raise ContractViolation("call transfer cannot be applied locally")
+        key = (comp.fn, domain.name) + vals
         if self.enable_memo:
             hit = self.memo.get(key)
-            if hit is not _MISS:
+            if hit is not None:
                 self.metrics.memo_hits += 1
                 return hit
         self.metrics.memo_misses += 1
@@ -292,7 +267,7 @@ class Engine:
         else:
             raise EngineError(f"cannot apply {comp.fn}")
         if self.enable_memo:
-            self.memo.put(key, out)
+            self.memo[key] = out
         return out
 
     def _unroll(self, fix_comp: Computation) -> None:
@@ -352,7 +327,6 @@ class Engine:
         """
         if loc not in self.cfg.locs:
             raise EngineError(f"unknown location l{loc}")
-        t0 = time.perf_counter_ns()
         loops = self.loops
         heads = list(loops.enclosing_heads(loc))
         if loc in loops.natural_loops:
@@ -375,7 +349,6 @@ class Engine:
                 raise EngineError(f"final iterate of l{loc} was not computed")
         else:
             value = self.query(LocN(loc))
-        self.metrics.query_times.append((time.perf_counter_ns() - t0) / 1e9)
         return value
 
     def _versioned_fix_name(self, head: Loc, counts: dict[Loc, int]) -> Name:
@@ -391,66 +364,36 @@ class Engine:
 
         Writing ``None`` empties the cell (it must have an incoming
         computation); writing a value requires the cell's type to match.
-        Writing a statement cell relabels the corresponding CFG edge.
-        Dirtying across a fix edge rolls it back to the loop's first
-        iterates before continuing from iterate one.
+        Writing a statement cell relabels the corresponding CFG edge, on the
+        same path as a ``RelabelEdge`` program edit.  Dirtying across a fix
+        edge rolls it back to the loop's first iterates before continuing
+        from iterate one.
         """
-        self._write(name, value)
-        self._after_public_op()
-
-    def _write(self, name: Name, value) -> None:
         cell = self.daig.cell(name)
-        if value is None:
-            if name not in self.daig.comps:
-                raise EngineError(f"cannot empty source cell {name!r}")
-        elif cell.ty is CellType.STMT:
+        if value is not None and cell.ty is CellType.STMT:
             if not is_stmt(value):
                 raise EngineError(f"cell {name!r} holds statements")
-            if value != cell.contents:
-                self._relabel_cfg_edge(name, cell.contents, value)
-        elif is_stmt(value):
-            raise EngineError(f"cell {name!r} holds abstract states")
-        self._dirty(name, include_self=value is None)
-        if value is not None:
-            cell.contents = value
-
-    def _relabel_cfg_edge(self, name: Name, old_stmt: Stmt, new_stmt: Stmt) -> None:
-        """Keep the program in step with a statement-cell write."""
-        src, dst = stmt_cell_locs(name)
-        old_edge = Edge(src, old_stmt, dst)
-        new_edge = Edge(src, new_stmt, dst)
-        if old_edge not in self.cfg.edges:
-            if new_edge in self.cfg.edges:
-                return  # the program already reflects this write
-            raise EngineError(f"cell {name!r} does not label a current edge")
-        self.cfg = Cfg(
-            self.cfg.locs,
-            self.cfg.edges - {old_edge} | {new_edge},
-            self.cfg.entry,
-            self.cfg.exit,
-        )
-        loops = self.loops
-        fwd, back = set(loops.fwd_edges), set(loops.back_edges)
-        if old_edge in fwd:
-            fwd.discard(old_edge)
-            fwd.add(new_edge)
+            src, dst = stmt_cell_locs(name)
+            try:
+                new_cfg, delta = relabel(self.cfg, Edge(src, cell.contents, dst), value)
+            except EditError as exc:
+                raise EngineError(f"cannot write {name!r}: {exc}") from None
+            if new_cfg is self.cfg:
+                # Rewriting the current statement changes no edge, but its
+                # consumers are still re-demanded.
+                self._dirty(name, include_self=False)
+            else:
+                self._splice(new_cfg, delta)
         else:
-            back.discard(old_edge)
-            back.add(new_edge)
-        ji = {
-            loc: tuple(new_edge if e == old_edge else e for e in edges)
-            for loc, edges in loops.join_indices.items()
-        }
-        self.loops = LoopInfo(
-            cfg=self.cfg,
-            fwd_edges=frozenset(fwd),
-            back_edges=frozenset(back),
-            natural_loops=loops.natural_loops,
-            join_indices=ji,
-            idom=loops.idom,
-            _tin=loops._tin,
-            _tout=loops._tout,
-        )
+            if value is None:
+                if name not in self.daig.comps:
+                    raise EngineError(f"cannot empty source cell {name!r}")
+            elif is_stmt(value):
+                raise EngineError(f"cell {name!r} holds abstract states")
+            self._dirty(name, include_self=value is None)
+            if value is not None:
+                cell.contents = value
+        self._after_public_op()
 
     def _dirty(self, start: Name, include_self: bool) -> None:
         refs = self.daig.refs
@@ -480,15 +423,24 @@ class Engine:
                     work.append(final1)
 
     def apply_program_edit(self, edit: ProgramEdit) -> EditDelta:
-        """Apply a source-level edit: relabels write the statement cell,
+        """Apply a source-level edit: relabels rewrite statement cells,
         insertions splice in fresh structure, and every cell whose inputs
         changed is dirtied so demand recomputes it."""
         new_cfg, delta = apply_edit(self.cfg, edit, validate=False)
         if new_cfg is self.cfg:
             return delta
+        self._splice(new_cfg, delta)
+        self._after_public_op()
+        return delta
+
+    def _splice(self, new_cfg: Cfg, delta: EditDelta) -> None:
+        """Bring the graph in step with ``new_cfg``, which differs from the
+        current program by ``delta``: re-derive loops, keep join indices
+        stable, rebuild the flow into every touched location, and dirty
+        whatever reads a changed statement or computation."""
         pure_loops = analyze_loops(new_cfg)
         ji = stable_join_indices(self.loops.join_indices, delta, pure_loops)
-        new_loops = pure_loops.with_join_indices(ji)
+        new_loops = replace(pure_loops, join_indices=ji)
         targets = sorted(delta.touched_dsts() | set(delta.added_locs))
         daig = self.daig
         content_writes: list[tuple[Name, Stmt]] = []
@@ -513,11 +465,10 @@ class Engine:
         self.cfg = new_cfg
         self.loops = new_loops
         for name, stmt in content_writes:
-            self._write(name, stmt)
+            self._dirty(name, include_self=False)
+            daig.refs[name].contents = stmt
         for dest in dirties:
-            self._write(dest, None)
-        self._after_public_op()
-        return delta
+            self._dirty(dest, include_self=True)
 
     def rebuild(self, clear_memo: bool = True) -> None:
         """Forget all analysis state, keeping the program (full dirtying)."""

@@ -55,40 +55,6 @@ class IdxN:
         return str(self.index)
 
 
-class FnN:
-    __slots__ = ("fn", "_h")
-
-    def __init__(self, fn: "FnSymbol"):
-        self.fn = fn
-        self._h = hash(("fn", fn))
-
-    def __eq__(self, other):
-        return type(other) is FnN and other.fn == self.fn
-
-    def __hash__(self):
-        return self._h
-
-    def __repr__(self):
-        return self.fn.value
-
-
-class ValN:
-    __slots__ = ("digest", "_h")
-
-    def __init__(self, digest: str):
-        self.digest = digest
-        self._h = hash(("val", digest))
-
-    def __eq__(self, other):
-        return type(other) is ValN and other.digest == self.digest
-
-    def __hash__(self):
-        return self._h
-
-    def __repr__(self):
-        return f"v{self.digest[:8]}"
-
-
 class Prod:
     """Right-nested name product; use :func:`prod` to build canonically."""
 
@@ -144,7 +110,7 @@ class Iter:
         return f"{self.base!r}^({inner})"
 
 
-Name = Union[LocN, IdxN, FnN, ValN, Prod, Iter]
+Name = Union[LocN, IdxN, Prod, Iter]
 
 
 def prod(*parts: Name) -> Name:
@@ -164,14 +130,10 @@ def name_key(n: Name) -> tuple:
         return (0, n.loc)
     if isinstance(n, IdxN):
         return (1, n.index)
-    if isinstance(n, FnN):
-        return (2, n.fn.value)
-    if isinstance(n, ValN):
-        return (3, n.digest)
     if isinstance(n, Iter):
-        return (4, name_key(n.base), n.counts)
+        return (2, name_key(n.base), n.counts)
     if isinstance(n, Prod):
-        return (5, name_key(n.left), name_key(n.right))
+        return (3, name_key(n.left), name_key(n.right))
     raise TypeError(n)
 
 
@@ -263,12 +225,6 @@ class Daig:
         for s in comp.srcs:
             self._consumers.setdefault(s, set()).add(comp.dest)
 
-    def remove_comp(self, dest: Name) -> None:
-        old = self.comps.pop(dest, None)
-        if old is not None:
-            for s in old.srcs:
-                self._consumers.get(s, set()).discard(dest)
-
     def cell(self, name: Name) -> RefCell:
         try:
             return self.refs[name]
@@ -328,10 +284,6 @@ class Daig:
                     seen.add(s)
                     stack.append(s)
         return seen
-
-
-def reaches(d: Daig, n: Name, target: Name) -> bool:
-    return d.reaches(n, target)
 
 
 # --- naming a CFG's cells ---------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .engine import Engine, MemoTable, Metrics
+from .engine import Engine, Metrics
 from .graph import Computation, Name, stmt_cell_locs
 from .lang.cfg import CfgError, Loc, Program
 from .lang.edits import InsertIf, InsertStmtAfter, InsertWhile, ProgramEdit, RelabelEdge, apply_edit
@@ -74,7 +74,6 @@ class DaigForest:
         policy_k: int = 0,
         mode: str = "eq",
         debug: bool = False,
-        share_memo: bool = True,
     ):
         if policy_k not in (0, 1, 2):
             raise ValueError("context policy must be 0, 1, or 2 call sites")
@@ -92,7 +91,7 @@ class DaigForest:
         # Domain operations are pure, so memo entries stay valid across edits
         # and may be shared by all engines; call transfers are not memoized,
         # which is what keeps the sharing sound.
-        self._memo: Optional[MemoTable] = MemoTable() if share_memo else None
+        self._memo: dict = {}
 
     # -- engines -----------------------------------------------------------
 

@@ -34,9 +34,6 @@ class Cfg:
     def out_edges(self, loc: Loc) -> list[Edge]:
         return sorted((e for e in self.edges if e.src == loc), key=Edge.sort_key)
 
-    def in_edges(self, loc: Loc) -> list[Edge]:
-        return sorted((e for e in self.edges if e.dst == loc), key=Edge.sort_key)
-
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges, key=Edge.sort_key)
 

@@ -98,15 +98,34 @@ def _moved_out_edges(cfg: Cfg, loops: LoopInfo, loc: Loc) -> list[Edge]:
     return out
 
 
+def relabel(cfg: Cfg, old: Edge, new_stmt: Stmt) -> tuple[Cfg, EditDelta]:
+    """Replace the statement on one existing edge.
+
+    Relabelling an edge to its own statement returns ``cfg`` itself and an
+    empty delta.  Raises EditError when ``old`` is not an edge of ``cfg`` or
+    when the relabelled edge would coincide with a parallel one.  A relabel
+    keeps every (source, destination) pair, so loop structure cannot change.
+    """
+    if old not in cfg.edges:
+        raise EditError(f"l{old.src} -> l{old.dst} ({stmt_text(old.stmt)}) is not an edge")
+    new = Edge(old.src, new_stmt, old.dst)
+    if new == old:
+        return cfg, EditDelta()
+    if new in cfg.edges:
+        raise EditError("relabel would duplicate an existing edge")
+    new_cfg = Cfg(cfg.locs, cfg.edges - {old} | {new}, cfg.entry, cfg.exit)
+    return new_cfg, EditDelta(relabelled=((old, new),))
+
+
 def apply_edit(
     cfg: Cfg, edit: ProgramEdit, validate: bool = True
 ) -> tuple[Cfg, EditDelta]:
     """Apply an edit, returning the new Cfg and the edge-set delta.
 
     Raises EditError for unknown or ambiguous locations and propagates
-    IrreducibleError if the result would be irreducible (unreachable for
-    the supported edit forms; ``validate=False`` skips the recheck when the
-    caller re-analyzes the result anyway).
+    IrreducibleError if an insertion would make the graph irreducible
+    (unreachable for the supported edit forms; ``validate=False`` skips the
+    recheck when the caller re-analyzes the result anyway).
     """
     loops = analyze_loops(cfg)
     if isinstance(edit, RelabelEdge):
@@ -118,17 +137,7 @@ def apply_edit(
                 f"relabel of l{edit.src} -> l{edit.dst} is ambiguous: "
                 + "; ".join(stmt_text(e.stmt) for e in sorted(matches, key=Edge.sort_key))
             )
-        old = matches[0]
-        new = Edge(old.src, edit.new_stmt, old.dst)
-        if new == old:
-            delta = EditDelta()
-            return cfg, delta
-        if new in cfg.edges:
-            raise EditError("relabel would duplicate an existing edge")
-        new_cfg = Cfg(cfg.locs, cfg.edges - {old} | {new}, cfg.entry, cfg.exit)
-        if validate:
-            analyze_loops(new_cfg)
-        return new_cfg, EditDelta(relabelled=((old, new),))
+        return relabel(cfg, matches[0], edit.new_stmt)
 
     if edit.loc not in cfg.locs:
         raise EditError(f"unknown location l{edit.loc}")

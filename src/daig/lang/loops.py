@@ -6,7 +6,7 @@ loops, and assigns the per-join indices used to name pre-join cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .cfg import Cfg, CfgError, Edge, Loc
@@ -98,15 +98,6 @@ class LoopInfo:
     natural_loops: dict[Loc, frozenset[Loc]]
     join_indices: dict[Loc, tuple[Edge, ...]]
     idom: dict[Loc, Loc]
-    _tin: dict[Loc, int] = field(repr=False, default_factory=dict)
-    _tout: dict[Loc, int] = field(repr=False, default_factory=dict)
-
-    @property
-    def heads(self) -> set[Loc]:
-        return set(self.natural_loops)
-
-    def dominates(self, a: Loc, b: Loc) -> bool:
-        return self._tin[a] <= self._tin[b] < self._tout[a]
 
     def dominators_of(self, loc: Loc) -> frozenset[Loc]:
         out = {loc}
@@ -142,32 +133,11 @@ class LoopInfo:
         """Heads of the natural loops containing ``loc``, outermost first."""
         return self._enclosing[loc]
 
-    def in_any_loop(self, loc: Loc) -> bool:
-        return bool(self._enclosing[loc])
-
     def back_edge_of(self, head: Loc) -> Edge:
         for e in self.back_edges:
             if e.dst == head:
                 return e
         raise CfgError(f"l{head} is not a loop head")
-
-    def with_join_indices(self, join_indices: dict[Loc, tuple[Edge, ...]]) -> "LoopInfo":
-        """Same structure under a different (validated) join indexing."""
-        if set(join_indices) != set(self.join_indices):
-            raise CfgError("replacement join indices do not cover the join locations")
-        for loc, edges in join_indices.items():
-            if set(edges) != set(self.join_indices[loc]):
-                raise CfgError(f"replacement join indices at l{loc} mismatch the edges")
-        return LoopInfo(
-            cfg=self.cfg,
-            fwd_edges=self.fwd_edges,
-            back_edges=self.back_edges,
-            natural_loops=self.natural_loops,
-            join_indices={loc: tuple(es) for loc, es in join_indices.items()},
-            idom=self.idom,
-            _tin=self._tin,
-            _tout=self._tout,
-        )
 
 
 def _dominator_tree_times(idom: dict[Loc, Loc], entry: Loc) -> tuple[dict, dict]:
@@ -220,15 +190,12 @@ def _natural_loop(cfg: Cfg, back: Edge) -> frozenset[Loc]:
     return frozenset(body)
 
 
-def analyze_loops(
-    cfg: Cfg, join_indices: dict[Loc, tuple[Edge, ...]] | None = None
-) -> LoopInfo:
+def analyze_loops(cfg: Cfg) -> LoopInfo:
     """Partition edges, compute dominators, natural loops, and join indices.
 
-    Deterministic: with no ``join_indices`` supplied, incoming forward edges
-    of a join are indexed in ascending (source id, statement text) order.
-    An explicit ``join_indices`` (e.g. one kept stable across edits) is
-    validated against the graph and used as-is.
+    Deterministic: incoming forward edges of a join are indexed in ascending
+    (source id, statement text) order.  Edits carry an existing indexing
+    across with ``edits.stable_join_indices`` instead.
 
     Raises IrreducibleError when the forward subgraph is cyclic, and
     CfgError when forward edges do not span the graph or a head has more
@@ -283,20 +250,11 @@ def analyze_loops(
     fwd_in: dict[Loc, list[Edge]] = {}
     for e in fwd:
         fwd_in.setdefault(e.dst, []).append(e)
-    computed: dict[Loc, tuple[Edge, ...]] = {}
+    join_indices: dict[Loc, tuple[Edge, ...]] = {}
     for loc, edges in fwd_in.items():
         if len(edges) >= 2:
             edges.sort(key=lambda e: (e.src, stmt_text(e.stmt)))
-            computed[loc] = tuple(edges)
-    if join_indices is None:
-        join_indices = computed
-    else:
-        if set(join_indices) != set(computed):
-            raise CfgError("supplied join indices do not cover the join locations")
-        for loc, edges in join_indices.items():
-            if set(edges) != set(computed[loc]):
-                raise CfgError(f"supplied join indices at l{loc} mismatch the edges")
-        join_indices = {loc: tuple(edges) for loc, edges in join_indices.items()}
+            join_indices[loc] = tuple(edges)
 
     return LoopInfo(
         cfg=cfg,
@@ -305,6 +263,4 @@ def analyze_loops(
         natural_loops=loops,
         join_indices=join_indices,
         idom=idom,
-        _tin=tin,
-        _tout=tout,
     )

@@ -95,6 +95,15 @@ def test_repl_reports_session_errors_and_continues():
     assert "{x:[10,+inf]}" in out
 
 
+def test_repl_reports_bad_context_and_continues():
+    script = "query main 1 @[a]\nquery main exit\n"
+    code, out, err = run_cli(["repl", str(SAMPLES / "while.imp")], script)
+    assert code == 0, err
+    lines = out.strip().splitlines()
+    assert lines[0].startswith("error: bad context")
+    assert lines[1] == "{x:[10,+inf]}"
+
+
 def test_dump_dot(tmp_path):
     target = tmp_path / "graph.dot"
     script = f"query main exit\ndump dot {target}\n"

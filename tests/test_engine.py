@@ -4,7 +4,7 @@ import pytest
 
 from daig.batch import batch_analyze
 from daig.domains import INTERVAL
-from daig.engine import Engine, EngineError, MemoTable
+from daig.engine import Engine, EngineError
 from daig.graph import (
     CellType,
     IdxN,
@@ -15,12 +15,13 @@ from daig.graph import (
     head_iter_name,
     loc_state_name,
     prod,
+    stmt_cell_locs,
 )
 from daig.lang.edits import InsertStmtAfter, RelabelEdge
 from daig.lang.loops import analyze_loops
 from daig.lang.parser import parse_program, parse_stmt_text
 from daig.lang.syntax import stmt_text
-from daig.workload import gen_edit, gen_program_source
+from daig.workload import gen_edit, gen_program_source, gen_simple_stmt
 
 from helpers import append_cfg, ivl, while_cfg
 
@@ -52,7 +53,7 @@ def test_demand_chain_computes_exactly_two_transfers():
 
 def test_shared_memo_match_costs_no_evaluation():
     cfg = parse_program("fn main() { x = 1; }").proc("main").cfg
-    memo = MemoTable()
+    memo = {}
     first = Engine(cfg, INTERVAL, memo=memo)
     first.query_loc(cfg.exit)
     assert first.metrics.transfer_evals == 1
@@ -195,6 +196,75 @@ def test_write_cell_errors():
         eng.write_cell(LocN(cfg.exit), parse_stmt_text("skip;"))
 
 
+def test_statement_write_cannot_merge_parallel_edges():
+    # An empty-branch if lowers to two parallel edges into one join; writing
+    # one edge's statement into the other's cell would make them coincide.
+    src = "fn main() { x = 0; if (x < 1) { } y = 1; }"
+    cfg = parse_program(src).proc("main").cfg
+    eng = Engine(cfg, INTERVAL, debug=True)
+    eng.query_loc(cfg.exit)
+    ((join_loc, (first, second)),) = eng.loops.join_indices.items()
+    join_indices = dict(eng.loops.join_indices)
+    contents = {n: c.contents for n, c in eng.daig.refs.items()}
+    with pytest.raises(EngineError, match="duplicate an existing edge"):
+        eng.write_cell(prod(IdxN(2), LocN(second.src), LocN(join_loc)), first.stmt)
+    assert eng.cfg == cfg
+    assert eng.loops.join_indices == join_indices
+    assert {n: c.contents for n, c in eng.daig.refs.items()} == contents
+
+
+def _relabel_cases(seed: int):
+    """Fully queried engine on a random program, plus (cell, new statement)
+    for every statement cell whose edge has a unique (src, dst) pair."""
+    rng = random.Random(seed)
+    cfg = parse_program(gen_program_source(rng)).proc("main").cfg
+    eng = Engine(cfg, INTERVAL)
+    for loc in sorted(cfg.locs):
+        eng.query_loc(loc)
+    pairs = [(e.src, e.dst) for e in cfg.edges]
+    cases = []
+    for name, cell in sorted(eng.daig.refs.items(), key=lambda kv: repr(kv[0])):
+        if cell.ty is not CellType.STMT or pairs.count(stmt_cell_locs(name)) != 1:
+            continue
+        new = gen_simple_stmt(rng, ("x0", "x1", "x2", "x3"))
+        if new != cell.contents:
+            cases.append((name, new))
+    return eng, cases
+
+
+def test_statement_write_matches_relabel_edit():
+    kinds = set()
+    n_cases = 0
+    for seed in range(12):
+        base, cases = _relabel_cases(seed)
+        for name, new in cases:
+            src, dst = stmt_cell_locs(name)
+            edge = next(e for e in base.cfg.edges if (e.src, e.dst) == (src, dst))
+            if edge in base.loops.back_edges:
+                kinds.add("back")
+            elif dst in base.loops.join_indices:
+                kinds.add("join")
+            written, edited = base.snapshot(), base.snapshot()
+            written.write_cell(name, new)
+            edited.apply_program_edit(RelabelEdge(src, dst, new))
+            written.assert_invariants()
+            assert written.cfg == edited.cfg
+            assert written.loops.join_indices == edited.loops.join_indices
+            assert {n: c.contents for n, c in written.daig.refs.items()} == {
+                n: c.contents for n, c in edited.daig.refs.items()
+            }
+            assert written.daig.comps == edited.daig.comps
+            assert written.metrics.cells_dirtied == edited.metrics.cells_dirtied
+            oracle = batch_analyze(written.cfg, analyze_loops(written.cfg), INTERVAL)
+            for loc in sorted(written.cfg.locs):
+                want = oracle.invariants[loc]
+                assert INTERVAL.equal(written.query_loc(loc), want)
+                assert INTERVAL.equal(edited.query_loc(loc), want)
+            n_cases += 1
+    assert kinds == {"back", "join"}
+    assert n_cases >= 100
+
+
 def test_relabel_recomputes_one_transfer_per_downstream_edge():
     src = "fn main() { x = 1; y = x + 1; z = y + 1; }"
     cfg = parse_program(src).proc("main").cfg
@@ -246,14 +316,6 @@ def test_query_loc_dispatch():
 def test_monotone_work_within_a_session():
     cfg = append_cfg()
     eng = Engine(cfg, INTERVAL)
-    seen = set()
-    original = eng._apply
-
-    def counting_apply(comp, vals):
-        key = (comp.fn, tuple(INTERVAL.digest(v) if not hasattr(v, "var") else repr(v) for v in vals))
-        out = original(comp, vals)
-        return out
-
     for loc in sorted(cfg.locs):
         eng.query_loc(loc)
     m = eng.metrics
