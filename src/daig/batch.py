@@ -8,6 +8,7 @@ queries.  Inner loops re-converge once per enclosing iteration.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .lang.cfg import Cfg, Loc
@@ -32,8 +33,6 @@ def _topo_order(cfg: Cfg, loops: LoopInfo) -> list[Loc]:
     indeg = {l: 0 for l in cfg.locs}
     for e in loops.fwd_edges:
         indeg[e.dst] += 1
-    import heapq
-
     ready = [l for l, d in indeg.items() if d == 0]
     heapq.heapify(ready)
     succs: dict[Loc, list[Loc]] = {l: [] for l in cfg.locs}

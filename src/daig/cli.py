@@ -24,11 +24,11 @@ from pathlib import Path
 
 from .batch import batch_analyze
 from .domains import domain_by_name
-from .graph import to_dot
+from .graph import check_ai_consistency, check_cfg_consistency, check_wf, init_daig, to_dot
 from .interproc import Context, DaigForest, ENTRY_CONTEXT
 from .lang.cfg import CfgError, Program
 from .lang.edits import InsertIf, InsertStmtAfter, InsertWhile, RelabelEdge
-from .lang.inline import inline_program
+from .lang.inline import inline_program, is_inline_var
 from .lang.loops import analyze_loops
 from .lang.parser import ParseError, parse_expr_text, parse_program, parse_stmt_text
 from .engine import PreservationError
@@ -215,8 +215,6 @@ def cmd_analyze(args) -> int:
     res = batch_analyze(cfg, loops, domain, args.mode)
     state = res.invariants[loc]
     if not domain.is_bot(state):
-        from .lang.inline import is_inline_var
-
         for var in [v for v in state.bindings if is_inline_var(v)]:
             state = domain.drop_var(state, var)
     print(domain.to_text(state))
@@ -248,8 +246,6 @@ def cmd_check(args) -> int:
     text = Path(args.file).read_text(encoding="utf-8")
     program = parse_program(text)
     domain = domain_by_name(args.domain)
-    from .graph import check_ai_consistency, check_cfg_consistency, check_wf, init_daig
-
     for name in sorted(program.procedures):
         cfg = program.proc(name).cfg
         loops = analyze_loops(cfg)

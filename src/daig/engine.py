@@ -118,9 +118,8 @@ class Engine:
         self.enable_memo = enable_memo
         self.debug = debug
         self.call_handler = call_handler
-        self.entry_state = entry_state if entry_state is not None else domain.init()
         self.metrics = Metrics()
-        self.daig = init_daig(cfg, self.loops, domain, self.entry_state)
+        self.daig = init_daig(cfg, self.loops, domain, entry_state)
         self._fix_by_final: dict[Name, Name] = {}
         for comp in self.daig.comps.values():
             if comp.fn is FnSymbol.FIX:
@@ -138,7 +137,6 @@ class Engine:
         out.enable_memo = self.enable_memo
         out.debug = self.debug
         out.call_handler = self.call_handler
-        out.entry_state = self.entry_state
         out.metrics = Metrics(**self.metrics.snapshot())
         out.daig = self.daig.copy()
         out._fix_by_final = dict(self._fix_by_final)
@@ -378,12 +376,12 @@ class Engine:
                 new_cfg, delta = relabel(self.cfg, Edge(src, cell.contents, dst), value)
             except EditError as exc:
                 raise EngineError(f"cannot write {name!r}: {exc}") from None
-            if new_cfg is self.cfg:
-                # Rewriting the current statement changes no edge, but its
-                # consumers are still re-demanded.
-                self._dirty(name, include_self=False)
-            else:
-                self._splice(new_cfg, delta)
+            if new_cfg is not self.cfg:
+                self.splice(new_cfg, delta, analyze_loops(new_cfg))
+                return
+            # Rewriting the current statement changes no edge, but its
+            # consumers are still re-demanded.
+            self._dirty(name, include_self=False)
         else:
             if value is None:
                 if name not in self.daig.comps:
@@ -427,20 +425,19 @@ class Engine:
         insertions splice in fresh structure, and every cell whose inputs
         changed is dirtied so demand recomputes it."""
         new_cfg, delta = apply_edit(self.cfg, edit, validate=False)
-        if new_cfg is self.cfg:
-            return delta
-        self._splice(new_cfg, delta)
-        self._after_public_op()
+        if new_cfg is not self.cfg:
+            self.splice(new_cfg, delta, analyze_loops(new_cfg))
         return delta
 
-    def _splice(self, new_cfg: Cfg, delta: EditDelta) -> None:
+    def splice(self, new_cfg: Cfg, delta: EditDelta, loops: LoopInfo) -> None:
         """Bring the graph in step with ``new_cfg``, which differs from the
-        current program by ``delta``: re-derive loops, keep join indices
-        stable, rebuild the flow into every touched location, and dirty
-        whatever reads a changed statement or computation."""
-        pure_loops = analyze_loops(new_cfg)
-        ji = stable_join_indices(self.loops.join_indices, delta, pure_loops)
-        new_loops = replace(pure_loops, join_indices=ji)
+        current program by ``delta`` and has loop structure ``loops`` (as
+        derived by ``analyze_loops``): keep join indices stable, re-derive the
+        flow into every touched location, and dirty whatever reads a changed
+        statement or computation.  One derived edit may be spliced into
+        every engine analyzing the edited procedure."""
+        ji = stable_join_indices(self.loops.join_indices, delta, loops)
+        new_loops = replace(loops, join_indices=ji)
         targets = sorted(delta.touched_dsts() | set(delta.added_locs))
         daig = self.daig
         content_writes: list[tuple[Name, Stmt]] = []
@@ -469,20 +466,4 @@ class Engine:
             daig.refs[name].contents = stmt
         for dest in dirties:
             self._dirty(dest, include_self=True)
-
-    def rebuild(self, clear_memo: bool = True) -> None:
-        """Forget all analysis state, keeping the program (full dirtying)."""
-        filled = sum(
-            1
-            for c in self.daig.refs.values()
-            if c.ty is CellType.STATE and c.contents is not None
-        )
-        self.metrics.cells_dirtied += max(0, filled - 1)  # entry stays
-        self.daig = init_daig(self.cfg, self.loops, self.domain, self.entry_state)
-        self._fix_by_final = {}
-        for comp in self.daig.comps.values():
-            if comp.fn is FnSymbol.FIX:
-                self._fix_by_final[comp.srcs[1]] = comp.dest
-        if clear_memo:
-            self.memo.clear()
         self._after_public_op()

@@ -14,9 +14,9 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .lang.cfg import Cfg, CfgError, Edge, Loc
+from .lang.cfg import Cfg, CfgError, Loc
 from .lang.loops import LoopInfo
-from .lang.syntax import stmt_text
+from .lang.syntax import Call, stmt_text
 
 # --- names ----------------------------------------------------------------
 
@@ -321,23 +321,6 @@ def head_fix_name(head: Loc, loops: LoopInfo) -> Name:
 
 def prewiden_name(head: Loc, loops: LoopInfo) -> Name:
     return Prod(head_iter_name(head, 0, loops), head_iter_name(head, 1, loops))
-
-
-def edge_join_index(edge: Edge, loops: LoopInfo) -> Optional[int]:
-    indexed = loops.join_indices.get(edge.dst)
-    if indexed is None:
-        return None
-    return indexed.index(edge) + 1
-
-
-def stmt_cell_name(edge: Edge, loops: LoopInfo) -> Name:
-    base = Prod(LocN(edge.src), LocN(edge.dst))
-    if edge in loops.back_edges:
-        return base
-    idx = edge_join_index(edge, loops)
-    if idx is None:
-        return base
-    return prod(IdxN(idx), base)
 
 
 def src_nm(src: Loc, dst: Loc, loops: LoopInfo) -> Name:
@@ -715,8 +698,6 @@ def check_ai_consistency(
     Transfer computations over call statements are structural only; pass
     ``call_transfer`` to recompute them, otherwise their values are trusted.
     """
-    from .lang.syntax import Call
-
     def fail(msg: str) -> bool:
         if reasons is not None:
             reasons.append(msg)

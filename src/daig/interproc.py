@@ -19,6 +19,7 @@ from .engine import Engine, Metrics
 from .graph import Computation, Name, stmt_cell_locs
 from .lang.cfg import CfgError, Loc, Program
 from .lang.edits import InsertIf, InsertStmtAfter, InsertWhile, ProgramEdit, RelabelEdge, apply_edit
+from .lang.loops import analyze_loops
 from .lang.syntax import Call
 
 
@@ -129,9 +130,8 @@ class DaigForest:
         if eng is None:
             self.engines[key] = self._new_engine(proc, ctx, merged)
             return
-        if self.domain.equal(merged, eng.entry_state):
+        if self.domain.equal(merged, eng.daig.entry_state):
             return
-        eng.entry_state = merged
         eng.daig.entry_state = merged
         eng.write_cell(eng.daig.entry_name, merged)
         self._dirty_callers(proc, ctx)
@@ -176,12 +176,19 @@ class DaigForest:
 
     def apply_program_edit(self, proc: str, edit: ProgramEdit) -> None:
         """Edit a procedure in every live context, then transitively dirty
-        every recorded return-site cell in callers."""
+        every recorded return-site cell in callers.
+
+        The edit is derived once, and its loop analysis (which also rejects
+        an irreducible result) is spliced into each live context's graph.
+        """
         self._validate_new_calls(edit)
-        new_cfg, _delta = apply_edit(self.program.proc(proc).cfg, edit)
-        for (p, _ctx), eng in sorted(self.engines.items(), key=lambda kv: kv[0]):
-            if p == proc:
-                eng.apply_program_edit(edit)
+        old_cfg = self.program.proc(proc).cfg
+        new_cfg, delta = apply_edit(old_cfg, edit, validate=False)
+        if new_cfg is not old_cfg:
+            loops = analyze_loops(new_cfg)
+            for (p, _ctx), eng in sorted(self.engines.items(), key=lambda kv: kv[0]):
+                if p == proc:
+                    eng.splice(new_cfg, delta, loops)
         self.program.replace_cfg(proc, new_cfg)
         self._dirty_callers(proc, None)
 

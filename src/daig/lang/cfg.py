@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .syntax import Stmt, stmt_text
+from .syntax import Call, Stmt, stmt_text
 
 Loc = int
 
@@ -76,8 +76,6 @@ class Program:
 
         Raises CfgError on a recursive call cycle.
         """
-        from .syntax import Call
-
         callees: dict[str, set[str]] = {name: set() for name in self.procedures}
         for name, proc in self.procedures.items():
             for e in proc.cfg.edges:

@@ -127,7 +127,6 @@ def apply_edit(
     (unreachable for the supported edit forms; ``validate=False`` skips the
     recheck when the caller re-analyzes the result anyway).
     """
-    loops = analyze_loops(cfg)
     if isinstance(edit, RelabelEdge):
         matches = [e for e in cfg.edges if e.src == edit.src and e.dst == edit.dst]
         if not matches:
@@ -141,7 +140,7 @@ def apply_edit(
 
     if edit.loc not in cfg.locs:
         raise EditError(f"unknown location l{edit.loc}")
-    moved_out = _moved_out_edges(cfg, loops, edit.loc)
+    moved_out = _moved_out_edges(cfg, analyze_loops(cfg), edit.loc)
 
     b = GraphBuilder(next_id=cfg.fresh_loc())
     if isinstance(edit, InsertStmtAfter):

@@ -153,24 +153,3 @@ def stmt_text(s: Stmt) -> str:
         arg = expr_text(s.actual) if s.actual is not None else ""
         return f"{s.lhs} = {s.callee}({arg});"
     raise TypeError(f"not a statement: {s!r}")
-
-
-def expr_vars(e: Expr) -> set[str]:
-    """Scalar variables read by an expression (array names excluded)."""
-    out: set[str] = set()
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Var):
-            out.add(x.name)
-        elif isinstance(x, ArrayRead):
-            stack.append(x.index)
-        elif isinstance(x, Binop):
-            stack.append(x.lhs)
-            stack.append(x.rhs)
-        elif isinstance(x, Not):
-            stack.append(x.operand)
-        elif isinstance(x, (And, Or)):
-            stack.append(x.lhs)
-            stack.append(x.rhs)
-    return out

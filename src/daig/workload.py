@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .batch import batch_analyze
-from .engine import Engine
+from .interproc import DaigForest
 from .lang.cfg import Cfg, Loc
 from .lang.edits import InsertIf, InsertStmtAfter, InsertWhile, ProgramEdit, apply_edit
+from .lang.inline import inline_program, is_inline_var
 from .lang.loops import analyze_loops
 from .lang.parser import parse_program
 from .lang.syntax import (
@@ -27,6 +28,7 @@ from .lang.syntax import (
     ArrayWrite,
     Assign,
     Binop,
+    Call,
     Expr,
     IntLit,
     Not,
@@ -35,6 +37,8 @@ from .lang.syntax import (
     Skip,
     Stmt,
     Var,
+    expr_text,
+    stmt_text,
 )
 from .domains import domain_by_name
 
@@ -147,8 +151,6 @@ def gen_simple_stmt(
 ) -> Stmt:
     roll = rng.random()
     if callees and roll < 0.12:
-        from .lang.syntax import Call
-
         return Call(rng.choice(vars), rng.choice(callees), gen_expr(rng, 1, vars))
     if roll < 0.70:
         return Assign(rng.choice(vars), gen_expr(rng, 3, vars))
@@ -192,8 +194,7 @@ def gen_program_source(
         for _ in range(count):
             roll = rng.random()
             if roll < 0.62 or depth >= max_depth:
-                s = gen_simple_stmt(rng, vars)
-                lines.append(stmt_source(s))
+                lines.append(stmt_text(gen_simple_stmt(rng, vars)))
             elif roll < 0.85 or budget[0] <= 0:
                 inner = block(depth + 1, rng.randint(1, 2))
                 lines.append(f"if ({cond_source(rng)}) {{ {' '.join(inner)} }}")
@@ -206,14 +207,7 @@ def gen_program_source(
                 lines.append(f"while ({cond_source(rng)}) {{ {' '.join(inner)} }}")
         return lines
 
-    def stmt_source(s: Stmt) -> str:
-        from .lang.syntax import stmt_text
-
-        return stmt_text(s)
-
     def cond_source(r: random.Random) -> str:
-        from .lang.syntax import expr_text
-
         return expr_text(gen_cond(r, 1, vars + input_vars or vars))
 
     body = block(0, rng.randint(3, max_stmts))
@@ -235,7 +229,11 @@ def _summary_op(config: str) -> str:
 
 
 class _Runner:
-    """Shared driver: applies the edit stream, answering queries per config."""
+    """Shared driver: applies the edit stream, answering queries per config.
+
+    Every configuration but Batch analyzes through a ``DaigForest``; an
+    intraprocedural workload is a forest with one engine.
+    """
 
     def __init__(self, spec: WorkloadSpec):
         self.spec = spec
@@ -243,29 +241,23 @@ class _Runner:
         self.records: list[LatencyRecord] = []
         self.answers: list[str] = []
         self.program = parse_program(INTERPROC_BASE if spec.interproc else EMPTY_MAIN)
-        self.cfg = self.program.proc("main").cfg
         self.base = dict.fromkeys(
             ("transfer_evals", "join_evals", "widen_evals", "memo_hits", "cells_dirtied"), 0
         )
-        self.engine: Optional[Engine] = None
-        self.forest = None
+        self.forest = None if spec.config == "Batch" else self._new_forest()
         self.batch_result = None
-        if spec.config != "Batch":
-            if spec.interproc:
-                from .interproc import DaigForest
 
-                self.forest = DaigForest(self.program, self.domain, policy_k=1, mode=spec.mode)
-            else:
-                self.engine = Engine(self.cfg, self.domain, mode=spec.mode)
+    @property
+    def cfg(self) -> Cfg:
+        return self.program.proc("main").cfg
+
+    def _new_forest(self) -> DaigForest:
+        return DaigForest(self.program, self.domain, policy_k=1, mode=self.spec.mode)
 
     def counters(self) -> dict[str, int]:
         out = dict(self.base)
-        snap = None
         if self.forest is not None:
             snap = self.forest.metrics().snapshot()
-        elif self.engine is not None:
-            snap = self.engine.metrics.snapshot()
-        if snap is not None:
             for k in out:
                 out[k] += snap[k]
         return out
@@ -293,59 +285,35 @@ class _Runner:
     def apply_edit_op(self, edit_index: int, edit: ProgramEdit) -> None:
         spec = self.spec
         t0 = time.perf_counter_ns()
+        if spec.config in ("Batch", "DemandDriven"):
+            new_cfg, _ = apply_edit(self.cfg, edit, validate=False)
+            self.program.replace_cfg("main", new_cfg)
+        else:
+            self.forest.apply_program_edit("main", edit)
         if spec.config == "Batch":
-            self.cfg, _ = apply_edit(self.cfg, edit, validate=False)
-            self.program.replace_cfg("main", self.cfg)
-            target = self.program
-            if spec.interproc:
-                from .lang.inline import inline_program
-
-                target = inline_program(self.program)
+            target = inline_program(self.program) if spec.interproc else self.program
             flat_cfg = target.proc("main").cfg
             res = batch_analyze(flat_cfg, analyze_loops(flat_cfg), self.domain, spec.mode)
             self.batch_result = res
             for k in ("transfer_evals", "join_evals", "widen_evals"):
                 self.base[k] += getattr(res, k)
-        elif self.forest is not None:
-            if spec.config == "DemandDriven":
-                from .interproc import DaigForest
-
-                self.forest.apply_program_edit("main", edit)
-                snap = self.forest.metrics()
-                for k in self.base:
-                    self.base[k] += getattr(snap, k)
-                self.forest = DaigForest(
-                    self.program, self.domain, policy_k=1, mode=spec.mode
-                )
-            else:
-                self.forest.apply_program_edit("main", edit)
-                if spec.config == "Incremental":
-                    for loc in sorted(self.program.proc("main").cfg.locs):
-                        self.forest.query_loc("main", loc)
-            self.cfg = self.program.proc("main").cfg
-        else:
-            self.engine.apply_program_edit(edit)
-            self.cfg = self.engine.cfg
-            if spec.config == "Incremental":
-                for loc in sorted(self.cfg.locs):
-                    self.engine.query_loc(loc)
-            elif spec.config == "DemandDriven":
-                self.engine.rebuild(clear_memo=True)
+        elif spec.config == "DemandDriven":
+            self.base = self.counters()
+            self.forest = self._new_forest()
+        elif spec.config == "Incremental":
+            for loc in sorted(self.cfg.locs):
+                self.forest.query_loc("main", loc)
         self._record("edit", edit_index, time.perf_counter_ns() - t0)
 
     def query_op(self, edit_index: int, loc: Loc) -> str:
         t0 = time.perf_counter_ns()
-        if self.spec.config == "Batch":
+        if self.forest is None:
             value = self.batch_result.invariants[loc]
             if self.spec.interproc and not self.domain.is_bot(value):
-                from .lang.inline import is_inline_var
-
                 for var in [v for v in value.bindings if is_inline_var(v)]:
                     value = self.domain.drop_var(value, var)
-        elif self.forest is not None:
-            value = self.forest.query_loc("main", loc)
         else:
-            value = self.engine.query_loc(loc)
+            value = self.forest.query_loc("main", loc)
         answer = self.domain.to_text(value)
         self._record("query", edit_index, time.perf_counter_ns() - t0, answer)
         self.answers.append(answer)

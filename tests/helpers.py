@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import random
 
+import daig.engine
+import daig.interproc
+import daig.lang.edits
 from daig.domains.interval import NEG_INF, POS_INF, IntervalState
 from daig.lang.cfg import Cfg, Loc
+from daig.lang.loops import analyze_loops
 from daig.lang.parser import parse_program
 
 # Scalar port of a two-list append procedure: a guarded early return, a
@@ -50,6 +54,20 @@ def ivl(**bounds) -> IntervalState:
     for var, (lo, hi) in bounds.items():
         out[var] = (NEG_INF if lo is None else lo, POS_INF if hi is None else hi)
     return IntervalState(out)
+
+
+def count_loop_analyses(monkeypatch) -> list[Cfg]:
+    """Record every CFG that the edit path (``daig.lang.edits``,
+    ``daig.engine``, ``daig.interproc``) hands to ``analyze_loops``."""
+    calls: list[Cfg] = []
+
+    def counting(cfg: Cfg):
+        calls.append(cfg)
+        return analyze_loops(cfg)
+
+    for module in (daig.lang.edits, daig.engine, daig.interproc):
+        monkeypatch.setattr(module, "analyze_loops", counting)
+    return calls
 
 
 # -- independent oracles -----------------------------------------------------

@@ -23,7 +23,7 @@ from daig.lang.parser import parse_program, parse_stmt_text
 from daig.lang.syntax import stmt_text
 from daig.workload import gen_edit, gen_program_source, gen_simple_stmt
 
-from helpers import append_cfg, ivl, while_cfg
+from helpers import append_cfg, count_loop_analyses, ivl, while_cfg
 
 
 def test_query_reuse_costs_nothing():
@@ -299,6 +299,28 @@ def test_deletion_is_relabel_to_skip():
     assert eng.cfg.locs == cfg.locs
     assert len(eng.cfg.edges) == len(cfg.edges)
     assert INTERVAL.to_text(eng.query_loc(eng.cfg.exit)) == "{x:[1,1]}"
+
+
+def test_edit_analyzes_loops_once_per_cfg_it_needs(monkeypatch):
+    # A relabel keeps every (source, destination) pair, so only the new CFG
+    # is analyzed; an insertion also reads the old CFG's loops to decide
+    # which outgoing edges move.
+    cfg = append_cfg()
+    eng = Engine(cfg, INTERVAL, debug=True)
+    eng.query_loc(cfg.exit)
+    calls = count_loop_analyses(monkeypatch)
+    edge = next(e for e in cfg.edges if stmt_text(e.stmt) == "rn = q;")
+    eng.apply_program_edit(RelabelEdge(edge.src, edge.dst, parse_stmt_text("rn = 3;")))
+    assert len(calls) == 1
+    assert calls == [eng.cfg]
+    del calls[:]
+    relabelled = eng.cfg
+    eng.apply_program_edit(InsertStmtAfter(2, parse_stmt_text("print(0);")))
+    assert len(calls) == 2
+    assert calls == [relabelled, eng.cfg]
+    oracle = batch_analyze(eng.cfg, analyze_loops(eng.cfg), INTERVAL)
+    for loc in sorted(eng.cfg.locs):
+        assert INTERVAL.equal(eng.query_loc(loc), oracle.invariants[loc]), loc
 
 
 def test_query_loc_dispatch():

@@ -13,7 +13,7 @@ from daig.lang.loops import analyze_loops
 from daig.lang.parser import parse_program, parse_stmt_text
 from daig.lang.syntax import stmt_text
 
-from helpers import gen_call_tree_source
+from helpers import count_loop_analyses, gen_call_tree_source
 
 
 def drop_inline_vars(state):
@@ -163,6 +163,44 @@ def test_edit_of_main_with_no_callers_dirties_nothing_else():
     # the callee's engine is untouched by an edit in its caller's prefix
     assert {n for n, c in f_eng.daig.refs.items() if not c.is_empty()} >= f_filled
     assert_matches_inline_oracle(program, policy_k=0)
+
+
+def assert_forest_matches_inline_oracle(forest, program):
+    oracle = inlined_invariants(program)
+    for loc in sorted(program.proc(program.main).cfg.locs):
+        got = INTERVAL.to_text(forest.query_loc(program.main, loc))
+        assert got == INTERVAL.to_text(oracle[loc]), loc
+
+
+def test_callee_edit_is_derived_once_for_all_live_contexts(monkeypatch):
+    src = """
+    fn main() { a = f(1); b = f(5); c = a + b; }
+    fn f(p) { x = p; if (x < 3) { x = x + 1; } ret = x * 2; }
+    """
+    program = parse_program(src)
+    forest = DaigForest(program, INTERVAL, policy_k=1, debug=True)
+    assert_forest_matches_inline_oracle(forest, program)
+    assert len([ctx for p, ctx in forest.live_keys() if p == "f"]) == 2
+    calls = count_loop_analyses(monkeypatch)
+
+    # An insertion analyzes the old CFG (to place the moved edges) and the
+    # new one, however many contexts of f are live.
+    old_cfg = program.proc("f").cfg
+    forest.apply_program_edit("f", InsertStmtAfter(old_cfg.entry, parse_stmt_text("p = p + 10;")))
+    assert len(calls) == 2
+    assert calls == [old_cfg, program.proc("f").cfg]
+    assert_forest_matches_inline_oracle(forest, program)
+    assert_matches_inline_oracle(program, policy_k=1)
+
+    # A relabel changes no structure: only the new CFG is analyzed.
+    del calls[:]
+    edge = next(e for e in program.proc("f").cfg.edges if stmt_text(e.stmt) == "ret = (x * 2);")
+    forest.apply_program_edit("f", RelabelEdge(edge.src, edge.dst, parse_stmt_text("ret = x - 1;")))
+    assert len(calls) == 1
+    assert calls == [program.proc("f").cfg]
+    assert_forest_matches_inline_oracle(forest, program)
+    assert_matches_inline_oracle(program, policy_k=1)
+    assert len([ctx for p, ctx in forest.live_keys() if p == "f"]) == 2
 
 
 def test_post_edit_consistency_with_argument_change():
