@@ -68,7 +68,10 @@ class Session:
             if len(words) != 3 or words[1] != "dot":
                 raise SessionError("usage: dump dot <path>")
             eng = self.forest.engine(self.forest.program.main, ENTRY_CONTEXT)
-            Path(words[2]).write_text(to_dot(eng.daig, self.domain) + "\n", encoding="utf-8")
+            try:
+                Path(words[2]).write_text(to_dot(eng.daig, self.domain) + "\n", encoding="utf-8")
+            except OSError as exc:
+                raise SessionError(f"cannot write {words[2]}: {exc.strerror or exc}") from None
             return f"wrote {words[2]}"
         if cmd == "metrics":
             m = self.forest.metrics()
@@ -185,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--mode", default="eq", choices=("eq", "leq"))
     b.add_argument("--out", default="bench-out")
     b.add_argument("--jobs", type=int, default=0, help="parallel trial processes "
-                                                       "(0 = one per trial)")
+                                                       "(0 = one per trial, at most 4)")
     b.add_argument("--configs", nargs="*", default=list(CONFIGS), choices=CONFIGS)
     b.add_argument("--interproc", action="store_true",
                    help="grow main inside a small multi-procedure program, "

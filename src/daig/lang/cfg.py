@@ -14,14 +14,24 @@ class CfgError(ValueError):
     """A structural invariant of a Cfg or Program is violated."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
+    """A statement-labelled edge; equality and hashing use (src, stmt, dst).
+
+    ``text`` is the statement printed once at construction, so sorting by
+    ``sort_key`` never re-prints it.
+    """
+
     src: Loc
     stmt: Stmt
     dst: Loc
+    text: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "text", stmt_text(self.stmt))
 
     def sort_key(self) -> tuple:
-        return (self.src, self.dst, stmt_text(self.stmt))
+        return (self.src, self.dst, self.text)
 
 
 @dataclass(frozen=True)

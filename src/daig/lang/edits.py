@@ -15,7 +15,7 @@ from typing import Union
 from .cfg import Cfg, CfgError, Edge, Loc
 from .lower import GraphBuilder, IfBlock, WhileBlock
 from .loops import LoopInfo, analyze_loops
-from .syntax import Expr, Stmt, stmt_text
+from .syntax import Expr, Stmt
 
 
 class EditError(CfgError):
@@ -107,7 +107,7 @@ def relabel(cfg: Cfg, old: Edge, new_stmt: Stmt) -> tuple[Cfg, EditDelta]:
     keeps every (source, destination) pair, so loop structure cannot change.
     """
     if old not in cfg.edges:
-        raise EditError(f"l{old.src} -> l{old.dst} ({stmt_text(old.stmt)}) is not an edge")
+        raise EditError(f"l{old.src} -> l{old.dst} ({old.text}) is not an edge")
     new = Edge(old.src, new_stmt, old.dst)
     if new == old:
         return cfg, EditDelta()
@@ -134,7 +134,7 @@ def apply_edit(
         if len(matches) > 1:
             raise EditError(
                 f"relabel of l{edit.src} -> l{edit.dst} is ambiguous: "
-                + "; ".join(stmt_text(e.stmt) for e in sorted(matches, key=Edge.sort_key))
+                + "; ".join(e.text for e in sorted(matches, key=Edge.sort_key))
             )
         return relabel(cfg, matches[0], edit.new_stmt)
 

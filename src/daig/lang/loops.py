@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .cfg import Cfg, CfgError, Edge, Loc
-from .syntax import stmt_text
 
 
 class IrreducibleError(CfgError):
@@ -20,7 +19,7 @@ class IrreducibleError(CfgError):
         self.edge = edge
         super().__init__(
             f"irreducible control flow: retreating edge "
-            f"l{edge.src} -> l{edge.dst} ({stmt_text(edge.stmt)})"
+            f"l{edge.src} -> l{edge.dst} ({edge.text})"
         )
 
 
@@ -253,7 +252,8 @@ def analyze_loops(cfg: Cfg) -> LoopInfo:
     join_indices: dict[Loc, tuple[Edge, ...]] = {}
     for loc, edges in fwd_in.items():
         if len(edges) >= 2:
-            edges.sort(key=lambda e: (e.src, stmt_text(e.stmt)))
+            # The edges of one join share dst: this is (source, text) order.
+            edges.sort(key=Edge.sort_key)
             join_indices[loc] = tuple(edges)
 
     return LoopInfo(

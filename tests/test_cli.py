@@ -114,6 +114,17 @@ def test_dump_dot(tmp_path):
     assert "fix" in text
 
 
+def test_repl_reports_unwritable_dot_path_and_continues(tmp_path):
+    target = tmp_path / "missing" / "x.dot"
+    script = f"dump dot {target}\nquery main 1\n"
+    code, out, err = run_cli(["repl", str(SAMPLES / "while.imp")], script)
+    assert code == 0, err
+    lines = out.strip().splitlines()
+    assert lines[0].startswith(f"error: cannot write {target}")
+    assert lines[1] == "{x:[0,+inf]}"
+    assert not target.exists()
+
+
 def test_check_command_runs_checkers_and_session():
     script = "query main exit\nedit insert-after main 0 :: print(x);\nquery main exit\n"
     code, out, err = run_cli(["check", str(SAMPLES / "while.imp")], script)

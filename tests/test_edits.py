@@ -1,7 +1,13 @@
+import dataclasses
+import pickle
 import random
 
 import pytest
 
+from daig.batch import batch_analyze
+from daig.domains import INTERVAL
+from daig.engine import Engine
+from daig.lang.cfg import Edge
 from daig.lang.edits import (
     EditError,
     InsertIf,
@@ -139,3 +145,55 @@ def test_stable_join_indices_keep_surviving_edges_in_place():
     assert any(e in moved_new for e in ji[join])
     # pure re-indexing would have reordered (fresh ids sort last)
     assert [stmt_text(e.stmt) for e in new_loops.join_indices[join]] != old_order
+
+
+def edited_cfgs(seed: int, programs: int = 12, edits: int = 8):
+    """Each seeded random program, then each version along a seeded edit stream."""
+    rng = random.Random(seed)
+    for _ in range(programs):
+        cfg = parse_program(gen_program_source(rng)).proc("main").cfg
+        yield cfg
+        for _ in range(edits):
+            cfg, _delta = apply_edit(cfg, gen_edit(rng, cfg))
+            yield cfg
+
+
+def test_edge_text_is_the_printed_statement():
+    for cfg in edited_cfgs(41):
+        for e in cfg.edges:
+            assert e.text == stmt_text(e.stmt)
+            assert e.sort_key() == (e.src, e.dst, stmt_text(e.stmt))
+            twin = Edge(e.src, e.stmt, e.dst)
+            assert twin == e and hash(twin) == hash(e)
+            other = Skip() if e.text != "skip;" else parse_stmt_text("x = 1;")
+            swapped = dataclasses.replace(e, stmt=other)
+            assert swapped.text == stmt_text(other) != e.text
+            assert swapped != e
+
+
+def test_join_indices_order_by_source_then_statement_text():
+    for cfg in edited_cfgs(43):
+        loops = analyze_loops(cfg)
+        for loc, edges in loops.join_indices.items():
+            want = sorted(edges, key=lambda e: (e.src, stmt_text(e.stmt)))
+            assert list(edges) == want, loc
+
+
+def test_warm_engine_survives_pickling():
+    rng = random.Random(47)
+    for _ in range(4):
+        cfg = parse_program(gen_program_source(rng)).proc("main").cfg
+        eng = Engine(cfg, INTERVAL)
+        for _ in range(3):
+            eng.apply_program_edit(gen_edit(rng, eng.cfg))
+        for loc in sorted(eng.cfg.locs):
+            eng.query_loc(loc)
+        copy = pickle.loads(pickle.dumps(eng))
+        assert copy.cfg == eng.cfg
+        assert all(e.text == stmt_text(e.stmt) for e in copy.cfg.edges)
+        for edited in (False, True):
+            if edited:
+                copy.apply_program_edit(gen_edit(rng, copy.cfg))
+            oracle = batch_analyze(copy.cfg, analyze_loops(copy.cfg), INTERVAL)
+            for loc in sorted(copy.cfg.locs):
+                assert INTERVAL.equal(copy.query_loc(loc), oracle.invariants[loc]), loc
