@@ -16,10 +16,12 @@ class CfgError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Edge:
-    """A statement-labelled edge; equality and hashing use (src, stmt, dst).
+    """A statement-labelled edge; equality uses (src, stmt, dst).
 
     ``text`` is the statement printed once at construction, so sorting by
-    ``sort_key`` never re-prints it.
+    ``sort_key`` never re-prints it.  Hashing uses (src, dst, text): equal
+    statements print alike, and a string keeps its hash, so hashing an edge
+    never walks its statement.
     """
 
     src: Loc
@@ -29,6 +31,9 @@ class Edge:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "text", stmt_text(self.stmt))
+
+    def __hash__(self) -> int:
+        return hash((self.src, self.dst, self.text))
 
     def sort_key(self) -> tuple:
         return (self.src, self.dst, self.text)
@@ -43,9 +48,6 @@ class Cfg:
 
     def out_edges(self, loc: Loc) -> list[Edge]:
         return sorted((e for e in self.edges if e.src == loc), key=Edge.sort_key)
-
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges, key=Edge.sort_key)
 
     def fresh_loc(self) -> Loc:
         return max(self.locs) + 1

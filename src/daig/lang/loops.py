@@ -7,7 +7,6 @@ loops, and assigns the per-join indices used to name pre-join cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .cfg import Cfg, CfgError, Edge, Loc
 
@@ -23,80 +22,28 @@ class IrreducibleError(CfgError):
         )
 
 
-def _postorder(cfg: Cfg) -> list[Loc]:
-    succs: dict[Loc, list[Loc]] = {l: [] for l in cfg.locs}
-    for e in cfg.sorted_edges():
-        succs[e.src].append(e.dst)
-    seen: set[Loc] = set()
-    order: list[Loc] = []
-    stack: list[tuple[Loc, int]] = [(cfg.entry, 0)]
-    seen.add(cfg.entry)
-    while stack:
-        node, i = stack[-1]
-        kids = succs[node]
-        if i < len(kids):
-            stack[-1] = (node, i + 1)
-            nxt = kids[i]
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append((nxt, 0))
-        else:
-            stack.pop()
-            order.append(node)
-    return order
-
-
-def _immediate_dominators(cfg: Cfg) -> dict[Loc, Loc]:
-    """Iterative idom computation over reverse postorder (Cooper-Harvey-Kennedy)."""
-    post = _postorder(cfg)
-    rpo = list(reversed(post))
-    number = {l: i for i, l in enumerate(rpo)}
-    preds: dict[Loc, list[Loc]] = {l: [] for l in cfg.locs}
-    for e in cfg.sorted_edges():
-        if e.src in number and e.dst in number:
-            preds[e.dst].append(e.src)
-
-    idom: dict[Loc, Loc] = {cfg.entry: cfg.entry}
-
-    def intersect(a: Loc, b: Loc) -> Loc:
-        while a != b:
-            while number[a] > number[b]:
-                a = idom[a]
-            while number[b] > number[a]:
-                b = idom[b]
-        return a
-
-    changed = True
-    while changed:
-        changed = False
-        for node in rpo:
-            if node == cfg.entry:
-                continue
-            new = None
-            for p in preds[node]:
-                if p in idom:
-                    new = p if new is None else intersect(new, p)
-            if new is not None and idom.get(node) != new:
-                idom[node] = new
-                changed = True
-    return idom
-
-
 @dataclass
 class LoopInfo:
-    """Forward/back edge partition plus dominators, natural loops, join indices.
+    """Forward/back edge partition, immediate dominators, natural loops and
+    the incoming forward edges of every location.
 
-    ``join_indices`` maps each location of forward indegree >= 2 to its
-    incoming forward edges; the 1-based position in the tuple is the edge's
-    join index.
+    ``fwd_in`` maps every location to its incoming forward edges in
+    ascending (source id, statement text) order.  ``join_indices`` maps each
+    location of forward indegree >= 2 to the same edges; the 1-based position
+    in the tuple is the edge's join index.  ``analyze_loops`` gives them the
+    ``fwd_in`` order, but an edit may carry an older, stable indexing across
+    (``edits.stable_join_indices``), so only ``fwd_in`` promises that order.
+    ``enclosing`` maps every location to the heads of the natural loops whose
+    body holds it, outermost first.
     """
 
-    cfg: Cfg
     fwd_edges: frozenset[Edge]
     back_edges: frozenset[Edge]
     natural_loops: dict[Loc, frozenset[Loc]]
     join_indices: dict[Loc, tuple[Edge, ...]]
     idom: dict[Loc, Loc]
+    fwd_in: dict[Loc, tuple[Edge, ...]]
+    enclosing: dict[Loc, tuple[Loc, ...]]
 
     def dominators_of(self, loc: Loc) -> frozenset[Loc]:
         out = {loc}
@@ -106,31 +53,9 @@ class LoopInfo:
             out.add(cur)
         return frozenset(out)
 
-    @cached_property
-    def dominators(self) -> dict[Loc, frozenset[Loc]]:
-        return {l: self.dominators_of(l) for l in self.cfg.locs}
-
-    @cached_property
-    def fwd_in(self) -> dict[Loc, tuple[Edge, ...]]:
-        out: dict[Loc, list[Edge]] = {l: [] for l in self.cfg.locs}
-        for e in sorted(self.fwd_edges, key=Edge.sort_key):
-            out[e.dst].append(e)
-        return {l: tuple(es) for l, es in out.items()}
-
-    @cached_property
-    def _enclosing(self) -> dict[Loc, tuple[Loc, ...]]:
-        # Heads whose natural loop contains the location, outermost first.
-        # Nesting is strict containment, so body size orders unambiguously.
-        out: dict[Loc, tuple[Loc, ...]] = {}
-        for l in self.cfg.locs:
-            hs = [h for h, body in self.natural_loops.items() if l in body]
-            hs.sort(key=lambda h: (-len(self.natural_loops[h]), h))
-            out[l] = tuple(hs)
-        return out
-
     def enclosing_heads(self, loc: Loc) -> tuple[Loc, ...]:
         """Heads of the natural loops containing ``loc``, outermost first."""
-        return self._enclosing[loc]
+        return self.enclosing[loc]
 
     def back_edge_of(self, head: Loc) -> Edge:
         for e in self.back_edges:
@@ -139,35 +64,7 @@ class LoopInfo:
         raise CfgError(f"l{head} is not a loop head")
 
 
-def _dominator_tree_times(idom: dict[Loc, Loc], entry: Loc) -> tuple[dict, dict]:
-    kids: dict[Loc, list[Loc]] = {l: [] for l in idom}
-    for n, d in idom.items():
-        if n != entry:
-            kids[d].append(n)
-    for v in kids.values():
-        v.sort()
-    tin: dict[Loc, int] = {}
-    tout: dict[Loc, int] = {}
-    t = 0
-    stack: list[tuple[Loc, int]] = [(entry, 0)]
-    tin[entry] = t
-    t += 1
-    while stack:
-        node, i = stack[-1]
-        if i < len(kids[node]):
-            stack[-1] = (node, i + 1)
-            c = kids[node][i]
-            tin[c] = t
-            t += 1
-            stack.append((c, 0))
-        else:
-            stack.pop()
-            tout[node] = t
-            t += 1
-    return tin, tout
-
-
-def _natural_loop(cfg: Cfg, back: Edge) -> frozenset[Loc]:
+def _natural_loop(ins: dict[Loc, list[Edge]], back: Edge) -> frozenset[Loc]:
     """Locations that reach the back edge's source without passing its head.
 
     The head itself is excluded; cell naming treats it separately.
@@ -175,14 +72,11 @@ def _natural_loop(cfg: Cfg, back: Edge) -> frozenset[Loc]:
     head, tail = back.dst, back.src
     if tail == head:
         return frozenset()
-    preds: dict[Loc, list[Loc]] = {l: [] for l in cfg.locs}
-    for e in cfg.edges:
-        preds[e.dst].append(e.src)
     body = {tail}
     stack = [tail]
     while stack:
-        n = stack.pop()
-        for p in preds[n]:
+        for e in ins[stack.pop()]:
+            p = e.src
             if p != head and p not in body:
                 body.add(p)
                 stack.append(p)
@@ -192,75 +86,122 @@ def _natural_loop(cfg: Cfg, back: Edge) -> frozenset[Loc]:
 def analyze_loops(cfg: Cfg) -> LoopInfo:
     """Partition edges, compute dominators, natural loops, and join indices.
 
-    Deterministic: incoming forward edges of a join are indexed in ascending
-    (source id, statement text) order.  Edits carry an existing indexing
-    across with ``edits.stable_join_indices`` instead.
+    One scan over the edges builds the adjacency; everything after it works
+    on locations.  A depth-first search from the entry (successors in
+    ascending order) gives the reverse postorder, over which the
+    Cooper-Harvey-Kennedy iteration finds the immediate dominators.  A
+    dominator precedes what it dominates in that order, so only retreating
+    edges can be back edges, and the forward subgraph is acyclic exactly when
+    every retreating edge is one.
 
-    Raises IrreducibleError when the forward subgraph is cyclic, and
-    CfgError when forward edges do not span the graph or a head has more
-    than one incoming back edge.
+    Deterministic: incoming forward edges of a join are indexed in ascending
+    (source id, statement text) order, as in ``fwd_in``.  Edits carry an
+    existing indexing across with ``edits.stable_join_indices`` instead.
+
+    Raises CfgError when a location is unreachable from the entry (naming
+    the least one), IrreducibleError when a retreating edge is not a back
+    edge (naming the least such edge by ``Edge.sort_key``), and CfgError when
+    a head has more than one incoming back edge.
     """
     cfg.validate()
-    idom = _immediate_dominators(cfg)
-    unreachable = cfg.locs - idom.keys()
-    if unreachable:
-        worst = min(unreachable)
-        raise CfgError(f"l{worst} is unreachable from entry")
-    tin, tout = _dominator_tree_times(idom, cfg.entry)
-
-    def dominates(a: Loc, b: Loc) -> bool:
-        return tin[a] <= tin[b] < tout[a]
-
-    back = frozenset(e for e in cfg.edges if dominates(e.dst, e.src))
-    fwd = cfg.edges - back
-
-    # Forward subgraph must be a DAG; a leftover cycle pinpoints a
-    # retreating edge that is not a dominance back edge.
-    indeg = {l: 0 for l in cfg.locs}
     succs: dict[Loc, list[Loc]] = {l: [] for l in cfg.locs}
-    for e in fwd:
-        indeg[e.dst] += 1
+    ins: dict[Loc, list[Edge]] = {l: [] for l in cfg.locs}
+    for e in cfg.edges:
         succs[e.src].append(e.dst)
-    ready = sorted(l for l, d in indeg.items() if d == 0)
-    removed = 0
-    while ready:
-        n = ready.pop()
-        removed += 1
-        for m in succs[n]:
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                ready.append(m)
-    if removed != len(cfg.locs):
-        stuck = {l for l, d in indeg.items() if d > 0}
-        offender = min(
-            (e for e in fwd if e.src in stuck and e.dst in stuck),
-            key=Edge.sort_key,
-        )
-        raise IrreducibleError(offender)
+        ins[e.dst].append(e)
+    for kids in succs.values():
+        kids.sort()
 
-    heads_seen: set[Loc] = set()
-    loops: dict[Loc, frozenset[Loc]] = {}
-    for e in sorted(back, key=Edge.sort_key):
-        if e.dst in heads_seen:
-            raise CfgError(f"l{e.dst} has more than one incoming back edge")
-        heads_seen.add(e.dst)
-        loops[e.dst] = _natural_loop(cfg, e)
+    entry = cfg.entry
+    seen = {entry}
+    post: list[Loc] = []
+    stack = [(entry, iter(succs[entry]))]
+    while stack:
+        node, kids = stack[-1]
+        for nxt in kids:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append((nxt, iter(succs[nxt])))
+                break
+        else:
+            stack.pop()
+            post.append(node)
+    if len(post) != len(cfg.locs):
+        worst = min(cfg.locs - seen)
+        raise CfgError(f"l{worst} is unreachable from entry")
 
-    fwd_in: dict[Loc, list[Edge]] = {}
-    for e in fwd:
-        fwd_in.setdefault(e.dst, []).append(e)
+    # Dominators over reverse-postorder numbers: rpo[i] is the i-th location,
+    # num its inverse, dom[i] the number of rpo[i]'s immediate dominator.
+    rpo = post[::-1]
+    num = {l: i for i, l in enumerate(rpo)}
+    npreds = [[num[e.src] for e in ins[l]] for l in rpo]
+    dom = [-1] * len(rpo)
+    dom[0] = 0
+    changed = True
+    while changed:
+        changed = False
+        for i in range(1, len(rpo)):
+            new = -1
+            for p in npreds[i]:
+                if dom[p] < 0:
+                    continue
+                if new < 0:
+                    new = p
+                    continue
+                a = p
+                while a != new:
+                    while a > new:
+                        a = dom[a]
+                    while new > a:
+                        new = dom[new]
+            if dom[i] != new:
+                dom[i] = new
+                changed = True
+    idom = {l: rpo[dom[i]] for i, l in enumerate(rpo)}
+
+    back: list[Edge] = []
+    fwd_in: dict[Loc, tuple[Edge, ...]] = {}
     join_indices: dict[Loc, tuple[Edge, ...]] = {}
-    for loc, edges in fwd_in.items():
+    irreducible: list[Edge] = []
+    for d, l in enumerate(rpo):
+        edges = []
+        for e, s in zip(ins[l], npreds[d]):
+            if s < d:
+                edges.append(e)
+                continue
+            # Retreating: a back edge exactly when l dominates the source.
+            while s > d:
+                s = dom[s]
+            (back if s == d else irreducible).append(e)
         if len(edges) >= 2:
             # The edges of one join share dst: this is (source, text) order.
             edges.sort(key=Edge.sort_key)
-            join_indices[loc] = tuple(edges)
+            join_indices[l] = fwd_in[l] = tuple(edges)
+        else:
+            fwd_in[l] = tuple(edges)
+    if irreducible:
+        raise IrreducibleError(min(irreducible, key=Edge.sort_key))
 
+    loops: dict[Loc, frozenset[Loc]] = {}
+    back.sort(key=Edge.sort_key)
+    for e in back:
+        if e.dst in loops:
+            raise CfgError(f"l{e.dst} has more than one incoming back edge")
+        loops[e.dst] = _natural_loop(ins, e)
+
+    # Nesting is strict containment, so body size orders unambiguously.
+    enclosing: dict[Loc, tuple[Loc, ...]] = dict.fromkeys(cfg.locs, ())
+    for h in sorted(loops, key=lambda h: (-len(loops[h]), h)):
+        for l in loops[h]:
+            enclosing[l] += (h,)
+
+    back_edges = frozenset(back)
     return LoopInfo(
-        cfg=cfg,
-        fwd_edges=frozenset(fwd),
-        back_edges=back,
+        fwd_edges=cfg.edges - back_edges,
+        back_edges=back_edges,
         natural_loops=loops,
         join_indices=join_indices,
         idom=idom,
+        fwd_in=fwd_in,
+        enclosing=enclosing,
     )

@@ -359,8 +359,13 @@ class ConfigSummary:
     p90_ns: int
     p95_ns: int
     p99_ns: int
+    cycle_p50_ns: int
+    cycle_p95_ns: int
 
-    CSV_FIELDS = ("config", "op", "count", "mean_ns", "p50_ns", "p90_ns", "p95_ns", "p99_ns")
+    CSV_FIELDS = (
+        "config", "op", "count", "mean_ns", "p50_ns", "p90_ns", "p95_ns", "p99_ns",
+        "cycle_p50_ns", "cycle_p95_ns",
+    )
 
     def csv_row(self) -> str:
         return ",".join(str(getattr(self, f)) for f in self.CSV_FIELDS)
@@ -368,17 +373,24 @@ class ConfigSummary:
 
 def summarize(records: Iterable[LatencyRecord]) -> list[ConfigSummary]:
     """Mean and nearest-rank percentiles of each configuration's
-    characteristic operation latency."""
+    characteristic operation latency, plus the nearest-rank p50 and p95 of
+    its cycles: an edit together with the queries that follow it, keyed by
+    (trial, seed, edit_index), so no configuration's edit cost hides behind
+    its query cost."""
     records = list(records)
     if not records:
         raise ValueError("no records to summarize")
     out = []
     for config in CONFIGS:
-        lats = sorted(
-            r.latency_ns for r in records if r.config == config and r.op == _summary_op(config)
-        )
+        mine = [r for r in records if r.config == config]
+        lats = sorted(r.latency_ns for r in mine if r.op == _summary_op(config))
         if not lats:
             continue
+        by_cycle: dict[tuple[int, int, int], int] = {}
+        for r in mine:
+            key = (r.trial, r.seed, r.edit_index)
+            by_cycle[key] = by_cycle.get(key, 0) + r.latency_ns
+        cycles = sorted(by_cycle.values())
         out.append(
             ConfigSummary(
                 config=config,
@@ -389,18 +401,24 @@ def summarize(records: Iterable[LatencyRecord]) -> list[ConfigSummary]:
                 p90_ns=nearest_rank(lats, 90),
                 p95_ns=nearest_rank(lats, 95),
                 p99_ns=nearest_rank(lats, 99),
+                cycle_p50_ns=nearest_rank(cycles, 50),
+                cycle_p95_ns=nearest_rank(cycles, 95),
             )
         )
     return out
 
 
 def render_summary(summaries: list[ConfigSummary]) -> str:
-    header = f"{'config':<26}{'op':<7}{'n':>7}{'mean':>12}{'p50':>12}{'p90':>12}{'p95':>12}{'p99':>12}"
+    header = (
+        f"{'config':<26}{'op':<7}{'n':>7}{'mean':>12}{'p50':>12}{'p90':>12}{'p95':>12}{'p99':>12}"
+        f"{'cycle p50':>12}{'cycle p95':>12}"
+    )
     lines = [header, "-" * len(header)]
     for s in summaries:
         lines.append(
             f"{s.config:<26}{s.op:<7}{s.count:>7}"
             f"{s.mean_ns / 1e6:>11.3f}m{s.p50_ns / 1e6:>11.3f}m"
             f"{s.p90_ns / 1e6:>11.3f}m{s.p95_ns / 1e6:>11.3f}m{s.p99_ns / 1e6:>11.3f}m"
+            f"{s.cycle_p50_ns / 1e6:>11.3f}m{s.cycle_p95_ns / 1e6:>11.3f}m"
         )
     return "\n".join(lines)

@@ -1,14 +1,21 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import daig
 from daig.lang.cfg import Cfg, CfgError, Edge
+from daig.lang.edits import apply_edit
 from daig.lang.loops import IrreducibleError, analyze_loops
 from daig.lang.parser import parse_program
-from daig.lang.syntax import SKIP, Assign, IntLit
+from daig.lang.syntax import SKIP, Assign, Binop, IntLit
 
 from helpers import APPEND_SRC, brute_force_dominators, brute_force_natural_loops
-from daig.workload import gen_program_source
+from daig.workload import gen_edit, gen_program_source
 
 
 def diamond() -> Cfg:
@@ -58,7 +65,8 @@ def test_dominators_match_brute_force_on_random_programs():
     for _ in range(25):
         cfg = parse_program(gen_program_source(rng)).proc("main").cfg
         loops = analyze_loops(cfg)
-        assert {l: set(d) for l, d in loops.dominators.items()} == brute_force_dominators(cfg)
+        doms = {l: set(loops.dominators_of(l)) for l in cfg.locs}
+        assert doms == brute_force_dominators(cfg)
         assert {h: set(b) for h, b in loops.natural_loops.items()} == brute_force_natural_loops(cfg)
 
 
@@ -73,25 +81,19 @@ def test_purity_and_determinism():
     assert a.idom == b.idom
 
 
-def test_irreducible_graph_reports_offending_edge():
+def irreducible_cfg() -> Cfg:
     # Two entries into a cycle; neither cycle node dominates the other.
     s = SKIP
     edges = {Edge(0, s, 1), Edge(0, s, 2), Edge(1, s, 2), Edge(2, s, 1), Edge(1, s, 3)}
-    cfg = Cfg(frozenset({0, 1, 2, 3}), frozenset(edges), entry=0, exit=3)
-    with pytest.raises(IrreducibleError) as exc:
-        analyze_loops(cfg)
-    bad = exc.value.edge
-    assert {bad.src, bad.dst} <= {1, 2}
+    return Cfg(frozenset({0, 1, 2, 3}), frozenset(edges), entry=0, exit=3)
 
 
-def test_unreachable_location_rejected():
+def unreachable_cfg() -> Cfg:
     edges = {Edge(0, SKIP, 1)}
-    cfg = Cfg(frozenset({0, 1, 9}), frozenset(edges), entry=0, exit=1)
-    with pytest.raises(CfgError, match="unreachable"):
-        analyze_loops(cfg)
+    return Cfg(frozenset({0, 1, 9}), frozenset(edges), entry=0, exit=1)
 
 
-def test_double_back_edge_rejected():
+def double_back_edge_cfg() -> Cfg:
     s1 = Assign("x", IntLit(1))
     edges = {
         Edge(0, SKIP, 1),
@@ -100,9 +102,24 @@ def test_double_back_edge_rejected():
         Edge(2, SKIP, 1),  # second back edge into l1
         Edge(1, s1, 3),
     }
-    cfg = Cfg(frozenset({0, 1, 2, 3}), frozenset(edges), entry=0, exit=3)
+    return Cfg(frozenset({0, 1, 2, 3}), frozenset(edges), entry=0, exit=3)
+
+
+def test_irreducible_graph_reports_offending_edge():
+    with pytest.raises(IrreducibleError) as exc:
+        analyze_loops(irreducible_cfg())
+    bad = exc.value.edge
+    assert {bad.src, bad.dst} <= {1, 2}
+
+
+def test_unreachable_location_rejected():
+    with pytest.raises(CfgError, match="unreachable"):
+        analyze_loops(unreachable_cfg())
+
+
+def test_double_back_edge_rejected():
     with pytest.raises(CfgError, match="more than one"):
-        analyze_loops(cfg)
+        analyze_loops(double_back_edge_cfg())
 
 
 def test_enclosing_heads_order_is_outermost_first():
@@ -123,3 +140,92 @@ def test_enclosing_heads_order_is_outermost_first():
     assert inner in loops.natural_loops[outer]
     for loc in loops.natural_loops[inner]:
         assert loops.enclosing_heads(loc) == (outer, inner)
+
+
+def check_against_definitions(cfg: Cfg) -> None:
+    loops = analyze_loops(cfg)
+    doms = brute_force_dominators(cfg)
+    back = {e for e in cfg.edges if e.dst in doms[e.src]}
+    assert loops.back_edges == back
+    assert loops.fwd_edges == cfg.edges - back
+    bodies = brute_force_natural_loops(cfg)
+    assert {h: set(b) for h, b in loops.natural_loops.items()} == bodies
+    for l in cfg.locs:
+        heads = sorted((h for h, b in bodies.items() if l in b), key=lambda h: (-len(bodies[h]), h))
+        assert loops.enclosing_heads(l) == tuple(heads), l
+        incoming = sorted((e for e in cfg.edges - back if e.dst == l), key=Edge.sort_key)
+        assert loops.fwd_in[l] == tuple(incoming), l
+        if len(incoming) >= 2:
+            assert loops.join_indices[l] == loops.fwd_in[l], l
+        else:
+            assert l not in loops.join_indices, l
+
+
+def test_loop_structure_matches_definitions_along_edit_streams():
+    for seed in range(12):
+        rng = random.Random(1000 + seed)
+        cfg = parse_program(gen_program_source(rng)).proc("main").cfg
+        for step in range(40):
+            if step % 5 == 0:
+                check_against_definitions(cfg)
+            cfg, _delta = apply_edit(cfg, gen_edit(rng, cfg))
+        check_against_definitions(cfg)
+
+
+def test_edges_that_print_alike_hash_alike_but_stay_distinct():
+    a = Edge(0, Assign("x", IntLit(-1)), 1)
+    b = Edge(0, Assign("x", Binop("-", IntLit(0), IntLit(1))), 1)
+    assert a.text == b.text
+    assert hash(a) == hash(b)
+    assert a != b
+    both = frozenset({a, b})
+    assert len(both) == 2 and a in both and b in both
+    assert both - {a} == {b}
+
+
+# Run in a fresh interpreter: loop structure of a pickled Cfg, then the
+# messages of the three structural errors.
+_REPORT = """
+import pickle, sys
+from daig.lang.loops import analyze_loops
+from test_loops import double_back_edge_cfg, irreducible_cfg, unreachable_cfg
+
+with open(sys.argv[1], "rb") as f:
+    loops = analyze_loops(pickle.load(f))
+print([(l, [e.sort_key() for e in es]) for l, es in loops.join_indices.items()])
+print([(h, sorted(b)) for h, b in loops.natural_loops.items()])
+for make in (irreducible_cfg, unreachable_cfg, double_back_edge_cfg):
+    try:
+        analyze_loops(make())
+    except ValueError as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+def test_loop_structure_and_errors_do_not_depend_on_string_hashing(tmp_path):
+    rng = random.Random(7)
+    cfg = parse_program(gen_program_source(rng)).proc("main").cfg
+    for _ in range(30):
+        cfg, _delta = apply_edit(cfg, gen_edit(rng, cfg))
+    loops = analyze_loops(cfg)
+    assert len(loops.join_indices) >= 2 and loops.natural_loops
+    path = tmp_path / "cfg.pickle"
+    path.write_bytes(pickle.dumps(cfg))
+    paths = [Path(daig.__file__).resolve().parent.parent, Path(__file__).resolve().parent]
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(map(str, paths)))
+        proc = subprocess.run(
+            [sys.executable, "-c", _REPORT, str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines() == [
+        str([(l, [e.sort_key() for e in es]) for l, es in loops.join_indices.items()]),
+        str([(h, sorted(b)) for h, b in loops.natural_loops.items()]),
+        "IrreducibleError irreducible control flow: retreating edge l2 -> l1 (skip;)",
+        "CfgError l9 is unreachable from entry",
+        "CfgError l1 has more than one incoming back edge",
+    ]

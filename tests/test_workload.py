@@ -8,10 +8,12 @@ from daig.lang.parser import parse_program
 from daig.workload import (
     CONFIGS,
     EMPTY_MAIN,
+    ConfigSummary,
     LatencyRecord,
     WorkloadSpec,
     gen_edit,
     nearest_rank,
+    render_summary,
     run_config,
     summarize,
 )
@@ -140,6 +142,34 @@ def test_summarize_single_record():
     assert summary.count == 1
     assert summary.p50_ns == summary.p95_ns == summary.p99_ns == 123
     assert summary.mean_ns == 123
+
+
+def test_summary_reports_cycle_latency_of_edit_plus_queries():
+    def rec(config, trial, edit_index, op, latency_ns):
+        return LatencyRecord(
+            trial=trial, seed=5, config=config, edit_index=edit_index, op=op,
+            latency_ns=latency_ns, program_locs=2, transfer_evals=0, join_evals=0,
+            widen_evals=0, memo_hits=0, cells_dirtied=0,
+        )
+
+    idd = "IncrementalDemandDriven"
+    records = [
+        rec(idd, 0, 0, "edit", 100), rec(idd, 0, 0, "query", 1), rec(idd, 0, 0, "query", 2),
+        rec(idd, 0, 1, "edit", 50), rec(idd, 0, 1, "query", 5),
+        # the same edit index in another trial is another cycle
+        rec(idd, 1, 0, "edit", 1000), rec(idd, 1, 0, "query", 1),
+        rec("Batch", 0, 0, "edit", 7), rec("Batch", 0, 0, "query", 3),
+    ]
+    summaries = {s.config: s for s in summarize(records)}
+    s = summaries[idd]
+    # the query percentiles hide the 1000 ns edit; the cycle percentiles do not
+    assert (s.op, s.count, s.p95_ns) == ("query", 4, 5)
+    assert (s.cycle_p50_ns, s.cycle_p95_ns) == (103, 1001)
+    b = summaries["Batch"]
+    assert (b.op, b.p95_ns, b.cycle_p50_ns, b.cycle_p95_ns) == ("edit", 7, 10, 10)
+    assert ConfigSummary.CSV_FIELDS[-2:] == ("cycle_p50_ns", "cycle_p95_ns")
+    assert s.csv_row().endswith(",103,1001")
+    assert "cycle p95" in render_summary([b, s]).splitlines()[0]
 
 
 def test_summary_uses_the_characteristic_operation():
