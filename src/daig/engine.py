@@ -276,14 +276,28 @@ class Engine:
         the fix edge slides forward; names already present from an earlier
         roll-back are reused.  Statement cells carry no iteration counts,
         so program syntax is never duplicated.
+
+        The region is found by walking back from the final iterate through
+        computations, never past the first: a natural loop is entered only
+        through its head, so this is exactly the set of computed cells both
+        downstream of the first iterate and upstream of the final one.  It
+        costs O(body x nesting), not a walk to the end of the program; stale
+        deeper iterates of an inner loop rolled back by an edit are read by
+        no live computation, so the walk never reaches them.
         """
         daig = self.daig
         first, final = fix_comp.srcs
         head = _fix_head(fix_comp.dest)
         self.metrics.unrollings += 1
-        fset = daig.forward_set(first)
-        bset = daig.backward_set(final)
-        region = sorted((fset & bset) | {final}, key=name_key)
+        between = daig.backward_set(final, stop=first)
+        if self.debug:
+            want = daig.forward_set(first) & daig.backward_set(final)
+            if between != want:
+                raise PreservationError(
+                    f"unrolling region of {fix_comp.dest!r} is "
+                    f"{sorted(between, key=name_key)}, wanted {sorted(want, key=name_key)}"
+                )
+        region = sorted(between | {final}, key=name_key)
         for n in region:
             nn = incr_name(n, head, self.loops)
             if nn not in daig.refs:

@@ -6,6 +6,10 @@ single destination each.  Loops are encoded acyclically: a loop head owns
 numbered abstract-iterate cells chained by widening, and a distinguished
 ``fix`` computation from the two greatest iterates to the head's
 fixed-point cell stands in for the cyclic dependency.
+
+Names are interned: each kind is built through a table of its live names,
+so equal names are the same object and compare by identity.  Unpickling and
+copying go through the constructors and re-intern.
 """
 
 from __future__ import annotations
@@ -13,23 +17,61 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
+from weakref import ref
 
 from .lang.cfg import Cfg, CfgError, Loc
 from .lang.loops import LoopInfo
 from .lang.syntax import Call, stmt_text
 
 # --- names ----------------------------------------------------------------
+#
+# Identity is equality, so dict and set lookups that hit never call back into
+# Python.  The tables hold weak references: a name lives only as long as some
+# graph or caller holds it.  Hashes stay value-based, so the iteration order
+# of a set of names does not depend on where the names sit in memory.
+
+
+class _Entry(ref):
+    """A weak reference to an interned name, carrying its table and key."""
+
+    __slots__ = ("table", "key")
+
+
+def _forget(entry: _Entry) -> None:
+    """Drop a dead name's entry, unless a newer name has taken its key."""
+    if entry.table.get(entry.key) is entry:
+        del entry.table[entry.key]
+
+
+_LOCN: dict = {}
+_IDXN: dict = {}
+_PROD: dict = {}
+_ITER: dict = {}
+
+
+def _intern(table: dict, key, name: "Name", h: int) -> "Name":
+    name._h = h
+    entry = table[key] = _Entry(name, _forget)
+    entry.table = table
+    entry.key = key
+    return name
 
 
 class LocN:
-    __slots__ = ("loc", "_h")
+    __slots__ = ("loc", "_h", "__weakref__")
 
-    def __init__(self, loc: Loc):
+    def __new__(cls, loc: Loc) -> "LocN":
+        entry = _LOCN.get(loc)
+        if entry is not None:
+            self = entry()
+            if self is not None:
+                return self
+        self = object.__new__(cls)
         self.loc = loc
-        self._h = hash(("loc", loc))
+        return _intern(_LOCN, loc, self, hash(("loc", loc)))
 
-    def __eq__(self, other):
-        return type(other) is LocN and other.loc == self.loc
+    def __reduce__(self):
+        return (LocN, (self.loc,))
 
     def __hash__(self):
         return self._h
@@ -39,14 +81,20 @@ class LocN:
 
 
 class IdxN:
-    __slots__ = ("index", "_h")
+    __slots__ = ("index", "_h", "__weakref__")
 
-    def __init__(self, index: int):
+    def __new__(cls, index: int) -> "IdxN":
+        entry = _IDXN.get(index)
+        if entry is not None:
+            self = entry()
+            if self is not None:
+                return self
+        self = object.__new__(cls)
         self.index = index
-        self._h = hash(("idx", index))
+        return _intern(_IDXN, index, self, hash(("idx", index)))
 
-    def __eq__(self, other):
-        return type(other) is IdxN and other.index == self.index
+    def __reduce__(self):
+        return (IdxN, (self.index,))
 
     def __hash__(self):
         return self._h
@@ -58,16 +106,25 @@ class IdxN:
 class Prod:
     """Right-nested name product; use :func:`prod` to build canonically."""
 
-    __slots__ = ("left", "right", "_h")
+    __slots__ = ("left", "right", "_h", "__weakref__")
 
-    def __init__(self, left: "Name", right: "Name"):
+    def __new__(cls, left: "Name", right: "Name") -> "Prod":
         assert not isinstance(left, Prod), "products are right-nested"
+        # The parts are interned and a product holds them, so their ids name
+        # them for as long as the product's entry lives.
+        key = (id(left), id(right))
+        entry = _PROD.get(key)
+        if entry is not None:
+            self = entry()
+            if self is not None:
+                return self
+        self = object.__new__(cls)
         self.left = left
         self.right = right
-        self._h = hash(("prod", left, right))
+        return _intern(_PROD, key, self, hash(("prod", left, right)))
 
-    def __eq__(self, other):
-        return type(other) is Prod and other.left == self.left and other.right == self.right
+    def __reduce__(self):
+        return (Prod, (self.left, self.right))
 
     def __hash__(self):
         return self._h
@@ -76,16 +133,28 @@ class Prod:
         return f"{self.left!r}.{self.right!r}"
 
 
+def _iter(base: LocN, counts: tuple[tuple[Loc, int], ...]) -> "Iter":
+    """The interned ``Iter`` for ``counts`` already sorted by head."""
+    key = (base.loc, counts)
+    entry = _ITER.get(key)
+    if entry is not None:
+        self = entry()
+        if self is not None:
+            return self
+    assert counts, "Iter requires at least one loop-head count"
+    self = object.__new__(Iter)
+    self.base = base
+    self.counts = counts
+    return _intern(_ITER, key, self, hash(("iter", base, counts)))
+
+
 class Iter:
     """A location name tagged with one iteration count per enclosing loop head."""
 
-    __slots__ = ("base", "counts", "_h")
+    __slots__ = ("base", "counts", "_h", "__weakref__")
 
-    def __init__(self, base: LocN, counts: Iterable[tuple[Loc, int]]):
-        self.base = base
-        self.counts = tuple(sorted(counts))
-        assert self.counts, "Iter requires at least one loop-head count"
-        self._h = hash(("iter", base, self.counts))
+    def __new__(cls, base: LocN, counts: Iterable[tuple[Loc, int]]) -> "Iter":
+        return _iter(base, tuple(sorted(counts)))
 
     def count_of(self, head: Loc) -> int:
         for h, c in self.counts:
@@ -94,11 +163,14 @@ class Iter:
         return 0
 
     def with_count(self, head: Loc, value: int) -> "Iter":
-        rest = tuple((h, c) for h, c in self.counts if h != head)
-        return Iter(self.base, rest + ((head, value),))
+        if any(h == head for h, _ in self.counts):
+            return _iter(
+                self.base, tuple((h, value if h == head else c) for h, c in self.counts)
+            )
+        return Iter(self.base, self.counts + ((head, value),))
 
-    def __eq__(self, other):
-        return type(other) is Iter and other.base == self.base and other.counts == self.counts
+    def __reduce__(self):
+        return (Iter, (self.base, self.counts))
 
     def __hash__(self):
         return self._h
@@ -246,23 +318,8 @@ class Daig:
 
     # -- reachability ---------------------------------------------------------
 
-    def reaches(self, n: Name, target: Name) -> bool:
-        """Whether ``target`` transitively (non-reflexively) depends on ``n``."""
-        self.cell(n)
-        self.cell(target)
-        seen = set()
-        stack = [n]
-        while stack:
-            cur = stack.pop()
-            for dest in self._consumers.get(cur, ()):
-                if dest == target:
-                    return True
-                if dest not in seen:
-                    seen.add(dest)
-                    stack.append(dest)
-        return False
-
     def forward_set(self, n: Name) -> set[Name]:
+        """Cells that transitively (non-reflexively) depend on ``n``."""
         seen: set[Name] = set()
         stack = [n]
         while stack:
@@ -272,15 +329,19 @@ class Daig:
                     stack.append(dest)
         return seen
 
-    def backward_set(self, n: Name) -> set[Name]:
+    def backward_set(self, n: Name, stop: Optional[Name] = None) -> set[Name]:
+        """Computed cells that ``n`` transitively (non-reflexively) depends
+        on, walking back through computations but never past ``stop``.
+
+        Cells without a computation (statements, the entry) end the walk and
+        are left out.
+        """
+        comps = self.comps
         seen: set[Name] = set()
-        stack = [n]
+        stack = [n] if n in comps else []
         while stack:
-            comp = self.comps.get(stack.pop())
-            if comp is None:
-                continue
-            for s in comp.srcs:
-                if s not in seen:
+            for s in comps[stack.pop()].srcs:
+                if s not in seen and s is not stop and s in comps:
                     seen.add(s)
                     stack.append(s)
         return seen

@@ -21,7 +21,7 @@ from daig.lang.edits import InsertStmtAfter, RelabelEdge
 from daig.lang.loops import analyze_loops
 from daig.lang.parser import parse_program, parse_stmt_text
 from daig.lang.syntax import stmt_text
-from daig.workload import gen_edit, gen_program_source, gen_simple_stmt
+from daig.workload import EMPTY_MAIN, gen_edit, gen_program_source, gen_simple_stmt
 
 from helpers import append_cfg, count_loop_analyses, ivl, while_cfg
 
@@ -398,3 +398,94 @@ def test_snapshot_is_independent():
     assert INTERVAL.to_text(snap.query_loc(cfg.exit)) == "{x:[10,+inf]}"
     assert INTERVAL.to_text(eng.query_loc(cfg.exit)) == "{x:[10,+inf]}"
     assert INTERVAL.to_text(eng.query_loc(eng.loops.back_edge_of(1).dst)) == "{x:[5,+inf]}"
+
+
+def test_unroll_region_skips_stale_iterates_of_a_rolled_back_inner_loop(monkeypatch):
+    src = """
+    fn main() {
+      i = 0;
+      while (i < 3) {
+        j = 0;
+        while (j < n) { j = j + 1; }
+        i = i + 1;
+      }
+    }
+    """
+    eng = Engine(parse_program(src).proc("main").cfg, INTERVAL, debug=True)
+    loops = eng.loops
+    outer = max(loops.natural_loops, key=lambda h: len(loops.natural_loops[h]))
+    (inner,) = set(loops.natural_loops) - {outer}
+    eng.query_loc(eng.cfg.exit)
+    inner_fix = Iter(LocN(inner), ((outer, 0),))
+    assert eng.daig.comps[inner_fix].srcs[1].count_of(inner) == 2
+    # The inner body now leaves j at 0: after the edit the inner loop
+    # converges at depth one, and its depth-two structure stays behind.
+    (back,) = [e for e in loops.back_edges if e.dst == inner]
+    eng.apply_program_edit(RelabelEdge(back.src, back.dst, parse_stmt_text("j = 0;")))
+    it1 = Iter(LocN(inner), ((outer, 0), (inner, 1)))
+    it2 = Iter(LocN(inner), ((outer, 0), (inner, 2)))
+    stale = {it2, Prod(it1, it2)}
+    first, final = eng.daig.comps[LocN(outer)].srcs
+    assert (first.count_of(outer), final.count_of(outer)) == (0, 1)
+    region = eng.daig.backward_set(final, stop=first)
+    assert stale <= eng.daig.forward_set(first) & set(eng.daig.comps)
+    assert not stale & region
+    assert region == eng.daig.forward_set(first) & eng.daig.backward_set(final)
+
+    regions = []
+    backward_set = eng.daig.backward_set
+
+    def recording(n, stop=None):
+        out = backward_set(n, stop)
+        if stop is not None:
+            regions.append(out)
+        return out
+
+    monkeypatch.setattr(eng.daig, "backward_set", recording)
+    oracle = batch_analyze(eng.cfg, analyze_loops(eng.cfg), INTERVAL)
+    for loc in sorted(eng.cfg.locs):
+        assert INTERVAL.equal(eng.query_loc(loc), oracle.invariants[loc])
+    assert eng.daig.comps[inner_fix].srcs[1].count_of(inner) == 1
+    assert regions and not any(stale & r for r in regions)
+
+
+def test_unroll_region_along_seeded_edit_streams():
+    # debug=True checks every unrolling's region against the reachability
+    # intersection, besides the graph invariants after every operation.
+    unrollings = 0
+    for seed in range(12):
+        rng = random.Random(700 + seed)
+        eng = Engine(parse_program(EMPTY_MAIN).proc("main").cfg, INTERVAL, debug=True)
+        for _ in range(120):
+            eng.apply_program_edit(gen_edit(rng, eng.cfg))
+            eng.query_loc(rng.choice(sorted(eng.cfg.locs)))
+        # The final sweep checks the invariants once, not after every query.
+        eng.debug = False
+        oracle = batch_analyze(eng.cfg, analyze_loops(eng.cfg), INTERVAL)
+        for loc in sorted(eng.cfg.locs):
+            assert INTERVAL.equal(eng.query_loc(loc), oracle.invariants[loc])
+        eng.assert_invariants()
+        unrollings += eng.metrics.unrollings
+    assert unrollings >= 300
+
+
+def test_seeded_session_counters_are_pinned():
+    # How cell names are built and how an unrolling finds its region must
+    # not change what the engine computes: these counters are exact.
+    rng = random.Random(4)
+    eng = Engine(parse_program(EMPTY_MAIN).proc("main").cfg, INTERVAL)
+    for _ in range(60):
+        eng.apply_program_edit(gen_edit(rng, eng.cfg))
+        locs = sorted(eng.cfg.locs)
+        for _ in range(5):
+            eng.query_loc(rng.choice(locs))
+    assert eng.metrics.snapshot() == {
+        "transfer_evals": 193,
+        "join_evals": 17,
+        "widen_evals": 14,
+        "memo_hits": 1720,
+        "memo_misses": 224,
+        "unrollings": 19,
+        "cells_dirtied": 1937,
+    }
+    assert len(eng.daig.refs) == 297

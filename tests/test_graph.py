@@ -1,7 +1,12 @@
+import copy
+import gc
+import pickle
 import random
 
 import pytest
 
+from daig import graph
+from daig.batch import batch_analyze
 from daig.domains import INTERVAL
 from daig.graph import (
     CellType,
@@ -25,7 +30,7 @@ from daig.graph import (
 from daig.engine import Engine
 from daig.lang.loops import analyze_loops
 from daig.lang.parser import parse_program
-from daig.workload import gen_program_source
+from daig.workload import gen_edit, gen_program_source
 
 from helpers import APPEND_SRC, append_cfg, while_cfg
 
@@ -159,14 +164,21 @@ def test_ai_consistency_vacuous_then_preserved_then_detects_corruption():
     assert not check_ai_consistency(eng.daig, INTERVAL)
 
 
+def reaches(d, n, target) -> bool:
+    """Whether ``target`` transitively (non-reflexively) depends on ``n``."""
+    d.cell(n)
+    d.cell(target)
+    return target in d.forward_set(n)
+
+
 def test_reaches():
     cfg, loops, d = build(APPEND_SRC)
     (comp,) = [c for c in d.comps.values() if c.dest == loc_state_name(2, loops)]
-    assert d.reaches(comp.srcs[0], comp.dest)
-    assert not d.reaches(comp.dest, comp.dest)  # irreflexive on acyclic graphs
-    assert d.reaches(LocN(cfg.entry), LocN(cfg.exit))
+    assert reaches(d, comp.srcs[0], comp.dest)
+    assert not reaches(d, comp.dest, comp.dest)  # irreflexive on acyclic graphs
+    assert reaches(d, LocN(cfg.entry), LocN(cfg.exit))
     with pytest.raises(KeyError):
-        d.reaches(LocN(123), LocN(cfg.exit))
+        reaches(d, LocN(123), LocN(cfg.exit))
 
 
 def test_incr_name_examples():
@@ -200,8 +212,17 @@ def test_incr_name_nested_counts():
     outer = max(loops.natural_loops, key=lambda h: len(loops.natural_loops[h]))
     body_loc = sorted(loops.natural_loops[inner])[0]
     name = Iter(LocN(body_loc), ((outer, 1), (inner, 0)))
-    out = incr_name(name, inner, loops)
-    assert out == Iter(LocN(body_loc), ((outer, 1), (inner, 1)))
+    # bumped names and re-counted names are the interned objects themselves
+    assert incr_name(name, inner, loops) is Iter(LocN(body_loc), ((outer, 1), (inner, 1)))
+    assert incr_name(name, outer, loops) is Iter(LocN(body_loc), ((outer, 2), (inner, 0)))
+    pair = Prod(name, head_iter_name(inner, 0, loops))
+    assert incr_name(pair, inner, loops) is Prod(
+        Iter(LocN(body_loc), ((outer, 1), (inner, 1))), head_iter_name(inner, 1, loops)
+    )
+    assert name.with_count(inner, 4) is Iter(LocN(body_loc), ((inner, 4), (outer, 1)))
+    assert name.with_count(outer, 0) is Iter(LocN(body_loc), ((outer, 0), (inner, 0)))
+    top = Iter(LocN(outer), ((outer, 0),))
+    assert top.with_count(inner, 1) is Iter(LocN(outer), ((inner, 1), (outer, 0)))
 
 
 def test_pre_widen_and_fix_names():
@@ -219,3 +240,67 @@ def test_dot_export_mentions_cells_and_functions():
     assert dot.startswith("digraph")
     assert "transfer" in dot and "join" in dot and "fix" in dot and "widen" in dot
     assert "shape=box" in dot
+
+
+def rebuilt(n):
+    """``n`` built afresh through the constructors, from its fields."""
+    if isinstance(n, LocN):
+        return LocN(n.loc)
+    if isinstance(n, IdxN):
+        return IdxN(n.index)
+    if isinstance(n, Prod):
+        return Prod(rebuilt(n.left), rebuilt(n.right))
+    return Iter(rebuilt(n.base), n.counts)
+
+
+def test_equal_names_are_one_object():
+    assert LocN(3) is LocN(3)
+    assert IdxN(2) is IdxN(2)
+    assert Prod(LocN(1), LocN(2)) is Prod(LocN(1), LocN(2))
+    a = Iter(LocN(5), ((3, 1), (7, 0), (9, 2)))
+    assert Iter(LocN(5), [(9, 2), (3, 1), (7, 0)]) is a
+    assert Iter(LocN(5), iter([(7, 0), (9, 2), (3, 1)])) is a
+    assert Iter(LocN(5), ((3, 1), (7, 0), (9, 3))) is not a
+    assert LocN(3) != IdxN(3)
+
+
+def _warm_engine(seed: int) -> Engine:
+    rng = random.Random(seed)
+    eng = Engine(parse_program(gen_program_source(rng)).proc("main").cfg, INTERVAL)
+    for _ in range(30):
+        eng.apply_program_edit(gen_edit(rng, eng.cfg))
+        eng.query_loc(rng.choice(sorted(eng.cfg.locs)))
+    assert eng.metrics.unrollings > 0
+    return eng
+
+
+def test_pickled_and_copied_engines_share_interned_names():
+    eng = _warm_engine(0)
+    for other in (pickle.loads(pickle.dumps(eng)), copy.copy(eng)):
+        for n in other.daig.refs:
+            assert rebuilt(n) is n
+        for comp in other.daig.comps.values():
+            assert all(rebuilt(n) is n for n in (comp.dest,) + comp.srcs)
+        rng = random.Random(11)
+        other.apply_program_edit(gen_edit(rng, other.cfg))
+        oracle = batch_analyze(other.cfg, analyze_loops(other.cfg), INTERVAL)
+        for loc in sorted(other.cfg.locs):
+            assert INTERVAL.equal(other.query_loc(loc), oracle.invariants[loc])
+
+
+def test_intern_tables_drop_the_names_of_a_discarded_engine():
+    def live_iters():
+        return {key for key, entry in graph._ITER.items() if entry() is not None}
+
+    gc.collect()
+    before = live_iters()
+    eng = _warm_engine(5)
+    fresh = live_iters() - before
+    assert fresh
+    blob = pickle.dumps(eng)
+    del eng
+    gc.collect()
+    assert not fresh & set(graph._ITER)
+    clone = pickle.loads(blob)
+    assert fresh <= set(graph._ITER)
+    assert all(rebuilt(n) is n for n in clone.daig.refs)
