@@ -69,6 +69,11 @@ class _MapState:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        # Rebuild through the constructor: a pickled hash would be stale in
+        # a process with another string-hash seed.
+        return (type(self), (self.bindings, self.bottom))
+
     def text(self) -> str:
         if self._text is None:
             if self.bottom:

@@ -161,6 +161,11 @@ class IntervalState:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        # Rebuild through the constructor: a pickled hash would be stale in
+        # a process with another string-hash seed.
+        return (IntervalState, (self.bindings, self.bottom))
+
     def text(self) -> str:
         if self._text is None:
             if self.bottom:
@@ -374,6 +379,9 @@ def _refine_fallback(e: Expr, state: IntervalState) -> IntervalState:
     return INTERVAL_BOTTOM if _truthiness(eval_range(e, state)) == FALSE_RANGE else state
 
 
+_ZERO = IntLit(0)
+
+
 def _refine_atom(e: Expr, state: IntervalState, positive: bool) -> IntervalState:
     if isinstance(e, Binop) and e.op in SWAPPED_CMP:
         if not positive:
@@ -382,10 +390,10 @@ def _refine_atom(e: Expr, state: IntervalState, positive: bool) -> IntervalState
     # Non-comparison condition: truthy means nonzero, falsy means zero.
     if positive:
         if isinstance(e, Var):
-            return _refine_cmp("!=", e, IntLit(0), state)
+            return _refine_cmp("!=", e, _ZERO, state)
         return _refine_fallback(e, state)
     if isinstance(e, Var):
-        return _refine_cmp("==", e, IntLit(0), state)
+        return _refine_cmp("==", e, _ZERO, state)
     t = _truthiness(eval_range(e, state))
     return INTERVAL_BOTTOM if t == TRUE_RANGE else state
 

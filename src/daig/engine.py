@@ -89,7 +89,9 @@ class Engine:
     The memo maps ``(fn, domain name, statement, state)`` for transfers and
     ``(fn, domain name, *states)`` for joins and widens to the result;
     states and statements are immutable with canonical equality, so the
-    values themselves are the key.
+    values themselves are the key.  Each caches its own hash, so a lookup
+    hashes a key in O(1); no cached hash is pickled, so a pickled engine
+    still hits its memo in a process with another string-hash seed.
 
     Mutating operations (query, write_cell, apply_program_edit) must be
     externally serialized; ``snapshot`` produces an independent copy.

@@ -41,6 +41,11 @@ class Context:
     def __hash__(self):
         return self._h
 
+    def __reduce__(self):
+        # Rebuild through the constructor: a pickled hash would be stale in
+        # a process with another string-hash seed.
+        return (Context, (self.sites,))
+
     def __lt__(self, other):
         return self.sites < other.sites
 

@@ -18,45 +18,81 @@ CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
 BINOPS = ARITH_OPS + CMP_OPS
 
 
+# --- nodes ---------------------------------------------------------------
+#
+# Memo keys hold statements, so a statement is hashed on every memo lookup.
+# Each node works out its hash once, on first use, and keeps it in a slot.
+# The hash is value-based (the class name and the fields), since set and dict
+# order must not depend on addresses.  String hashes differ between processes
+# (PYTHONHASHSEED), so the cached hash is never pickled or copied: a node is
+# rebuilt through its constructor and hashes afresh.
+
+
+class _Node:
+    __slots__ = ("_h",)
+
+    def __hash__(self) -> int:
+        try:
+            return self._h
+        except AttributeError:
+            h = hash((type(self).__name__, *self._values()))
+            object.__setattr__(self, "_h", h)
+            return h
+
+    def _values(self) -> tuple:
+        # A dataclass's ``__match_args__`` names its fields in order.
+        return tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __reduce__(self):
+        return (type(self), self._values())
+
+
+def _node(cls):
+    """A frozen slotted dataclass with field equality and `_Node`'s hash."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    del cls.__hash__  # the generated one re-walks the tree on every call
+    return cls
+
+
 # --- expressions ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntLit:
+@_node
+class IntLit(_Node):
     value: int
 
 
-@dataclass(frozen=True)
-class Var:
+@_node
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class ArrayRead:
+@_node
+class ArrayRead(_Node):
     array: str
     index: "Expr"
 
 
-@dataclass(frozen=True)
-class Binop:
+@_node
+class Binop(_Node):
     op: str
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
-class Not:
+@_node
+class Not(_Node):
     operand: "Expr"
 
 
-@dataclass(frozen=True)
-class And:
+@_node
+class And(_Node):
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
-class Or:
+@_node
+class Or(_Node):
     lhs: "Expr"
     rhs: "Expr"
 
@@ -67,36 +103,36 @@ Expr = Union[IntLit, Var, ArrayRead, Binop, Not, And, Or]
 # --- statements ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Skip:
+@_node
+class Skip(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class Assign:
+@_node
+class Assign(_Node):
     var: str
     rhs: Expr
 
 
-@dataclass(frozen=True)
-class Assume:
+@_node
+class Assume(_Node):
     cond: Expr
 
 
-@dataclass(frozen=True)
-class Print:
+@_node
+class Print(_Node):
     arg: Expr
 
 
-@dataclass(frozen=True)
-class ArrayWrite:
+@_node
+class ArrayWrite(_Node):
     array: str
     index: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
-class Call:
+@_node
+class Call(_Node):
     lhs: str
     callee: str
     actual: Optional[Expr] = None

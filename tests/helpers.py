@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import daig.engine
 import daig.interproc
@@ -68,6 +72,19 @@ def count_loop_analyses(monkeypatch) -> list[Cfg]:
     for module in (daig.lang.edits, daig.engine, daig.interproc):
         monkeypatch.setattr(module, "analyze_loops", counting)
     return calls
+
+
+def run_under_hash_seed(hash_seed: str, code: str, *args) -> str:
+    """Run ``code`` in a fresh interpreter under ``PYTHONHASHSEED=hash_seed``,
+    with ``daig`` and the test modules importable; return its stdout."""
+    paths = [Path(daig.__file__).resolve().parent.parent, Path(__file__).resolve().parent]
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(map(str, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 # -- independent oracles -----------------------------------------------------

@@ -1,0 +1,122 @@
+"""Pickles cross processes whose string hashes differ (``PYTHONHASHSEED``).
+
+Syntax nodes, states and contexts keep their hash in a slot.  Pickling
+rebuilds them through their constructors, so an object loaded in another
+process hashes like a fresh equal one, and an engine loaded there still hits
+its memo.
+"""
+
+import pickle
+import random
+
+from daig.batch import batch_analyze
+from daig.domains import INTERVAL, ConstState, SignState
+from daig.engine import Engine
+from daig.interproc import Context
+from daig.lang.loops import analyze_loops
+from daig.lang.parser import parse_program
+from daig.workload import gen_edit, gen_program_source
+
+from helpers import ivl, run_under_hash_seed
+
+
+def hashable_samples() -> list:
+    """Statements of a generated program, plus states and contexts."""
+    cfg = parse_program(gen_program_source(random.Random(3))).proc("main").cfg
+    stmts = sorted({e.stmt for e in cfg.edges}, key=repr)
+    assert len(stmts) >= 5
+    return stmts + [
+        ivl(x=(0, 9), y=(None, 3)),
+        ivl(),
+        INTERVAL.bottom(),
+        SignState({"x": "pos", "y": "neg"}),
+        ConstState({"x": 4}),
+        ConstState(bottom=True),
+        Context((("main", 3), ("f", 7))),
+        Context(),
+    ]
+
+
+_DUMP = """
+import pickle, sys
+from test_hash_seeds import hashable_samples
+
+samples = hashable_samples()
+table = {value: i for i, value in enumerate(samples)}
+with open(sys.argv[1], "wb") as f:
+    pickle.dump((samples, table), f)
+"""
+
+_LOAD = """
+import pickle, sys
+from test_hash_seeds import hashable_samples
+
+with open(sys.argv[1], "rb") as f:
+    loaded, table = pickle.load(f)
+for i, (old, fresh) in enumerate(zip(loaded, hashable_samples(), strict=True)):
+    print(i, old == fresh, hash(old) == hash(fresh), table.get(fresh))
+"""
+
+
+def test_pickled_values_hash_like_fresh_ones_under_another_seed(tmp_path):
+    path = tmp_path / "values.pickle"
+    run_under_hash_seed("1", _DUMP, path)
+    lines = run_under_hash_seed("2", _LOAD, path).splitlines()
+    assert lines == [f"{i} True True {i}" for i in range(len(hashable_samples()))]
+
+
+def warm_engine() -> Engine:
+    rng = random.Random(0)
+    eng = Engine(parse_program(gen_program_source(rng)).proc("main").cfg, INTERVAL)
+    for _ in range(30):
+        eng.apply_program_edit(gen_edit(rng, eng.cfg))
+        eng.query_loc(rng.choice(sorted(eng.cfg.locs)))
+    assert eng.metrics.unrollings > 0 and eng.memo
+    return eng
+
+
+def continue_session(eng: Engine) -> list[str]:
+    """One edit and five queries; each answer is checked against the batch
+    oracle, and the engine's counters close the report."""
+    rng = random.Random(11)
+    eng.apply_program_edit(gen_edit(rng, eng.cfg))
+    oracle = batch_analyze(eng.cfg, analyze_loops(eng.cfg), INTERVAL)
+    out = []
+    for _ in range(5):
+        loc = rng.choice(sorted(eng.cfg.locs))
+        value = eng.query_loc(loc)
+        out.append(f"l{loc} {value.text()} {INTERVAL.equal(value, oracle.invariants[loc])}")
+    out.append(str(eng.metrics.snapshot()))
+    return out
+
+
+_WARM = """
+import pickle, sys
+from test_hash_seeds import continue_session, warm_engine
+
+eng = warm_engine()
+with open(sys.argv[1], "wb") as f:
+    pickle.dump(eng, f)
+print("\\n".join(continue_session(eng)))
+"""
+
+_RESUME = """
+import pickle, sys
+from test_hash_seeds import continue_session
+
+with open(sys.argv[1], "rb") as f:
+    eng = pickle.load(f)
+print("\\n".join(continue_session(eng)))
+"""
+
+
+def test_engine_pickled_under_one_seed_continues_under_another(tmp_path):
+    path = tmp_path / "engine.pickle"
+    in_process = run_under_hash_seed("1", _WARM, path).splitlines()
+    resumed = run_under_hash_seed("2", _RESUME, path).splitlines()
+    assert len(in_process) == 6
+    assert all(line.endswith(" True") for line in in_process[:5])
+    # Equal counters: the engine loaded under seed 2 hit its memo as often
+    # as the original did, and as one loaded in this process does.
+    assert resumed == in_process
+    assert continue_session(pickle.loads(path.read_bytes())) == in_process

@@ -1,20 +1,15 @@
-import os
 import pickle
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import daig
 from daig.lang.cfg import Cfg, CfgError, Edge
 from daig.lang.edits import apply_edit
 from daig.lang.loops import IrreducibleError, analyze_loops
 from daig.lang.parser import parse_program
 from daig.lang.syntax import SKIP, Assign, Binop, IntLit
 
-from helpers import APPEND_SRC, brute_force_dominators, brute_force_natural_loops
+from helpers import APPEND_SRC, brute_force_dominators, brute_force_natural_loops, run_under_hash_seed
 from daig.workload import gen_edit, gen_program_source
 
 
@@ -211,16 +206,7 @@ def test_loop_structure_and_errors_do_not_depend_on_string_hashing(tmp_path):
     assert len(loops.join_indices) >= 2 and loops.natural_loops
     path = tmp_path / "cfg.pickle"
     path.write_bytes(pickle.dumps(cfg))
-    paths = [Path(daig.__file__).resolve().parent.parent, Path(__file__).resolve().parent]
-    outputs = []
-    for hash_seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(map(str, paths)))
-        proc = subprocess.run(
-            [sys.executable, "-c", _REPORT, str(path)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
+    outputs = [run_under_hash_seed(hash_seed, _REPORT, path) for hash_seed in ("1", "2")]
     assert outputs[0] == outputs[1]
     assert outputs[0].splitlines() == [
         str([(l, [e.sort_key() for e in es]) for l, es in loops.join_indices.items()]),

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -5,7 +6,23 @@ import pytest
 from daig.lang.cfg import CfgError
 from daig.lang.loops import analyze_loops
 from daig.lang.parser import ParseError, parse_expr_text, parse_program, parse_stmt_text
-from daig.lang.syntax import Assign, Assume, Call, IntLit, Not, expr_text, stmt_text
+from daig.lang.syntax import (
+    And,
+    ArrayRead,
+    ArrayWrite,
+    Assign,
+    Assume,
+    Binop,
+    Call,
+    IntLit,
+    Not,
+    Or,
+    Print,
+    Skip,
+    Var,
+    expr_text,
+    stmt_text,
+)
 from daig.workload import gen_program_source, gen_simple_stmt, gen_cond
 
 from helpers import APPEND_SRC
@@ -136,3 +153,44 @@ def test_generated_programs_parse_and_are_reducible():
         for proc in prog.procedures.values():
             proc.cfg.validate()
             analyze_loops(proc.cfg)  # raises if irreducible or unspanned
+
+
+def _sample_nodes():
+    x, one = Var("x"), IntLit(1)
+    cmp = Binop("<", x, one)
+    return [
+        one, x, ArrayRead("a", x), cmp, Not(cmp), And(cmp, x), Or(cmp, x),
+        Skip(), Assign("y", Binop("+", x, one)), Assume(Not(cmp)), Print(x),
+        ArrayWrite("a", one, x), Call("y", "f"), Call("y", "f", x),
+    ]
+
+
+def test_equal_syntax_nodes_hash_alike():
+    for a, b in zip(_sample_nodes(), _sample_nodes()):
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash(a)
+    parsed = parse_stmt_text("y = (x + 1);")
+    assert parsed == Assign("y", Binop("+", Var("x"), IntLit(1)))
+    assert hash(parsed) == hash(Assign("y", Binop("+", Var("x"), IntLit(1))))
+
+
+def test_syntax_nodes_copy_and_have_no_dict():
+    for node in _sample_nodes():
+        hash(node)
+        assert not hasattr(node, "__dict__")
+        for dup in (copy.copy(node), copy.deepcopy(node)):
+            assert dup == node and hash(dup) == hash(node)
+            assert type(dup) is type(node)
+    with pytest.raises(AttributeError):
+        Var("x").name = "y"
+
+
+def test_and_and_or_of_the_same_operands_differ():
+    a, b = Binop("<", Var("x"), IntLit(1)), Var("y")
+    conj, disj = And(a, b), Or(a, b)
+    assert conj != disj and And(a, b) == conj and Or(a, b) == disj
+    table = {conj: "and", disj: "or"}
+    assert len(table) == 2
+    assert table[And(a, b)] == "and" and table[Or(a, b)] == "or"
+    assert Call("y", "f") != Call("y", "f", IntLit(0))
