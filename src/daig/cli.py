@@ -26,7 +26,7 @@ from .batch import batch_analyze
 from .domains import domain_by_name
 from .graph import check_ai_consistency, check_cfg_consistency, check_wf, init_daig, to_dot
 from .interproc import Context, DaigForest, ENTRY_CONTEXT
-from .lang.cfg import CfgError, Program
+from .lang.cfg import CfgError, Loc, Program
 from .lang.edits import InsertIf, InsertStmtAfter, InsertWhile, RelabelEdge
 from .lang.inline import inline_program, is_inline_var
 from .lang.loops import analyze_loops
@@ -45,6 +45,22 @@ from .workload import (
 
 class SessionError(ValueError):
     pass
+
+
+def parse_loc(program: Program, proc: str, token: str) -> Loc:
+    """The location of ``proc`` that ``token`` names: an id, 'entry' or 'exit'."""
+    cfg = program.proc(proc).cfg
+    if token == "entry":
+        return cfg.entry
+    if token == "exit":
+        return cfg.exit
+    try:
+        loc = int(token)
+    except ValueError:
+        raise SessionError(f"bad location {token!r}") from None
+    if loc not in cfg.locs:
+        raise SessionError(f"no location l{loc} in {proc!r}")
+    return loc
 
 
 class Session:
@@ -102,19 +118,8 @@ class Session:
         value = self.forest.query_loc(proc, loc, ctx)
         return self.domain.to_text(value)
 
-    def _parse_loc(self, proc: str, token: str) -> int:
-        cfg = self.forest.program.proc(proc).cfg
-        if token == "entry":
-            return cfg.entry
-        if token == "exit":
-            return cfg.exit
-        try:
-            loc = int(token)
-        except ValueError:
-            raise SessionError(f"bad location {token!r}") from None
-        if loc not in cfg.locs:
-            raise SessionError(f"no location l{loc} in {proc!r}")
-        return loc
+    def _parse_loc(self, proc: str, token: str) -> Loc:
+        return parse_loc(self.forest.program, proc, token)
 
     def _edit(self, line: str, words: list[str]) -> str:
         if "::" not in line:
@@ -199,21 +204,14 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_analyze(args) -> int:
     program = parse_program(Path(args.file).read_text(encoding="utf-8"))
     domain = domain_by_name(args.domain)
+    # Inlining keeps the procedure's own locations.
+    loc = parse_loc(program, args.proc, args.loc)
     flat = inline_program(program) if args.proc == program.main else None
     if flat is None:
         # Analyzing a non-entry procedure standalone: inline its callees.
         sub = Program(procedures=dict(program.procedures), main=args.proc)
         flat = inline_program(sub)
     cfg = flat.proc(flat.main).cfg
-    if args.loc == "entry":
-        loc = cfg.entry
-    elif args.loc == "exit":
-        loc = cfg.exit
-    else:
-        loc = int(args.loc)
-    if loc not in program.proc(args.proc).cfg.locs:
-        print(f"error: no location l{loc} in {args.proc!r}", file=sys.stderr)
-        return 1
     loops = analyze_loops(cfg)
     res = batch_analyze(cfg, loops, domain, args.mode)
     state = res.invariants[loc]

@@ -185,10 +185,16 @@ class DaigForest:
 
         The edit is derived once, and its loop analysis (which also rejects
         an irreducible result) is spliced into each live context's graph.
+        An edit whose new call would close a recursive call cycle is
+        rejected before any state changes, as the parser rejects recursion.
         """
-        self._validate_new_calls(edit)
+        adds_call = self._validate_new_calls(edit)
         old_cfg = self.program.proc(proc).cfg
         new_cfg, delta = apply_edit(old_cfg, edit, validate=False)
+        if adds_call:
+            edited = Program(dict(self.program.procedures), self.program.main)
+            edited.replace_cfg(proc, new_cfg)
+            edited.call_order()
         if new_cfg is not old_cfg:
             loops = analyze_loops(new_cfg)
             for (p, _ctx), eng in sorted(self.engines.items(), key=lambda kv: kv[0]):
@@ -197,7 +203,9 @@ class DaigForest:
         self.program.replace_cfg(proc, new_cfg)
         self._dirty_callers(proc, None)
 
-    def _validate_new_calls(self, edit: ProgramEdit) -> None:
+    def _validate_new_calls(self, edit: ProgramEdit) -> bool:
+        """Check the callee and arity of every call the edit inserts; return
+        whether it inserts one."""
         stmts = []
         if isinstance(edit, RelabelEdge):
             stmts = [edit.new_stmt]
@@ -214,6 +222,7 @@ class DaigForest:
                 callee = self.program.proc(s.callee)
                 if (callee.param is None) != (s.actual is None):
                     raise CfgError(f"call arity mismatch for {s.callee!r}")
+        return any(isinstance(s, Call) for s in stmts)
 
     def _dirty_callers(self, proc: str, ctx: Optional[Context]) -> None:
         """Empty every recorded return-site cell depending on (proc, ctx),

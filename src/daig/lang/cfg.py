@@ -52,15 +52,6 @@ class Cfg:
     def fresh_loc(self) -> Loc:
         return max(self.locs) + 1
 
-    def validate(self) -> None:
-        if self.entry not in self.locs:
-            raise CfgError(f"entry l{self.entry} not a member of locs")
-        if self.exit not in self.locs:
-            raise CfgError(f"exit l{self.exit} not a member of locs")
-        for e in self.edges:
-            if e.src not in self.locs or e.dst not in self.locs:
-                raise CfgError(f"edge endpoint missing from locs: {e}")
-
 
 @dataclass(frozen=True)
 class Proc:

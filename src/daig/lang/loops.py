@@ -83,104 +83,138 @@ def _natural_loop(ins: dict[Loc, list[Edge]], back: Edge) -> frozenset[Loc]:
     return frozenset(body)
 
 
+def _common_dominator(dom: list[int], a: int, b: int) -> int:
+    """Nearest common dominator of reverse-postorder numbers ``a`` and ``b``
+    in the dominator tree ``dom`` (the Cooper-Harvey-Kennedy intersect)."""
+    while a != b:
+        while a > b:
+            a = dom[a]
+        while b > a:
+            b = dom[b]
+    return a
+
+
+def _classify(
+    retreating: list[tuple[Edge, int, int]], dom: list[int]
+) -> tuple[list[Edge], list[Edge]]:
+    """Split retreating edges (edge, source number, target number) into back
+    edges, whose target dominates their source, and the rest."""
+    back: list[Edge] = []
+    irreducible: list[Edge] = []
+    for e, s, d in retreating:
+        while s > d:
+            s = dom[s]
+        (back if s == d else irreducible).append(e)
+    return back, irreducible
+
+
 def analyze_loops(cfg: Cfg) -> LoopInfo:
     """Partition edges, compute dominators, natural loops, and join indices.
 
-    One scan over the edges builds the adjacency; everything after it works
-    on locations.  A depth-first search from the entry (successors in
-    ascending order) gives the reverse postorder, over which the
-    Cooper-Harvey-Kennedy iteration finds the immediate dominators.  A
-    dominator precedes what it dominates in that order, so only retreating
-    edges can be back edges, and the forward subgraph is acyclic exactly when
-    every retreating edge is one.
+    One scan over the edges checks their endpoints and builds the adjacency;
+    everything after it works on locations.  A depth-first search from the
+    entry (successors in ascending order) numbers the locations in reverse
+    postorder as they finish.  One Cooper-Harvey-Kennedy pass in that order,
+    reading only forward predecessors (those numbered earlier), finds the
+    dominators of the forward subgraph, and the same sweep splits each
+    location's incoming edges into forward and retreating ones.  A dominator
+    precedes what it dominates, so only a retreating edge can be a back edge.
+    When every retreating edge is one, the graph is reducible and the
+    forward-subgraph dominators are the dominators: an edge s -> d with d
+    dominating s changes no dominator.  Only an irreducible graph iterates
+    further, over all predecessors to the fixed point, before the retreating
+    edges are classified again.
 
     Deterministic: incoming forward edges of a join are indexed in ascending
     (source id, statement text) order, as in ``fwd_in``.  Edits carry an
     existing indexing across with ``edits.stable_join_indices`` instead.
 
-    Raises CfgError when a location is unreachable from the entry (naming
-    the least one), IrreducibleError when a retreating edge is not a back
-    edge (naming the least such edge by ``Edge.sort_key``), and CfgError when
-    a head has more than one incoming back edge.
+    Raises CfgError when the entry, the exit or an edge endpoint is not in
+    ``locs``, and when a location is unreachable from the entry (naming the
+    least one), IrreducibleError when a retreating edge is not a back edge
+    (naming the least such edge by ``Edge.sort_key``), and CfgError when a
+    head has more than one incoming back edge.
     """
-    cfg.validate()
-    succs: dict[Loc, list[Loc]] = {l: [] for l in cfg.locs}
-    ins: dict[Loc, list[Edge]] = {l: [] for l in cfg.locs}
+    locs, entry = cfg.locs, cfg.entry
+    if entry not in locs:
+        raise CfgError(f"entry l{entry} not a member of locs")
+    if cfg.exit not in locs:
+        raise CfgError(f"exit l{cfg.exit} not a member of locs")
+    succs: dict[Loc, list[Loc]] = {l: [] for l in locs}
+    ins: dict[Loc, list[Edge]] = {l: [] for l in locs}
     for e in cfg.edges:
-        succs[e.src].append(e.dst)
-        ins[e.dst].append(e)
+        try:
+            succs[e.src].append(e.dst)
+            ins[e.dst].append(e)
+        except KeyError:
+            raise CfgError(f"edge endpoint missing from locs: {e}") from None
     for kids in succs.values():
-        kids.sort()
+        if len(kids) > 1:
+            kids.sort()
 
-    entry = cfg.entry
-    seen = {entry}
-    post: list[Loc] = []
+    # num[l] is l's reverse-postorder number and rpo its inverse; a location
+    # is marked -1 while the search is below it.
+    n = len(locs)
+    rpo: list[Loc] = [entry] * n
+    num = {entry: -1}
     stack = [(entry, iter(succs[entry]))]
     while stack:
         node, kids = stack[-1]
         for nxt in kids:
-            if nxt not in seen:
-                seen.add(nxt)
+            if nxt not in num:
+                num[nxt] = -1
                 stack.append((nxt, iter(succs[nxt])))
                 break
         else:
             stack.pop()
-            post.append(node)
-    if len(post) != len(cfg.locs):
-        worst = min(cfg.locs - seen)
-        raise CfgError(f"l{worst} is unreachable from entry")
+            n -= 1
+            num[node] = n
+            rpo[n] = node
+    if n:
+        raise CfgError(f"l{min(locs - num.keys())} is unreachable from entry")
 
-    # Dominators over reverse-postorder numbers: rpo[i] is the i-th location,
-    # num its inverse, dom[i] the number of rpo[i]'s immediate dominator.
-    rpo = post[::-1]
-    num = {l: i for i, l in enumerate(rpo)}
-    npreds = [[num[e.src] for e in ins[l]] for l in rpo]
-    dom = [-1] * len(rpo)
-    dom[0] = 0
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, len(rpo)):
-            new = -1
-            for p in npreds[i]:
-                if dom[p] < 0:
-                    continue
-                if new < 0:
-                    new = p
-                    continue
-                a = p
-                while a != new:
-                    while a > new:
-                        a = dom[a]
-                    while new > a:
-                        new = dom[new]
-            if dom[i] != new:
-                dom[i] = new
-                changed = True
-    idom = {l: rpo[dom[i]] for i, l in enumerate(rpo)}
-
-    back: list[Edge] = []
+    # dom[i] is the number of rpo[i]'s immediate dominator.
+    dom = [0] * len(rpo)
+    retreating: list[tuple[Edge, int, int]] = []
     fwd_in: dict[Loc, tuple[Edge, ...]] = {}
     join_indices: dict[Loc, tuple[Edge, ...]] = {}
-    irreducible: list[Edge] = []
     for d, l in enumerate(rpo):
         edges = []
-        for e, s in zip(ins[l], npreds[d]):
-            if s < d:
+        for e in ins[l]:
+            s = num[e.src]
+            if s >= d:
+                retreating.append((e, s, d))
+            elif edges:
+                dom[d] = _common_dominator(dom, s, dom[d])
                 edges.append(e)
-                continue
-            # Retreating: a back edge exactly when l dominates the source.
-            while s > d:
-                s = dom[s]
-            (back if s == d else irreducible).append(e)
+            else:
+                dom[d] = s
+                edges.append(e)
         if len(edges) >= 2:
             # The edges of one join share dst: this is (source, text) order.
             edges.sort(key=Edge.sort_key)
             join_indices[l] = fwd_in[l] = tuple(edges)
         else:
             fwd_in[l] = tuple(edges)
+    back, irreducible = _classify(retreating, dom)
     if irreducible:
+        # A retreating edge that is not a back edge may remove dominators.
+        # Iterate over all predecessors to the fixed point so that the error
+        # names the least edge that the full dominators reject.
+        preds = [[num[e.src] for e in ins[l]] for l in rpo]
+        changed = True
+        while changed:
+            changed = False
+            for i in range(1, len(rpo)):
+                new = preds[i][0]
+                for p in preds[i][1:]:
+                    new = _common_dominator(dom, p, new)
+                if dom[i] != new:
+                    dom[i] = new
+                    changed = True
+        _back, irreducible = _classify(retreating, dom)
         raise IrreducibleError(min(irreducible, key=Edge.sort_key))
+    idom = {l: rpo[i] for l, i in zip(rpo, dom)}
 
     loops: dict[Loc, frozenset[Loc]] = {}
     back.sort(key=Edge.sort_key)

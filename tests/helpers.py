@@ -12,8 +12,8 @@ import daig.engine
 import daig.interproc
 import daig.lang.edits
 from daig.domains.interval import NEG_INF, POS_INF, IntervalState
-from daig.lang.cfg import Cfg, Loc
-from daig.lang.loops import analyze_loops
+from daig.lang.cfg import Cfg, CfgError, Edge, Loc
+from daig.lang.loops import IrreducibleError, LoopInfo, analyze_loops
 from daig.lang.parser import parse_program
 
 # Scalar port of a two-list append procedure: a guarded early return, a
@@ -139,6 +139,75 @@ def brute_force_natural_loops(cfg: Cfg) -> dict[Loc, set[Loc]]:
                         stack.append(p)
             out[e.dst] = out.get(e.dst, set()) | body
     return out
+
+
+def brute_force_idom(cfg: Cfg) -> dict[Loc, Loc]:
+    """Immediate dominators from definition-level dominators: the strict
+    dominator that every other strict dominator dominates; the entry maps to
+    itself."""
+    doms = brute_force_dominators(cfg)
+    out = {}
+    for l in cfg.locs:
+        strict = doms[l] - {l}
+        out[l] = max(strict, key=lambda d: len(doms[d])) if strict else l
+    return out
+
+
+def reference_loop_info(cfg: Cfg) -> LoopInfo:
+    """``analyze_loops`` from the definitions, for small graphs: a recursive
+    depth-first search (successors ascending) for the reverse postorder,
+    brute-force dominators, and a back edge wherever an edge's target
+    dominates its source.  Raises the errors ``analyze_loops`` raises, in
+    the same order of precedence."""
+    if cfg.entry not in cfg.locs:
+        raise CfgError(f"entry l{cfg.entry} not a member of locs")
+    if cfg.exit not in cfg.locs:
+        raise CfgError(f"exit l{cfg.exit} not a member of locs")
+    for e in cfg.edges:
+        if e.src not in cfg.locs or e.dst not in cfg.locs:
+            raise CfgError(f"edge endpoint missing from locs: {e}")
+    seen: set[Loc] = set()
+    post: list[Loc] = []
+
+    def visit(l: Loc) -> None:
+        seen.add(l)
+        for m in sorted(e.dst for e in cfg.edges if e.src == l):
+            if m not in seen:
+                visit(m)
+        post.append(l)
+
+    visit(cfg.entry)
+    if seen != cfg.locs:
+        raise CfgError(f"l{min(cfg.locs - seen)} is unreachable from entry")
+    rpo = post[::-1]
+    num = {l: i for i, l in enumerate(rpo)}
+    doms = brute_force_dominators(cfg)
+    back = sorted((e for e in cfg.edges if e.dst in doms[e.src]), key=Edge.sort_key)
+    irreducible = [e for e in cfg.edges if num[e.src] >= num[e.dst] and e not in back]
+    if irreducible:
+        raise IrreducibleError(min(irreducible, key=Edge.sort_key))
+    heads = [e.dst for e in back]
+    for i, h in enumerate(heads):
+        if h in heads[:i]:
+            raise CfgError(f"l{h} has more than one incoming back edge")
+    bodies = brute_force_natural_loops(cfg)
+    fwd_in = {
+        l: tuple(sorted((e for e in cfg.edges if e.dst == l and e not in back), key=Edge.sort_key))
+        for l in rpo
+    }
+    idom = brute_force_idom(cfg)
+    return LoopInfo(
+        fwd_edges=cfg.edges - frozenset(back),
+        back_edges=frozenset(back),
+        natural_loops={h: frozenset(bodies[h]) for h in heads},
+        join_indices={l: es for l, es in fwd_in.items() if len(es) >= 2},
+        idom={l: idom[l] for l in rpo},
+        fwd_in=fwd_in,
+        enclosing={
+            l: tuple(sorted((h for h in heads if l in bodies[h]), key=lambda h: (-len(bodies[h]), h)))
+            for l in cfg.locs
+        },
+    )
 
 
 # -- generators ----------------------------------------------------------------

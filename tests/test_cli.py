@@ -2,6 +2,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 
 from daig.cli import main
 
@@ -171,3 +172,28 @@ def test_main_entry_point_in_process(tmp_path, capsys):
     rc = main(["analyze", str(SAMPLES / "while.imp"), "--loc", "exit"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "{x:[10,+inf]}"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--loc", "abc"], "error: bad location 'abc'"),
+        (["--loc", "exit", "--proc", "nope"], "error: unknown procedure 'nope'"),
+    ],
+    ids=["bad-location", "unknown-procedure"],
+)
+def test_analyze_bad_location_or_procedure_fails(argv, message):
+    code, out, err = run_cli(["analyze", str(SAMPLES / "calls.imp"), *argv])
+    assert code == 1
+    assert out == ""
+    assert err.strip() == message
+
+
+def test_repl_rejects_edit_closing_a_call_cycle_and_continues():
+    script = "edit insert-after inc entry :: x = inc(x);\nquery main exit\n"
+    code, out, err = run_cli(["repl", str(SAMPLES / "calls.imp")], script)
+    assert code == 0, err
+    assert out.strip().splitlines() == [
+        "error: recursive call cycle: inc -> inc",
+        "{a:[1,6], b:[1,6]}",
+    ]

@@ -254,3 +254,38 @@ def test_edit_validation_rejects_bad_calls():
         forest.apply_program_edit(
             "main", InsertStmtAfter(cfg.entry, parse_stmt_text("x = f();"))
         )
+
+
+def engine_states(forest):
+    return {
+        key: (eng.cfg, {n: c.contents for n, c in eng.daig.refs.items()})
+        for key, eng in forest.engines.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "src, proc, stmt, cycle",
+    [
+        ("fn main() { a = inc(0); b = inc(5); } fn inc(p) { ret = p + 1; }",
+         "inc", "x = inc(x);", "inc -> inc"),
+        ("fn main() { a = f(1); } fn f(p) { ret = g(p); } fn g(p) { ret = p * 2; }",
+         "g", "x = f(p);", "f -> g -> f"),
+    ],
+    ids=["self-call", "two-procedure-cycle"],
+)
+def test_edit_closing_a_call_cycle_is_rejected_before_any_state_changes(src, proc, stmt, cycle):
+    program = parse_program(src)
+    forest = DaigForest(program, INTERVAL, policy_k=1, debug=True)
+    assert_forest_matches_inline_oracle(forest, program)
+    procedures = dict(program.procedures)
+    states = engine_states(forest)
+    metrics = forest.metrics()
+    with pytest.raises(CfgError) as exc:
+        forest.apply_program_edit(
+            proc, InsertStmtAfter(program.proc(proc).cfg.entry, parse_stmt_text(stmt))
+        )
+    assert str(exc.value) == f"recursive call cycle: {cycle}"
+    assert program.procedures == procedures
+    assert engine_states(forest) == states
+    assert forest.metrics() == metrics
+    assert_forest_matches_inline_oracle(forest, program)

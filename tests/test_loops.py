@@ -1,5 +1,7 @@
+import dataclasses
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,7 +11,14 @@ from daig.lang.loops import IrreducibleError, analyze_loops
 from daig.lang.parser import parse_program
 from daig.lang.syntax import SKIP, Assign, Binop, IntLit
 
-from helpers import APPEND_SRC, brute_force_dominators, brute_force_natural_loops, run_under_hash_seed
+from helpers import (
+    APPEND_SRC,
+    brute_force_dominators,
+    brute_force_idom,
+    brute_force_natural_loops,
+    reference_loop_info,
+    run_under_hash_seed,
+)
 from daig.workload import gen_edit, gen_program_source
 
 
@@ -143,6 +152,7 @@ def check_against_definitions(cfg: Cfg) -> None:
     back = {e for e in cfg.edges if e.dst in doms[e.src]}
     assert loops.back_edges == back
     assert loops.fwd_edges == cfg.edges - back
+    assert loops.idom == brute_force_idom(cfg)
     bodies = brute_force_natural_loops(cfg)
     assert {h: set(b) for h, b in loops.natural_loops.items()} == bodies
     for l in cfg.locs:
@@ -165,6 +175,77 @@ def test_loop_structure_matches_definitions_along_edit_streams():
                 check_against_definitions(cfg)
             cfg, _delta = apply_edit(cfg, gen_edit(rng, cfg))
         check_against_definitions(cfg)
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        (Cfg(frozenset({0, 1}), frozenset({Edge(0, SKIP, 1)}), entry=5, exit=1),
+         "entry l5 not a member of locs"),
+        (Cfg(frozenset({0, 1}), frozenset({Edge(0, SKIP, 1)}), entry=0, exit=7),
+         "exit l7 not a member of locs"),
+        (Cfg(frozenset({0, 1}), frozenset({Edge(0, SKIP, 1), Edge(1, SKIP, 4)}), entry=0, exit=1),
+         "edge endpoint missing from locs: Edge(src=1, stmt=Skip(), dst=4)"),
+    ],
+    ids=["entry", "exit", "edge-endpoint"],
+)
+def test_members_of_locs_are_checked_first(cfg, message):
+    with pytest.raises(CfgError) as exc:
+        analyze_loops(cfg)
+    assert type(exc.value) is CfgError
+    assert str(exc.value) == message
+
+
+_STMTS = (
+    SKIP,
+    Assign("x", IntLit(1)),
+    # print alike, so edges labelled with them tie on Edge.sort_key
+    Assign("x", IntLit(-1)),
+    Assign("x", Binop("-", IntLit(0), IntLit(1))),
+)
+
+
+def random_digraph(rng: random.Random) -> Cfg:
+    """Up to eight locations with sparse ids.  Each non-entry location gets an
+    edge from the entry or a location placed before it, with probability
+    0.95, so most graphs are reachable; random extra edges then add
+    self-loops, parallel edges, double back edges and irreducible cycles."""
+    locs = rng.sample(range(12), rng.randint(1, 8))
+    entry = locs[0]
+    edges = set()
+    for i in range(1, len(locs)):
+        if rng.random() < 0.95:
+            edges.add(Edge(rng.choice(locs[:i]), rng.choice(_STMTS), locs[i]))
+    for _ in range(rng.randint(0, 2 * len(locs))):
+        edges.add(Edge(rng.choice(locs), rng.choice(_STMTS), rng.choice(locs)))
+    return Cfg(frozenset(locs), frozenset(edges), entry, rng.choice(locs))
+
+
+def outcome(analyze, cfg: Cfg):
+    """``analyze(cfg)`` as its LoopInfo fields, every dict as its item list so
+    that key order counts, or as the type and message of its error."""
+    try:
+        info = analyze(cfg)
+    except CfgError as exc:
+        return type(exc), str(exc)
+    return [
+        list(v.items()) if isinstance(v, dict) else v
+        for v in (getattr(info, f.name) for f in dataclasses.fields(info))
+    ]
+
+
+def test_random_digraphs_match_the_reference():
+    rng = random.Random(2001)
+    kinds = Counter()
+    for _ in range(3000):
+        cfg = random_digraph(rng)
+        want = outcome(reference_loop_info, cfg)
+        assert outcome(analyze_loops, cfg) == want, cfg
+        if isinstance(want, list):
+            kinds["reducible"] += 1
+        else:
+            kinds.update(k for k in ("irreducible", "unreachable", "more than one") if k in want[1])
+    assert len(kinds) == 4 and min(kinds.values()) >= 100, kinds
 
 
 def test_edges_that_print_alike_hash_alike_but_stay_distinct():

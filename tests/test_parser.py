@@ -151,7 +151,6 @@ def test_generated_programs_parse_and_are_reducible():
         src = gen_program_source(rng)
         prog = parse_program(src)
         for proc in prog.procedures.values():
-            proc.cfg.validate()
             analyze_loops(proc.cfg)  # raises if irreducible or unspanned
 
 
