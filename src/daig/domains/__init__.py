@@ -1,6 +1,6 @@
 """Abstract domains and the concrete-semantics oracle."""
 
-from .base import AbstractDomain, ContractViolation
+from .base import ContractViolation, MapDomain, MapState
 from .concrete import STUCK, ConcreteState, collecting_bounded, concrete_step
 from .finite import CONST, SIGN, ConstDomain, ConstState, SignDomain, SignState
 from .interval import INTERVAL, IntervalDomain, IntervalState
@@ -8,7 +8,7 @@ from .interval import INTERVAL, IntervalDomain, IntervalState
 _DOMAINS = {d.name: d for d in (INTERVAL, SIGN, CONST)}
 
 
-def domain_by_name(name: str) -> AbstractDomain:
+def domain_by_name(name: str) -> MapDomain:
     try:
         return _DOMAINS[name]
     except KeyError:
@@ -18,8 +18,9 @@ def domain_by_name(name: str) -> AbstractDomain:
 
 
 __all__ = [
-    "AbstractDomain",
     "ContractViolation",
+    "MapDomain",
+    "MapState",
     "ConcreteState",
     "STUCK",
     "collecting_bounded",

@@ -1,124 +1,284 @@
-"""The abstract interpreter contract shared by every domain.
+"""The abstract interpreter contract and the one framework that every
+domain here instantiates.
 
 A domain bundles an abstract state type with its initial state, transfer
 function, partial order, join, and widen.  Widening must be an upper bound
 that stabilizes every increasing chain in finitely many steps; transfer
 must be monotone.  These laws are exercised by the property-test suite
 rather than enforced here.
+
+Every domain is non-relational: it lifts a lattice of values pointwise to
+maps from variables to values (``MapState``).  ``MapDomain`` implements all
+that such domains share: the map state and its bottom, ``transfer``, the
+refinement of ``assume`` conditions (And/Or/Not, comparison negation and
+the literal-left swap, a bare variable as ``!= 0``/``== 0``, and an
+evaluate-then-truth fallback), three-valued Not/And/Or evaluation, the
+pointwise join/widen/leq, ``models``, and the interprocedural hooks.  A
+domain supplies only its value lattice (top, value join/widen/leq,
+``contains``, the text of a value, the empty test), its evaluator of
+arithmetic and comparisons with its truth test on values, and its
+comparison refiner.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Any, TYPE_CHECKING
+from typing import Any, Optional
 
-from ..lang.syntax import And, Binop, Expr, Not, Or, Stmt
-
-if TYPE_CHECKING:
-    from .concrete import ConcreteState
+from ..lang.syntax import (
+    And,
+    ArrayWrite,
+    Assign,
+    Assume,
+    Binop,
+    Call,
+    Expr,
+    IntLit,
+    Not,
+    Or,
+    Print,
+    Skip,
+    Stmt,
+    Var,
+)
 
 
 class ContractViolation(RuntimeError):
     """A statement reached a domain that cannot interpret it (engine wiring bug)."""
 
 
-class AbstractDomain(ABC):
-    """Operations every abstract domain provides over its state type."""
-
-    name: str = "abstract"
-
-    @abstractmethod
-    def init(self) -> Any:
-        """The initial abstract state (unknown inputs)."""
-
-    @abstractmethod
-    def transfer(self, stmt: Stmt, state: Any) -> Any:
-        ...
-
-    @abstractmethod
-    def leq(self, a: Any, b: Any) -> bool:
-        ...
-
-    @abstractmethod
-    def join(self, a: Any, b: Any) -> Any:
-        ...
-
-    @abstractmethod
-    def widen(self, a: Any, b: Any) -> Any:
-        ...
-
-    @abstractmethod
-    def is_bot(self, state: Any) -> bool:
-        ...
-
-    @abstractmethod
-    def drop_var(self, state: Any, var: str) -> Any:
-        """Forget one variable (rebinding it to unknown)."""
-
-    @abstractmethod
-    def to_text(self, state: Any) -> str:
-        """Canonical serialization; variables sorted, top bindings dropped."""
-
-    @abstractmethod
-    def models(self, sigma: "ConcreteState", state: Any) -> bool:
-        """Whether a concrete state is abstracted by ``state``."""
-
-    def equal(self, a: Any, b: Any) -> bool:
-        return a == b
-
-    def digest(self, state: Any) -> str:
-        """The full canonical form, domain-tagged: equal exactly when the
-        states are equal.  The engine's memo keys by the states themselves."""
-        return f"{self.name}|{self.to_text(state)}"
-
-    # -- interprocedural hooks ---------------------------------------------
-
-    @abstractmethod
-    def eval_arg(self, expr: Expr, state: Any) -> Any:
-        """Abstract value of a call argument, as a single-variable binding aid."""
-
-    @abstractmethod
-    def entry_state_for_call(self, param: str | None, arg_value: Any) -> Any:
-        """Callee entry state: the parameter bound, everything else unknown."""
-
-    @abstractmethod
-    def return_state(self, caller_state: Any, lhs: str, exit_state: Any) -> Any:
-        """Post-call state: ``lhs`` receives the callee's ``ret``; other
-        caller variables are preserved."""
-
-
-def refine_condition(domain, cond: Expr, state, atom):
-    """Shared boolean-structure walker for assume refinement.
-
-    ``atom(expr, state, positive)`` refines by one non-boolean expression.
-    Conjunction refines sequentially, disjunction joins the branch
-    refinements, and negation is pushed inward by De Morgan; comparisons
-    are negated by operator flipping inside ``atom`` itself.
-    """
-    if domain.is_bot(state):
-        return state
-    if isinstance(cond, And):
-        return refine_condition(domain, cond.rhs, refine_condition(domain, cond.lhs, state, atom), atom)
-    if isinstance(cond, Or):
-        return domain.join(
-            refine_condition(domain, cond.lhs, state, atom),
-            refine_condition(domain, cond.rhs, state, atom),
-        )
-    if isinstance(cond, Not):
-        inner = cond.operand
-        if isinstance(inner, And):
-            return refine_condition(domain, Or(Not(inner.lhs), Not(inner.rhs)), state, atom)
-        if isinstance(inner, Or):
-            return refine_condition(domain, And(Not(inner.lhs), Not(inner.rhs)), state, atom)
-        if isinstance(inner, Not):
-            return refine_condition(domain, inner.operand, state, atom)
-        return atom(inner, state, False)
-    return atom(cond, state, True)
-
-
 NEGATED_CMP = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
 SWAPPED_CMP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
 
+_ZERO = IntLit(0)
 
-def negate_cmp(e: Binop) -> Binop:
-    return Binop(NEGATED_CMP[e.op], e.lhs, e.rhs)
+
+class MapState:
+    """Immutable variable-to-value map, or the distinguished bottom state.
+
+    An absent variable has the value ``TOP``, and top bindings are dropped,
+    so equal states have equal bindings.  A subclass defines its value
+    lattice's ``TOP``, ``value_text(value)`` (how a value prints) and
+    ``is_empty(value)`` (a value no concrete integer has, which binds the
+    state to bottom).
+    """
+
+    __slots__ = ("bindings", "bottom", "_items", "_hash", "_text")
+
+    TOP: Any
+
+    def __init__(self, bindings: Optional[dict] = None, bottom: bool = False):
+        top = self.TOP
+        self.bindings = {} if bottom else {v: x for v, x in (bindings or {}).items() if x != top}
+        self.bottom = bottom
+        self._items = tuple(sorted(self.bindings.items()))
+        self._hash = hash((bottom, self._items))
+        self._text: Optional[str] = None
+
+    def get(self, var: str):
+        return self.bindings.get(var, self.TOP)
+
+    def bind(self, var: str, value) -> "MapState":
+        if self.bottom:
+            return self
+        if self.is_empty(value):
+            return type(self)(bottom=True)
+        out = dict(self.bindings)
+        if value == self.TOP:
+            out.pop(var, None)
+        else:
+            out[var] = value
+        return type(self)(out)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.bottom == other.bottom
+            and self._items == other._items
+        )
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through the constructor: a pickled hash would be stale in
+        # a process with another string-hash seed.
+        return (type(self), (self.bindings, self.bottom))
+
+    def text(self) -> str:
+        if self._text is None:
+            if self.bottom:
+                self._text = "bot"
+            else:
+                vt = self.value_text
+                self._text = "{" + ", ".join(f"{v}:{vt(x)}" for v, x in self._items) + "}"
+        return self._text
+
+    def __repr__(self):
+        return self.text()
+
+
+def connective_truth(e: Expr, state, evaluate, truth) -> Optional[bool]:
+    """Three-valued truth of a Not/And/Or: True, False, or None (unknown),
+    from ``truth`` of the domain's ``evaluate`` of each operand."""
+    if isinstance(e, Not):
+        t = truth(evaluate(e.operand, state))
+        return None if t is None else not t
+    a = truth(evaluate(e.lhs, state))
+    b = truth(evaluate(e.rhs, state))
+    if isinstance(e, And):
+        if a is False or b is False:
+            return False
+        return True if a is True and b is True else None
+    if a is True or b is True:
+        return True
+    return False if a is False and b is False else None
+
+
+class MapDomain:
+    """A value lattice lifted pointwise to ``state_cls`` maps.
+
+    The engines call ``init``, ``transfer``, ``leq``, ``equal``, ``join``,
+    ``widen``, ``is_bot``, ``drop_var``, ``to_text``, ``models`` (whether
+    a concrete state is abstracted by an abstract one), ``digest`` and the
+    hooks ``eval_arg``, ``entry_state_for_call`` and ``return_state``.
+
+    A subclass supplies its ``state_cls``, a ``MapState`` subclass, and,
+    as static methods: ``evaluate(expr, state)``, the abstract value of an
+    expression; ``truth(value)``, True, False or None for a value read as
+    a condition (nonzero is true); ``refine_cmp(op, var, rhs, state)``,
+    the state refined by ``var op rhs``, or None to fall back to
+    ``truth``; the value ``value_join``, ``value_widen`` and
+    ``value_leq``; and ``contains(value, n)``, whether ``n`` is abstracted
+    by ``value``.
+    """
+
+    state_cls: type
+
+    def __init__(self):
+        self._init = self.state_cls({})
+        self._bottom = self.state_cls(bottom=True)
+
+    def init(self):
+        return self._init
+
+    def bottom(self):
+        return self._bottom
+
+    def is_bot(self, state) -> bool:
+        return state.bottom
+
+    def equal(self, a, b) -> bool:
+        return a == b
+
+    def digest(self, state) -> str:
+        """The full canonical form, domain-tagged: equal exactly when the
+        states are equal.  The engine's memo keys by the states themselves."""
+        return f"{self.name}|{state.text()}"
+
+    def drop_var(self, state, var: str):
+        """Forget one variable (rebind it to top)."""
+        return state.bind(var, state.TOP)
+
+    def to_text(self, state) -> str:
+        return state.text()
+
+    def transfer(self, stmt: Stmt, state):
+        if state.bottom:
+            return state
+        if isinstance(stmt, Assign):
+            return state.bind(stmt.var, self.evaluate(stmt.rhs, state))
+        if isinstance(stmt, Assume):
+            return self._refine(stmt.cond, state, True)
+        if isinstance(stmt, (Skip, Print, ArrayWrite)):
+            return state
+        if isinstance(stmt, Call):
+            raise ContractViolation(
+                "call statements are resolved by the interprocedural engine"
+            )
+        raise TypeError(stmt)
+
+    # -- assume refinement ---------------------------------------------------
+    #
+    # Conjunction refines sequentially, disjunction joins the branch
+    # refinements, and negation is pushed inward (De Morgan) as a polarity
+    # flag.  Each domain's comparison refiner must stay monotone.
+
+    def _refine(self, cond: Expr, state, positive: bool):
+        if state.bottom:
+            return state
+        if isinstance(cond, Not):
+            return self._refine(cond.operand, state, not positive)
+        if isinstance(cond, (And, Or)):
+            if isinstance(cond, And) is positive:
+                return self._refine(cond.rhs, self._refine(cond.lhs, state, positive), positive)
+            return self.join(
+                self._refine(cond.lhs, state, positive),
+                self._refine(cond.rhs, state, positive),
+            )
+        if isinstance(cond, Var):
+            # A bare variable is true when nonzero.
+            op, lhs, rhs = ("!=" if positive else "=="), cond, _ZERO
+        elif isinstance(cond, Binop) and cond.op in NEGATED_CMP:
+            op = cond.op if positive else NEGATED_CMP[cond.op]
+            lhs, rhs = cond.lhs, cond.rhs
+            if isinstance(lhs, IntLit) and isinstance(rhs, Var):
+                op, lhs, rhs = SWAPPED_CMP[op], rhs, lhs
+        else:
+            t = self.truth(self.evaluate(cond, state))
+            return state if t is None or t is positive else self._bottom
+        if isinstance(lhs, Var):
+            out = self.refine_cmp(op, lhs, rhs, state)
+            if out is not None:
+                return out
+        t = self.truth(self.evaluate(Binop(op, lhs, rhs), state))
+        return self._bottom if t is False else state
+
+    # -- pointwise lattice ---------------------------------------------------
+    #
+    # Top absorbs join and widen, so only variables bound on both sides
+    # can stay bound.
+
+    def leq(self, a, b) -> bool:
+        if a.bottom:
+            return True
+        if b.bottom:
+            return False
+        le, ab, top = self.value_leq, a.bindings, a.TOP
+        return all(le(ab.get(v, top), x) for v, x in b.bindings.items())
+
+    def join(self, a, b):
+        return self._pointwise(self.value_join, a, b)
+
+    def widen(self, a, b):
+        return self._pointwise(self.value_widen, a, b)
+
+    def _pointwise(self, op, a, b):
+        if a.bottom:
+            return b
+        if b.bottom:
+            return a
+        ab, bb = a.bindings, b.bindings
+        return self.state_cls({v: op(ab[v], bb[v]) for v in ab.keys() & bb.keys()})
+
+    def models(self, sigma, state) -> bool:
+        if state.bottom:
+            return False
+        return all(self.contains(x, sigma.value_of(v)) for v, x in state.bindings.items())
+
+    # -- interprocedural hooks -----------------------------------------------
+
+    def eval_arg(self, expr: Expr, state):
+        return self.evaluate(expr, state)
+
+    def entry_state_for_call(self, param: str | None, arg_value):
+        """Callee entry state: the parameter bound, everything else top."""
+        if param is None:
+            return self._init
+        return self._init.bind(param, arg_value)
+
+    def return_state(self, caller_state, lhs: str, exit_state):
+        """Post-call state: ``lhs`` receives the callee's ``ret``; other
+        caller variables are preserved."""
+        if caller_state.bottom or exit_state.bottom:
+            return self._bottom
+        return caller_state.bind(lhs, exit_state.get("ret"))

@@ -31,7 +31,15 @@ from .graph import (
     stmt_cell_locs,
 )
 from .lang.cfg import Cfg, Edge, Loc
-from .lang.edits import EditDelta, EditError, ProgramEdit, apply_edit, relabel, stable_join_indices
+from .lang.edits import (
+    EditDelta,
+    EditError,
+    ProgramEdit,
+    apply_edit,
+    inserted_stmts,
+    relabel,
+    stable_join_indices,
+)
 from .lang.loops import LoopInfo, analyze_loops
 from .lang.syntax import Call, Stmt, is_stmt, stmt_text
 from .domains.base import ContractViolation
@@ -387,6 +395,7 @@ class Engine:
         if value is not None and cell.ty is CellType.STMT:
             if not is_stmt(value):
                 raise EngineError(f"cell {name!r} holds statements")
+            self._check_no_calls((value,))
             src, dst = stmt_cell_locs(name)
             try:
                 new_cfg, delta = relabel(self.cfg, Edge(src, cell.contents, dst), value)
@@ -408,6 +417,15 @@ class Engine:
             if value is not None:
                 cell.contents = value
         self._after_public_op()
+
+    def _check_no_calls(self, stmts) -> None:
+        if self.call_handler is None:
+            for s in stmts:
+                if isinstance(s, Call):
+                    raise EngineError(
+                        f"cannot insert call statement {stmt_text(s)!r}: this engine "
+                        "has no interprocedural handler (analyze calls with DaigForest)"
+                    )
 
     def _dirty(self, start: Name, include_self: bool) -> None:
         refs = self.daig.refs
@@ -439,7 +457,9 @@ class Engine:
     def apply_program_edit(self, edit: ProgramEdit) -> EditDelta:
         """Apply a source-level edit: relabels rewrite statement cells,
         insertions splice in fresh structure, and every cell whose inputs
-        changed is dirtied so demand recomputes it."""
+        changed is dirtied so demand recomputes it.  Without a call handler
+        an edit that inserts a call is rejected before any state changes."""
+        self._check_no_calls(inserted_stmts(edit))
         new_cfg, delta = apply_edit(self.cfg, edit, validate=False)
         if new_cfg is not self.cfg:
             self.splice(new_cfg, delta, analyze_loops(new_cfg))

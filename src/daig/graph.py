@@ -750,14 +750,12 @@ def check_cfg_consistency(
     return True
 
 
-def check_ai_consistency(
-    d: Daig, domain, reasons: Optional[list[str]] = None, call_transfer=None
-) -> bool:
+def check_ai_consistency(d: Daig, domain, reasons: Optional[list[str]] = None) -> bool:
     """Whether every filled state cell equals its computation over filled
     sources (fix cells must equal both of their converged sources).
 
-    Transfer computations over call statements are structural only; pass
-    ``call_transfer`` to recompute them, otherwise their values are trusted.
+    Transfer computations over call statements are structural only: their
+    values are trusted.
     """
     def fail(msg: str) -> bool:
         if reasons is not None:
@@ -785,12 +783,8 @@ def check_ai_consistency(
                 return fail(f"fix cell {name!r} does not equal its converged iterates")
         elif comp.fn is FnSymbol.TRANSFER:
             if isinstance(vals[0], Call):
-                if call_transfer is None:
-                    continue
-                want = call_transfer(vals[0], vals[1])
-            else:
-                want = domain.transfer(vals[0], vals[1])
-            if not domain.equal(cell.contents, want):
+                continue
+            if not domain.equal(cell.contents, domain.transfer(vals[0], vals[1])):
                 return fail(f"transfer result at {name!r} is stale")
         elif comp.fn is FnSymbol.JOIN:
             acc = vals[0]

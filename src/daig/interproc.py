@@ -18,7 +18,7 @@ from typing import Optional
 from .engine import Engine, Metrics
 from .graph import Computation, Name, stmt_cell_locs
 from .lang.cfg import CfgError, Loc, Program
-from .lang.edits import InsertIf, InsertStmtAfter, InsertWhile, ProgramEdit, RelabelEdge, apply_edit
+from .lang.edits import ProgramEdit, apply_edit, inserted_stmts
 from .lang.loops import analyze_loops
 from .lang.syntax import Call
 
@@ -206,15 +206,7 @@ class DaigForest:
     def _validate_new_calls(self, edit: ProgramEdit) -> bool:
         """Check the callee and arity of every call the edit inserts; return
         whether it inserts one."""
-        stmts = []
-        if isinstance(edit, RelabelEdge):
-            stmts = [edit.new_stmt]
-        elif isinstance(edit, InsertStmtAfter):
-            stmts = [edit.stmt]
-        elif isinstance(edit, InsertIf):
-            stmts = list(edit.then_stmts) + list(edit.else_stmts)
-        elif isinstance(edit, InsertWhile):
-            stmts = list(edit.body_stmts)
+        stmts = inserted_stmts(edit)
         for s in stmts:
             if isinstance(s, Call):
                 if s.callee not in self.program.procedures:

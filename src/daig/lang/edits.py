@@ -53,6 +53,20 @@ class InsertWhile:
 ProgramEdit = Union[RelabelEdge, InsertStmtAfter, InsertIf, InsertWhile]
 
 
+def inserted_stmts(edit: ProgramEdit) -> tuple[Stmt, ...]:
+    """The statements an edit puts into the program: a relabel's new
+    statement or an inserted block's statements (not its condition)."""
+    if isinstance(edit, RelabelEdge):
+        return (edit.new_stmt,)
+    if isinstance(edit, InsertStmtAfter):
+        return (edit.stmt,)
+    if isinstance(edit, InsertIf):
+        return tuple(edit.then_stmts) + tuple(edit.else_stmts)
+    if isinstance(edit, InsertWhile):
+        return tuple(edit.body_stmts)
+    return ()
+
+
 @dataclass(frozen=True)
 class EditDelta:
     """Exact difference between the pre- and post-edit edge sets.

@@ -17,7 +17,13 @@ Grammar (comments run ``//`` to end of line)::
              | "!" expr | expr binop expr
     binop   := "+"|"-"|"*"|"/"|"<"|"<="|">"|">="|"=="|"!="|"&&"|"||"
 
-The entry procedure must be named ``main``.
+The entry procedure must be named ``main``.  Nesting is capped at
+``MAX_NESTING`` levels, so that neither the parser nor a later recursion
+over a parsed program can exhaust the stack: an expression's syntax tree
+may be that deep (a leaf is one level), that many parentheses, brackets
+and ``!`` may enclose a point of it, and that many blocks may nest (a
+procedure's body is the first).  A printed expression reparses, since its
+parentheses are never deeper than its tree.
 """
 
 from __future__ import annotations
@@ -47,6 +53,15 @@ from .syntax import (
 )
 
 KEYWORDS = {"fn", "skip", "assume", "print", "if", "else", "while"}
+
+MAX_NESTING = 64
+
+# Binary operators by precedence; all are left-associative.
+_PREC = {
+    "||": 1, "&&": 2,
+    "<": 3, "<=": 3, ">": 3, ">=": 3, "==": 3, "!=": 3,
+    "+": 4, "-": 4, "*": 5, "/": 5,
+}
 
 _PUNCT = (
     "<=", ">=", "==", "!=", "&&", "||",
@@ -123,6 +138,8 @@ class _Parser:
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.pos = 0
+        self.open = 0  # parentheses, brackets and `!`s being parsed
+        self.blocks = 0  # blocks being parsed
 
     def peek(self, ahead: int = 0) -> Token:
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
@@ -147,80 +164,85 @@ class _Parser:
         return self.next()
 
     # -- expressions, precedence climbing ----------------------------------
+    #
+    # Each function returns an expression with the depth of its tree.
 
     def expr(self) -> Expr:
-        return self._or()
+        return self._binary(1)[0]
 
-    def _or(self) -> Expr:
-        e = self._and()
-        while self.peek().kind == "||":
-            self.next()
-            e = Or(e, self._and())
-        return e
+    def _too_deep(self, t: Token) -> ParseError:
+        return ParseError(f"expression nested deeper than {MAX_NESTING} levels", t.line, t.col)
 
-    def _and(self) -> Expr:
-        e = self._cmp()
-        while self.peek().kind == "&&":
-            self.next()
-            e = And(e, self._cmp())
-        return e
+    def _deeper(self, depth: int, t: Token) -> int:
+        """The depth of a node built at ``t`` over a child ``depth`` deep."""
+        if depth >= MAX_NESTING:
+            raise self._too_deep(t)
+        return depth + 1
 
-    def _cmp(self) -> Expr:
-        e = self._add()
-        while self.peek().kind in ("<", "<=", ">", ">=", "==", "!="):
-            op = self.next().kind
-            e = Binop(op, e, self._add())
-        return e
+    def _inside(self, t: Token, parse, *args) -> tuple[Expr, int]:
+        """``parse(*args)`` within one more parenthesis, bracket or ``!``,
+        opened at ``t``."""
+        if self.open >= MAX_NESTING:
+            raise self._too_deep(t)
+        self.open += 1
+        out = parse(*args)
+        self.open -= 1
+        return out
 
-    def _add(self) -> Expr:
-        e = self._mul()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            e = Binop(op, e, self._mul())
-        return e
+    def _binary(self, min_prec: int) -> tuple[Expr, int]:
+        e, depth = self._unary()
+        while _PREC.get(self.peek().kind, 0) >= min_prec:
+            t = self.next()
+            rhs, rdepth = self._binary(_PREC[t.kind] + 1)
+            if t.kind == "||":
+                e = Or(e, rhs)
+            elif t.kind == "&&":
+                e = And(e, rhs)
+            else:
+                e = Binop(t.kind, e, rhs)
+            depth = self._deeper(max(depth, rdepth), t)
+        return e, depth
 
-    def _mul(self) -> Expr:
-        e = self._unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.next().kind
-            e = Binop(op, e, self._unary())
-        return e
-
-    def _unary(self) -> Expr:
+    def _unary(self) -> tuple[Expr, int]:
         t = self.peek()
         if t.kind == "!":
             self.next()
-            return Not(self._unary())
+            e, depth = self._inside(t, self._unary)
+            return Not(e), self._deeper(depth, t)
         return self._atom()
 
-    def _atom(self) -> Expr:
+    def _atom(self) -> tuple[Expr, int]:
         t = self.peek()
         if t.kind == "int":
             self.next()
-            return IntLit(int(t.text))
+            return IntLit(int(t.text)), 1
         if t.kind == "ident":
             self.next()
             if self.peek().kind == "[":
-                self.next()
-                idx = self.expr()
+                bracket = self.next()
+                idx, depth = self._inside(bracket, self._binary, 1)
                 self.expect("]")
-                return ArrayRead(t.text, idx)
-            return Var(t.text)
+                return ArrayRead(t.text, idx), self._deeper(depth, bracket)
+            return Var(t.text), 1
         if t.kind == "(":
             self.next()
-            e = self.expr()
+            out = self._inside(t, self._binary, 1)
             self.expect(")")
-            return e
+            return out
         raise ParseError(f"expected an expression, found {t.text!r}", t.line, t.col)
 
     # -- statements ---------------------------------------------------------
 
     def block(self) -> list[BlockItem]:
-        self.expect("{")
+        t = self.expect("{")
+        if self.blocks >= MAX_NESTING:
+            raise ParseError(f"blocks nested deeper than {MAX_NESTING} levels", t.line, t.col)
+        self.blocks += 1
         items: list[BlockItem] = []
         while self.peek().kind != "}":
             items.append(self.stmt())
         self.expect("}")
+        self.blocks -= 1
         return items
 
     def stmt(self) -> BlockItem:

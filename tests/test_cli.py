@@ -197,3 +197,23 @@ def test_repl_rejects_edit_closing_a_call_cycle_and_continues():
         "error: recursive call cycle: inc -> inc",
         "{a:[1,6], b:[1,6]}",
     ]
+
+
+def test_repl_reports_too_deep_nesting_and_continues():
+    deep = "(" * 124 + "1" + ")" * 124
+    script = f"edit insert-after main entry :: x = {deep};\nquery main exit\n"
+    code, out, err = run_cli(["repl", str(SAMPLES / "while.imp")], script)
+    assert code == 0, err
+    assert out.strip().splitlines() == [
+        "error: 1:69: expression nested deeper than 64 levels",
+        "{x:[10,+inf]}",
+    ]
+
+
+def test_analyze_too_deep_nesting_fails_with_a_message(tmp_path):
+    deep = tmp_path / "deep.imp"
+    deep.write_text("fn main() {\n" + "if (x > 0) {\n" * 330 + "}\n" * 331, encoding="utf-8")
+    code, out, err = run_cli(["analyze", str(deep), "--loc", "exit"])
+    assert code == 1
+    assert out == ""
+    assert err.strip() == "error: 65:12: blocks nested deeper than 64 levels"

@@ -1,10 +1,16 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from daig.domains import CONST, INTERVAL, SIGN, ConcreteState, STUCK, collecting_bounded, concrete_step
+from daig.domains import (
+    CONST, INTERVAL, SIGN, ConcreteState, ConstState, SignState, STUCK, collecting_bounded, concrete_step,
+)
 from daig.domains.base import ContractViolation
 from daig.domains.interval import INTERVAL_BOTTOM, NEG_INF, POS_INF, IntervalState
 from daig.lang.parser import parse_program, parse_stmt_text
+from daig.workload import gen_cond, gen_expr, gen_simple_stmt
 from daig.lang.syntax import (
     And,
     ArrayRead,
@@ -71,6 +77,32 @@ def interval_states(draw):
 
 
 @st.composite
+def sign_states(draw):
+    return SignState({v: draw(st.sampled_from(("neg", "zero", "pos", "top"))) for v in VARS})
+
+
+@st.composite
+def const_states(draw):
+    return ConstState({v: draw(st.one_of(st.integers(-3, 3), st.just("top"))) for v in VARS})
+
+
+DOMAINS = (INTERVAL, SIGN, CONST)
+STATES = {"interval": interval_states, "sign": sign_states, "const": const_states}
+
+
+@st.composite
+def lattice_states(draw, dom):
+    """A state of ``dom``, bottom one time in eight."""
+    if draw(st.integers(0, 7)) == 0:
+        return dom.bottom()
+    return draw(STATES[dom.name]())
+
+
+def draw_states(data, dom, n):
+    return [data.draw(lattice_states(dom), label=dom.name) for _ in range(n)]
+
+
+@st.composite
 def modeled_pairs(draw):
     """A concrete state together with an interval state it models."""
     phi = draw(interval_states())
@@ -123,6 +155,55 @@ def test_division_by_zero_interval_is_top():
     assert out.get("y") == (2, 3)
 
 
+# A bound beyond the float range: Python ints are unbounded.
+BIG = 2**1100
+
+
+@pytest.mark.parametrize(
+    "stmt, state, text",
+    [
+        ("y = x * 0;", ivl(), "{y:[0,0]}"),
+        ("y = x * z;", ivl(x=(0, None), z=(None, 0)), "{x:[0,+inf], y:[-inf,0], z:[-inf,0]}"),
+        ("y = x / 2;", ivl(x=(5, None)), "{x:[5,+inf], y:[2,+inf]}"),
+        ("y = 7 / x;", ivl(x=(1, None)), "{x:[1,+inf], y:[0,7]}"),
+        ("y = (0 - 7) / x;", ivl(x=(1, None)), "{x:[1,+inf], y:[-7,-1]}"),
+        ("y = x / z;", ivl(x=(1, None), z=(None, -1)), "{x:[1,+inf], y:[-inf,-1], z:[-inf,-1]}"),
+        ("y = z / x;", ivl(x=(None, -2), z=(None, 3)), "{x:[-inf,-2], y:[-2,+inf], z:[-inf,3]}"),
+        pytest.param("y = x + z;", ivl(x=(BIG, BIG)), f"{{x:[{BIG},{BIG}]}}", id="big+top"),
+        pytest.param("y = x * z;", ivl(x=(BIG, BIG)), f"{{x:[{BIG},{BIG}]}}", id="big*top"),
+        pytest.param(
+            "y = x + z;",
+            ivl(x=(BIG, BIG), z=(0, None)),
+            f"{{x:[{BIG},{BIG}], y:[{BIG},+inf], z:[0,+inf]}}",
+            id="big+nonneg",
+        ),
+        pytest.param(
+            "y = z - x;",
+            ivl(x=(BIG, BIG), z=(0, None)),
+            f"{{x:[{BIG},{BIG}], y:[{-BIG},+inf], z:[0,+inf]}}",
+            id="nonneg-big",
+        ),
+        pytest.param(
+            "y = x * z;",
+            ivl(x=(BIG, BIG), z=(0, None)),
+            f"{{x:[{BIG},{BIG}], y:[0,+inf], z:[0,+inf]}}",
+            id="big*nonneg",
+        ),
+        pytest.param(
+            "y = x * z;",
+            ivl(x=(-BIG, BIG), z=(None, -1)),
+            f"{{x:[{-BIG},{BIG}], z:[-inf,-1]}}",
+            id="bigrange*neg",
+        ),
+    ],
+)
+def test_bound_arithmetic_at_infinity(stmt, state, text):
+    out = INTERVAL.transfer(parse_stmt_text(stmt), state)
+    assert INTERVAL.to_text(out) == text
+    # No finite bound is ever a float.
+    assert all(type(b) is int or b in (NEG_INF, POS_INF) for r in out.bindings.values() for b in r)
+
+
 # -- join / widen / leq ---------------------------------------------------------
 
 
@@ -140,14 +221,6 @@ def test_widen_stability():
         assert INTERVAL.widen(phi, phi) == phi
 
 
-def test_bottom_is_identity_for_join_and_widen():
-    phi = ivl(x=(1, 2))
-    assert INTERVAL.join(INTERVAL_BOTTOM, phi) == phi
-    assert INTERVAL.join(phi, INTERVAL_BOTTOM) == phi
-    assert INTERVAL.widen(INTERVAL_BOTTOM, phi) == phi
-    assert INTERVAL.widen(phi, INTERVAL_BOTTOM) == phi
-
-
 def test_canonical_serialization():
     assert INTERVAL.to_text(ivl(y=(None, 3), x=(0, 9))) == "{x:[0,9], y:[-inf,3]}"
     assert INTERVAL.to_text(ivl(x=(None, None))) == "{}"
@@ -159,30 +232,47 @@ def test_canonical_serialization():
 # -- lattice properties -----------------------------------------------------------
 
 
+# Each law is checked for every domain on states drawn for that domain.
+
+
 @settings(max_examples=200, derandomize=True)
-@given(interval_states(), interval_states())
-def test_join_is_upper_bound(a, b):
-    j = INTERVAL.join(a, b)
-    assert INTERVAL.leq(a, j) and INTERVAL.leq(b, j)
-    assert INTERVAL.leq(j, INTERVAL.widen(a, b))
+@given(st.data())
+def test_join_is_upper_bound(data):
+    for dom in DOMAINS:
+        a, b = draw_states(data, dom, 2)
+        j = dom.join(a, b)
+        assert dom.leq(a, j) and dom.leq(b, j)
+        assert dom.leq(j, dom.widen(a, b))
 
 
 @settings(max_examples=100, derandomize=True)
-@given(st.lists(interval_states(), min_size=1, max_size=6))
-def test_widening_chains_stabilize(chain):
-    # make the chain increasing, then widen along it
-    asc = [chain[0]]
-    for s in chain[1:] + chain:  # revisit to force repeats too
-        asc.append(INTERVAL.join(asc[-1], s))
-    w = asc[0]
-    changes = 0
-    for s in asc[1:]:
-        nxt = INTERVAL.widen(w, s)
-        if not INTERVAL.equal(nxt, w):
-            changes += 1
-        w = nxt
-    assert changes <= 2 * len(VARS) + 2
-    assert INTERVAL.equal(INTERVAL.widen(w, w), w)
+@given(st.data())
+def test_bottom_is_identity_for_join_and_widen(data):
+    for dom in DOMAINS:
+        (phi,) = draw_states(data, dom, 1)
+        bot = dom.bottom()
+        assert dom.join(bot, phi) == phi and dom.join(phi, bot) == phi
+        assert dom.widen(bot, phi) == phi and dom.widen(phi, bot) == phi
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.data())
+def test_widening_chains_stabilize(data):
+    for dom in DOMAINS:
+        chain = draw_states(data, dom, data.draw(st.integers(1, 6)))
+        # make the chain increasing, then widen along it
+        asc = [chain[0]]
+        for s in chain[1:] + chain:  # revisit to force repeats too
+            asc.append(dom.join(asc[-1], s))
+        w = asc[0]
+        changes = 0
+        for s in asc[1:]:
+            nxt = dom.widen(w, s)
+            if not dom.equal(nxt, w):
+                changes += 1
+            w = nxt
+        assert changes <= 2 * len(VARS) + 2
+        assert dom.equal(dom.widen(w, w), w)
 
 
 @settings(max_examples=400, derandomize=True)
@@ -197,24 +287,23 @@ def test_local_soundness(pair, stmt):
 
 
 @settings(max_examples=400, derandomize=True)
-@given(interval_states(), interval_states(), stmts)
-def test_transfer_monotone(a, b, stmt):
-    lo = INTERVAL.join(a, b) if not INTERVAL.leq(a, b) else b
-    hi = INTERVAL.join(lo, b)
-    assert INTERVAL.leq(INTERVAL.transfer(stmt, lo), INTERVAL.transfer(stmt, hi)) or not INTERVAL.leq(lo, hi)
-    # and against an explicitly smaller state
-    small = a
-    big = INTERVAL.join(a, b)
-    assert INTERVAL.leq(INTERVAL.transfer(stmt, small), INTERVAL.transfer(stmt, big))
+@given(st.data(), stmts)
+def test_transfer_monotone(data, stmt):
+    for dom in DOMAINS:
+        a, b = draw_states(data, dom, 2)
+        lo = dom.join(a, b) if not dom.leq(a, b) else b
+        hi = dom.join(lo, b)
+        assert dom.leq(dom.transfer(stmt, lo), dom.transfer(stmt, hi)) or not dom.leq(lo, hi)
+        # and against an explicitly smaller state
+        assert dom.leq(dom.transfer(stmt, a), dom.transfer(stmt, dom.join(a, b)))
 
 
 @settings(max_examples=200, derandomize=True)
-@given(interval_states(), interval_states())
-def test_digest_respects_equality(a, b):
-    if INTERVAL.equal(a, b):
-        assert INTERVAL.digest(a) == INTERVAL.digest(b)
-    if INTERVAL.digest(a) == INTERVAL.digest(b):
-        assert INTERVAL.equal(a, b)
+@given(st.data())
+def test_digest_respects_equality(data):
+    for dom in DOMAINS:
+        a, b = draw_states(data, dom, 2)
+        assert (dom.digest(a) == dom.digest(b)) == dom.equal(a, b)
 
 
 @settings(max_examples=300, derandomize=True)
@@ -297,3 +386,84 @@ def test_models_examples():
     # unbound concrete scalars read as zero
     assert INTERVAL.models(ConcreteState(), ivl(y=(0, 0)))
     assert not INTERVAL.models(ConcreteState(), ivl(y=(1, 2)))
+
+
+# -- pinned results ----------------------------------------------------------------
+
+PIN_VARS = ("x0", "x1", "x2")
+# Recorded when each domain still had its own transfer, refinement and
+# lattice loops; the shared implementation must reproduce it exactly.
+PINNED_DIGEST = "921f7b3b9f8d1942e72a177ca2cbf8fa86e224dbef5a60c005b31e1136e83bec"
+
+
+CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
+
+
+def _pin_corpus(rng):
+    stmts = [gen_simple_stmt(rng, PIN_VARS) for _ in range(60)]
+    stmts += [Assume(gen_cond(rng, 2, PIN_VARS)) for _ in range(60)]
+    stmts += [Assume(gen_expr(rng, 2, PIN_VARS)) for _ in range(20)]
+    for v in PIN_VARS:
+        stmts += [Assume(Var(v)), Assume(Not(Var(v))), Assume(Not(Not(Var(v))))]
+    for op in CMP_OPS:
+        for lhs, rhs in ((Var("x0"), IntLit(0)), (Var("x0"), IntLit(2)),
+                         (IntLit(2), Var("x0")), (Var("x0"), Var("x1"))):
+            stmts += [Assume(Binop(op, lhs, rhs)), Assume(Not(Binop(op, lhs, rhs)))]
+    # Connectives as values: every pair of a false, a true and two unknowns.
+    operands = (IntLit(0), IntLit(3), Var("x0"), Binop("<", Var("x1"), IntLit(1)))
+    for a in operands:
+        stmts.append(Assign("x2", Not(a)))
+        for b in operands:
+            stmts += [Assign("x2", And(a, b)), Assign("x2", Or(a, b))]
+    return stmts
+
+
+def _pin_states(dom, rng):
+    """Small-valued states built by transfers, some joined or widened."""
+    states = [dom.init(), dom.bottom()]
+    while len(states) < 30:
+        s = dom.init()
+        for v in PIN_VARS:
+            c = rng.randint(-4, 4)
+            roll = rng.random()
+            if roll < 0.4:
+                s = dom.transfer(Assign(v, IntLit(c)), s)
+            elif roll < 0.7:
+                s = dom.transfer(Assume(Binop(rng.choice(CMP_OPS), Var(v), IntLit(c))), s)
+        roll = rng.random()
+        if roll < 0.3:
+            s = dom.join(s, rng.choice(states))
+        elif roll < 0.45:
+            s = dom.widen(rng.choice(states), s)
+        states.append(s)
+    return states
+
+
+def test_domain_results_are_pinned():
+    """One digest over the results of every domain operation on a seeded
+    corpus, recorded before the domains shared one implementation."""
+    h = hashlib.sha256()
+    for dom in (INTERVAL, SIGN, CONST):
+        rng = random.Random(2024)
+        stmts = _pin_corpus(rng)
+        states = _pin_states(dom, rng)
+        exprs = [gen_expr(rng, 2, PIN_VARS) for _ in range(8)]
+        sigmas = [ConcreteState({v: rng.randint(-3, 3) for v in PIN_VARS}) for _ in range(6)]
+        exits = [dom.transfer(Assign("ret", Var("x1")), s) for s in states[:6]]
+        out = []
+        for s in states:
+            out += [dom.to_text(dom.transfer(stmt, s)) for stmt in stmts]
+            for t in states:
+                out += [dom.to_text(dom.join(s, t)), dom.to_text(dom.widen(s, t))]
+                out += [str(dom.leq(s, t)), str(dom.equal(s, t))]
+            out += [dom.to_text(dom.return_state(s, "x0", e)) for e in exits]
+            out += [str(dom.models(sigma, s)) for sigma in sigmas]
+            out.append(dom.to_text(dom.drop_var(s, "x1")))
+            if not dom.is_bot(s):
+                out += [
+                    dom.to_text(dom.entry_state_for_call("p", dom.eval_arg(e, s)))
+                    for e in exprs
+                ]
+        h.update(f"{dom.name}|{len(set(states))}|".encode())
+        h.update("\n".join(out).encode())
+    assert h.hexdigest() == PINNED_DIGEST

@@ -17,9 +17,9 @@ from daig.graph import (
     prod,
     stmt_cell_locs,
 )
-from daig.lang.edits import InsertStmtAfter, RelabelEdge
+from daig.lang.edits import InsertIf, InsertStmtAfter, InsertWhile, RelabelEdge
 from daig.lang.loops import analyze_loops
-from daig.lang.parser import parse_program, parse_stmt_text
+from daig.lang.parser import parse_expr_text, parse_program, parse_stmt_text
 from daig.lang.syntax import stmt_text
 from daig.workload import EMPTY_MAIN, gen_edit, gen_program_source, gen_simple_stmt
 
@@ -489,3 +489,44 @@ def test_seeded_session_counters_are_pinned():
         "cells_dirtied": 1937,
     }
     assert len(eng.daig.refs) == 297
+
+
+CALL_SRC = "fn main() { x = 1; while (x < 5) { x = x + 1; } }"
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["insert-after", "insert-if", "insert-while", "relabel", "write-cell"],
+)
+def test_standalone_engine_rejects_inserting_a_call_before_any_state_changes(kind):
+    cfg = parse_program(CALL_SRC).proc("main").cfg
+    eng = Engine(cfg, INTERVAL, debug=True)
+    eng.query_loc(cfg.exit)
+    call = parse_stmt_text("x = f(1);")
+    skip = parse_stmt_text("skip;")
+    edge = next(e for e in cfg.edges if e.src == cfg.entry)
+    stmt_cell = next(
+        n for n, c in eng.daig.refs.items()
+        if c.ty is CellType.STMT and stmt_cell_locs(n) == (edge.src, edge.dst)
+    )
+    cells = {n: c.contents for n, c in eng.daig.refs.items()}
+    metrics = eng.metrics.snapshot()
+    with pytest.raises(EngineError, match="cannot insert call statement 'x = f\\(1\\);'"):
+        if kind == "insert-after":
+            eng.apply_program_edit(InsertStmtAfter(cfg.entry, call))
+        elif kind == "insert-if":
+            eng.apply_program_edit(InsertIf(cfg.entry, parse_expr_text("x > 0"), (skip,), (call,)))
+        elif kind == "insert-while":
+            eng.apply_program_edit(InsertWhile(cfg.entry, parse_expr_text("x > 9"), (call,)))
+        elif kind == "relabel":
+            eng.apply_program_edit(RelabelEdge(edge.src, edge.dst, call))
+        else:
+            eng.write_cell(stmt_cell, call)
+    assert eng.cfg is cfg
+    assert {n: c.contents for n, c in eng.daig.refs.items()} == cells
+    assert eng.metrics.snapshot() == metrics
+    # The engine stays usable: a call-free edit still gives the batch answers.
+    eng.apply_program_edit(InsertStmtAfter(cfg.entry, parse_stmt_text("y = 2;")))
+    loops = analyze_loops(eng.cfg)
+    want = batch_analyze(eng.cfg, loops, INTERVAL).invariants
+    assert all(eng.query_loc(loc) == want[loc] for loc in sorted(eng.cfg.locs))

@@ -3,9 +3,12 @@ import random
 
 import pytest
 
+from daig.batch import batch_analyze
+from daig.domains import INTERVAL
+from daig.engine import Engine
 from daig.lang.cfg import CfgError
 from daig.lang.loops import analyze_loops
-from daig.lang.parser import ParseError, parse_expr_text, parse_program, parse_stmt_text
+from daig.lang.parser import MAX_NESTING, ParseError, parse_expr_text, parse_program, parse_stmt_text
 from daig.lang.syntax import (
     And,
     ArrayRead,
@@ -193,3 +196,56 @@ def test_and_and_or_of_the_same_operands_differ():
     assert len(table) == 2
     assert table[And(a, b)] == "and" and table[Or(a, b)] == "or"
     assert Call("y", "f") != Call("y", "f", IntLit(0))
+
+
+# -- nesting cap ----------------------------------------------------------------
+
+
+def nested_source(kind: str, levels: int) -> str:
+    """A program nested ``levels`` deep in one of five ways: parentheses,
+    or the depth of an expression tree, or blocks."""
+    inner = levels - 1
+    exprs = {
+        "parentheses": "(" * levels + "y" + ")" * levels,
+        "operators": " + ".join(["y"] * levels),
+        "negations": "!" * inner + "y",
+        "indices": "a[" * inner + "0" + "]" * inner,
+    }
+    if kind == "blocks":
+        return "fn main() { y = 3; " + "if (y > 0) { " * inner + "x = y;" + " }" * inner + " }"
+    return f"fn main() {{ y = 3; x = {exprs[kind]}; }}"
+
+
+NESTING_KINDS = ["parentheses", "operators", "negations", "indices", "blocks"]
+
+
+@pytest.mark.parametrize("kind", NESTING_KINDS)
+def test_nesting_at_the_cap_parses_and_is_analyzed(kind):
+    program = parse_program(nested_source(kind, MAX_NESTING))
+    cfg = program.proc("main").cfg
+    want = batch_analyze(cfg, analyze_loops(cfg), INTERVAL).invariants[cfg.exit]
+    assert Engine(cfg, INTERVAL).query_loc(cfg.exit) == want
+    if kind != "blocks":
+        stmt = max((e.stmt for e in cfg.edges), key=lambda s: len(stmt_text(s)))
+        assert parse_stmt_text(stmt_text(stmt)) == stmt
+
+
+@pytest.mark.parametrize("kind", NESTING_KINDS)
+def test_nesting_past_the_cap_is_a_parse_error(kind):
+    src = nested_source(kind, MAX_NESTING + 1)
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING} levels") as exc:
+        parse_program(src)
+    # The position is that of the construct that goes one level too deep.
+    assert exc.value.line == 1
+    assert src[exc.value.col - 1] in "(+![{"
+
+
+def test_deep_nesting_is_a_parse_error_not_a_recursion_error():
+    with pytest.raises(ParseError, match="1:69: expression nested deeper"):
+        parse_stmt_text("x = " + "(" * 124 + "1" + ")" * 124 + ";")
+    with pytest.raises(ParseError, match="1:65: expression nested deeper"):
+        parse_expr_text("!" * 5000 + "x")
+    with pytest.raises(ParseError, match="1:255: expression nested deeper"):
+        parse_expr_text(" + ".join(["x"] * 1000))
+    with pytest.raises(ParseError, match="blocks nested deeper"):
+        parse_program("fn main() {\n" + "if (x > 0) {\n" * 330 + "}\n" * 331)
