@@ -90,8 +90,9 @@ class Session:
                 raise SessionError(f"cannot write {words[2]}: {exc.strerror or exc}") from None
             return f"wrote {words[2]}"
         if cmd == "metrics":
-            m = self.forest.metrics()
-            return " ".join(f"{k}={v}" for k, v in sorted(m.snapshot().items()))
+            counters = sorted(self.forest.metrics().snapshot().items())
+            gauges = self.forest.gauges().items()
+            return " ".join(f"{k}={v}" for k, v in [*counters, *gauges])
         raise SessionError(f"unknown command {cmd!r}")
 
     def _parse_ctx(self, proc: str, token: str) -> Context:

@@ -15,9 +15,9 @@ the literal-left swap, a bare variable as ``!= 0``/``== 0``, and an
 evaluate-then-truth fallback), three-valued Not/And/Or evaluation, the
 pointwise join/widen/leq, ``models``, and the interprocedural hooks.  A
 domain supplies only its value lattice (top, value join/widen/leq,
-``contains``, the text of a value, the empty test), its evaluator of
-arithmetic and comparisons with its truth test on values, and its
-comparison refiner.
+``contains``, the text of a value, the form a binding stores or its
+emptiness), its evaluator of arithmetic and comparisons with its truth
+test on values, and its comparison refiner.
 """
 
 from __future__ import annotations
@@ -51,6 +51,11 @@ SWAPPED_CMP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!=
 
 _ZERO = IntLit(0)
 
+# The largest magnitude a state stores: a bound or constant past it is
+# given up (to an infinity or to top), which only loses precision, so
+# repeated multiplication cannot grow integers without limit.
+MAGNITUDE_LIMIT = 2**64
+
 
 class MapState:
     """Immutable variable-to-value map, or the distinguished bottom state.
@@ -58,8 +63,9 @@ class MapState:
     An absent variable has the value ``TOP``, and top bindings are dropped,
     so equal states have equal bindings.  A subclass defines its value
     lattice's ``TOP``, ``value_text(value)`` (how a value prints) and
-    ``is_empty(value)`` (a value no concrete integer has, which binds the
-    state to bottom).
+    ``stored(value)``: the value a binding keeps, within
+    ``MAGNITUDE_LIMIT``, or None for a value no concrete integer has,
+    which binds the state to bottom.
     """
 
     __slots__ = ("bindings", "bottom", "_items", "_hash", "_text")
@@ -80,7 +86,8 @@ class MapState:
     def bind(self, var: str, value) -> "MapState":
         if self.bottom:
             return self
-        if self.is_empty(value):
+        value = self.stored(value)
+        if value is None:
             return type(self)(bottom=True)
         out = dict(self.bindings)
         if value == self.TOP:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..lang.syntax import And, ArrayRead, Binop, Expr, IntLit, Not, Or, Var
-from .base import SWAPPED_CMP, MapDomain, MapState, connective_truth
+from .base import MAGNITUDE_LIMIT, SWAPPED_CMP, MapDomain, MapState, connective_truth
 
 NEG, ZERO, POS, TOP = "neg", "zero", "pos", "top"
 
@@ -33,8 +33,8 @@ class _FlatState(MapState):
     value_text = str
 
     @staticmethod
-    def is_empty(value) -> bool:
-        return value is None
+    def stored(value):
+        return value
 
 
 class SignState(_FlatState):
@@ -43,6 +43,13 @@ class SignState(_FlatState):
 
 class ConstState(_FlatState):
     __slots__ = ()
+
+    @staticmethod
+    def stored(value):
+        # A constant past the magnitude limit is given up to top.
+        if type(value) is int and not -MAGNITUDE_LIMIT <= value <= MAGNITUDE_LIMIT:
+            return TOP
+        return value
 
 
 # -- signs -------------------------------------------------------------------

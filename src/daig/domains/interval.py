@@ -3,8 +3,10 @@
 States map variables to [lo, hi] bounds; an absent variable means
 [-inf, +inf], and bindings that widen to the full range are dropped so the
 representation is canonical.  A bound is an ``int`` or a float infinity;
-no finite bound is ever a float.  Arrays are abstracted away: reads
-evaluate to the full range, writes leave the scalar environment unchanged.
+no finite bound is ever a float, and a bound past ``MAGNITUDE_LIMIT`` is
+stored widened to an infinity or to the limit.  Arrays are abstracted
+away: reads evaluate to the full range, writes leave the scalar
+environment unchanged.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from ..lang.syntax import And, ArrayRead, Binop, Expr, IntLit, Not, Or, Var
-from .base import SWAPPED_CMP, MapDomain, MapState, connective_truth
+from .base import MAGNITUDE_LIMIT, SWAPPED_CMP, MapDomain, MapState, connective_truth
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -37,8 +39,22 @@ class IntervalState(MapState):
     TOP = TOP_RANGE
 
     @staticmethod
-    def is_empty(r: Range) -> bool:
-        return r[0] > r[1]
+    def stored(r: Range) -> Optional[Range]:
+        """None for an empty range; otherwise ``r`` with a bound past the
+        magnitude limit on its own side made infinite, and one past it on
+        the other side set to the limit."""
+        lo, hi = r
+        if lo > hi:
+            return None
+        # Only an int can be past the limit: infinite bounds are floats.
+        if (type(lo) is int and not -MAGNITUDE_LIMIT <= lo <= MAGNITUDE_LIMIT) or (
+            type(hi) is int and not -MAGNITUDE_LIMIT <= hi <= MAGNITUDE_LIMIT
+        ):
+            return (
+                NEG_INF if lo < -MAGNITUDE_LIMIT else min(lo, MAGNITUDE_LIMIT),
+                POS_INF if hi > MAGNITUDE_LIMIT else max(hi, -MAGNITUDE_LIMIT),
+            )
+        return r
 
     @staticmethod
     def value_text(r: Range) -> str:

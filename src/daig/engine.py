@@ -24,7 +24,6 @@ from .graph import (
     check_cfg_consistency,
     check_wf,
     dest_structures,
-    incr_comp,
     incr_name,
     init_daig,
     name_key,
@@ -101,8 +100,15 @@ class Engine:
     hashes a key in O(1); no cached hash is pickled, so a pickled engine
     still hits its memo in a process with another string-hash seed.
 
+    Demand walks linked cells: each cell holds the computation into it and
+    caches its source cells, so a query looks up no names.  Links point
+    upstream only, so the graph has no reference cycles; a pickled or
+    snapshot engine starts without cached sources and links them again as
+    it is queried.
+
     Mutating operations (query, write_cell, apply_program_edit) must be
-    externally serialized; ``snapshot`` produces an independent copy.
+    externally serialized; ``snapshot`` produces an independent copy that
+    shares no cell with this engine.
     """
 
     def __init__(
@@ -187,46 +193,52 @@ class Engine:
         Filled cells answer immediately; an empty cell demands its
         computation's sources in order, then answers from the memo table or
         by applying the function.  Fix cells converge by demanded unrolling.
+        The walk follows cell links, not names: each cell holds its
+        computation and, once demanded, its source cells.  Unrolling and
+        call handlers may replace computations, so after either the loop
+        reads the cell's computation and sources afresh.
         """
-        self.daig.cell(name)
-        refs = self.daig.refs
-        stack = [name]
-        budget = 10_000_000 + 100 * len(refs)
+        daig = self.daig
+        root = daig.cell(name)
+        sources = daig.sources
+        stack = [root]
+        budget = 10_000_000 + 100 * len(daig.refs)
         while stack:
             budget -= 1
             if budget < 0:
                 raise EngineError("query did not stabilize (runaway demand loop)")
-            n = stack[-1]
-            cell = refs[n]
+            cell = stack[-1]
             if cell.contents is not None:
                 stack.pop()
                 continue
-            comp = self.daig.comps.get(n)
+            comp = cell.comp
             if comp is None:
-                raise EngineError(f"empty cell {n!r} has no computation")
+                raise EngineError(f"empty cell {cell.name!r} has no computation")
+            srcs = cell.srcs
+            if srcs is None:
+                srcs = sources(cell)
             if comp.fn is FnSymbol.FIX:
-                first, final = comp.srcs
-                if refs[first].contents is None:
+                first, final = srcs
+                if first.contents is None:
                     stack.append(first)
                     continue
-                if refs[final].contents is None:
+                if final.contents is None:
                     stack.append(final)
                     continue
-                prev, nxt = refs[first].contents, refs[final].contents
-                if self._converged(prev, nxt):
+                nxt = final.contents
+                if self._converged(first.contents, nxt):
                     cell.contents = nxt
-                    head = _fix_head(n)
-                    assert isinstance(first, Iter)
-                    self.metrics.loop_episodes[n] = first.count_of(head)
+                    n = cell.name
+                    self.metrics.loop_episodes[n] = first.name.count_of(_fix_head(n))
                     stack.pop()
                 else:
                     self._unroll(comp)
                 continue
-            missing = [s for s in comp.srcs if refs[s].contents is None]
+            missing = [s for s in srcs if s.contents is None]
             if missing:
                 stack.extend(reversed(missing))
                 continue
-            vals = tuple(refs[s].contents for s in comp.srcs)
+            vals = tuple([s.contents for s in srcs])
             if comp.fn is FnSymbol.TRANSFER and isinstance(vals[0], Call):
                 if self.call_handler is None:
                     raise ContractViolation(
@@ -236,14 +248,14 @@ class Engine:
                 out = self.call_handler(vals[0], vals[1], comp)
                 # A shared callee entry may have widened during the call,
                 # dirtying this cell's inputs; recompute from fresh ones.
-                if any(refs[s].contents is None for s in comp.srcs):
+                if any(s.contents is None for s in srcs):
                     continue
                 cell.contents = out
                 stack.pop()
                 continue
             cell.contents = self._apply(comp, vals)
             stack.pop()
-        result = refs[name].contents
+        result = root.contents
         self._after_public_op()
         return result
 
@@ -283,9 +295,11 @@ class Engine:
 
         Cells strictly between the two iterate sources (plus the final
         iterate itself) are copied with their iteration count bumped, and
-        the fix edge slides forward; names already present from an earlier
-        roll-back are reused.  Statement cells carry no iteration counts,
-        so program syntax is never duplicated.
+        the fix edge slides forward.  Unrolling rewrites only what is
+        missing: a cell left by an earlier roll-back is reused, and a copied
+        computation equal to the one in place is skipped, keeping its cell's
+        source links.  Each name is bumped once per call.  Statement cells
+        carry no iteration counts, so program syntax is never duplicated.
 
         The region is found by walking back from the final iterate through
         computations, never past the first: a natural loop is entered only
@@ -296,6 +310,8 @@ class Engine:
         no live computation, so the walk never reaches them.
         """
         daig = self.daig
+        refs = daig.refs
+        loops = self.loops
         first, final = fix_comp.srcs
         head = _fix_head(fix_comp.dest)
         self.metrics.unrollings += 1
@@ -308,37 +324,37 @@ class Engine:
                     f"{sorted(between, key=name_key)}, wanted {sorted(want, key=name_key)}"
                 )
         region = sorted(between | {final}, key=name_key)
+        bumped: dict[Name, Name] = {}
         for n in region:
-            nn = incr_name(n, head, self.loops)
-            if nn not in daig.refs:
+            nn = bumped[n] = incr_name(n, head, loops)
+            if nn not in refs:
                 daig.add_cell(nn, CellType.STATE, None)
         for n in region:
-            comp = daig.comps.get(n)
+            comp = refs[n].comp
             if comp is None:
                 raise EngineError(f"loop region cell {n!r} has no computation")
-            copied = incr_comp(comp, head, self.loops)
-            if copied.fn is FnSymbol.FIX:
+            srcs = []
+            for s in comp.srcs:
+                b = bumped.get(s)
+                if b is None:
+                    b = bumped[s] = incr_name(s, head, loops)
+                srcs.append(b)
+            dest = bumped[n]
+            if comp.fn is FnSymbol.FIX:
                 # A nested loop starts a fresh convergence in the new outer
                 # iteration: its fix edge is copied at depth one, not at the
                 # old instance's final depth.
-                inner = _fix_head(copied.dest)
-                assert isinstance(copied.srcs[1], Iter)
-                copied = Computation(
-                    copied.dest,
-                    FnSymbol.FIX,
-                    (
-                        copied.srcs[1].with_count(inner, 0),
-                        copied.srcs[1].with_count(inner, 1),
-                    ),
-                )
-            self._set_comp(copied)
-        self._set_comp(
-            Computation(
-                fix_comp.dest,
-                FnSymbol.FIX,
-                (final, incr_name(final, head, self.loops)),
-            )
-        )
+                inner = _fix_head(dest)
+                final_src = srcs[1]
+                assert isinstance(final_src, Iter)
+                srcs = (final_src.with_count(inner, 0), final_src.with_count(inner, 1))
+            else:
+                srcs = tuple(srcs)
+            cur = refs[dest].comp
+            if cur is not None and cur.fn is comp.fn and cur.srcs == srcs:
+                continue
+            self._set_comp(Computation(dest, comp.fn, srcs))
+        self._set_comp(Computation(fix_comp.dest, FnSymbol.FIX, (final, bumped[final])))
 
     def query_loc(self, loc: Loc):
         """Abstract state at a program location.
@@ -428,31 +444,33 @@ class Engine:
                     )
 
     def _dirty(self, start: Name, include_self: bool) -> None:
-        refs = self.daig.refs
-        work: list[Name] = []
-        if include_self:
-            work.append(start)
-        else:
-            work.extend(self.daig.consumers(start))
+        daig = self.daig
+        refs = daig.refs
+        index = daig.consumer_index
+        fix_by_final = self._fix_by_final
+        work: list[Name] = [start] if include_self else list(index.get(start, ()))
+        dirtied = 0
         while work:
             n = work.pop()
             cell = refs[n]
             if cell.contents is None:
                 continue
             cell.contents = None
-            self.metrics.cells_dirtied += 1
-            work.extend(self.daig.consumers(n))
-            fix_dest = self._fix_by_final.get(n)
+            dirtied += 1
+            users = index.get(n)
+            if users:
+                work.extend(users)
+            fix_dest = fix_by_final.get(n)
             if fix_dest is not None:
-                comp = self.daig.comps[fix_dest]
+                final = refs[fix_dest].comp.srcs[1]
                 head = _fix_head(fix_dest)
-                final = comp.srcs[1]
                 assert isinstance(final, Iter)
                 if final.count_of(head) > 1:
                     first1 = final.with_count(head, 0)
                     final1 = final.with_count(head, 1)
                     self._set_comp(Computation(fix_dest, FnSymbol.FIX, (first1, final1)))
                     work.append(final1)
+        self.metrics.cells_dirtied += dirtied
 
     def apply_program_edit(self, edit: ProgramEdit) -> EditDelta:
         """Apply a source-level edit: relabels rewrite statement cells,

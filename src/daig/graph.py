@@ -225,12 +225,28 @@ class CellType(enum.Enum):
 
 
 class RefCell:
-    __slots__ = ("name", "ty", "contents")
+    """A named cell: its contents, the computation into it (``comp``,
+    written only by :meth:`Daig.set_comp`), and that computation's source
+    cells (``srcs``), linked on first demand by :meth:`Daig.sources` and
+    cleared whenever the computation is replaced.
 
-    def __init__(self, name: Name, ty: CellType, contents=None):
+    Links point upstream only, from a cell to what it reads, so a graph
+    holds no reference cycles and is freed by reference counting.  Pickling
+    and copying drop the cached sources: they are rebuilt on demand, and
+    pickling them would recurse once per cell along a chain of statements.
+    """
+
+    __slots__ = ("name", "ty", "contents", "comp", "srcs")
+
+    def __init__(self, name: Name, ty: CellType, contents=None, comp=None):
         self.name = name
         self.ty = ty
         self.contents = contents
+        self.comp: Optional[Computation] = comp
+        self.srcs: Optional[tuple[RefCell, ...]] = None
+
+    def __reduce__(self):
+        return (RefCell, (self.name, self.ty, self.contents, self.comp))
 
     def is_empty(self) -> bool:
         return self.contents is None
@@ -270,14 +286,19 @@ class GraphError(KeyError):
 
 
 class Daig:
-    """Mutable cell/computation store with a consumer index for dirtying."""
+    """Mutable cell/computation store with a consumer index for dirtying.
+
+    ``comps`` maps each computed cell's name to its computation, and the
+    cell links the same object; ``consumer_index`` maps a name to the
+    names of the cells whose computations read it.
+    """
 
     def __init__(self, entry_name: Name, entry_state):
         self.refs: dict[Name, RefCell] = {}
         self.comps: dict[Name, Computation] = {}
         self.entry_name = entry_name
         self.entry_state = entry_state
-        self._consumers: dict[Name, set[Name]] = {}
+        self.consumer_index: dict[Name, set[Name]] = {}
 
     # -- construction and mutation ------------------------------------------
 
@@ -289,13 +310,36 @@ class Daig:
         return cell
 
     def set_comp(self, comp: Computation) -> None:
-        old = self.comps.get(comp.dest)
+        """Make ``comp`` the computation into its (existing) destination
+        cell, replacing any previous one and its source links."""
+        dest = comp.dest
+        cell = self.refs.get(dest)
+        if cell is None:
+            raise GraphError(f"computation into unknown cell {dest!r}")
+        index = self.consumer_index
+        old = cell.comp
         if old is not None:
             for s in old.srcs:
-                self._consumers.get(s, set()).discard(old.dest)
-        self.comps[comp.dest] = comp
+                users = index.get(s)
+                if users is not None:
+                    users.discard(dest)
+        self.comps[dest] = comp
+        cell.comp = comp
+        cell.srcs = None
         for s in comp.srcs:
-            self._consumers.setdefault(s, set()).add(comp.dest)
+            users = index.get(s)
+            if users is None:
+                index[s] = {dest}
+            else:
+                users.add(dest)
+
+    def sources(self, cell: RefCell) -> tuple[RefCell, ...]:
+        """The cells ``cell``'s computation reads, linked on first use."""
+        srcs = cell.srcs
+        if srcs is None:
+            refs = self.refs
+            srcs = cell.srcs = tuple([refs[s] for s in cell.comp.srcs])
+        return srcs
 
     def cell(self, name: Name) -> RefCell:
         try:
@@ -306,14 +350,13 @@ class Daig:
     def value(self, name: Name):
         return self.cell(name).contents
 
-    def consumers(self, name: Name) -> set[Name]:
-        return self._consumers.get(name, set())
-
     def copy(self) -> "Daig":
+        """An independent graph: new cells (with no cached sources) over the
+        same immutable names, computations and contents."""
         out = Daig(self.entry_name, self.entry_state)
-        out.refs = {n: RefCell(c.name, c.ty, c.contents) for n, c in self.refs.items()}
+        out.refs = {n: RefCell(c.name, c.ty, c.contents, c.comp) for n, c in self.refs.items()}
         out.comps = dict(self.comps)
-        out._consumers = {n: set(s) for n, s in self._consumers.items()}
+        out.consumer_index = {n: set(s) for n, s in self.consumer_index.items()}
         return out
 
     # -- reachability ---------------------------------------------------------
@@ -323,7 +366,7 @@ class Daig:
         seen: set[Name] = set()
         stack = [n]
         while stack:
-            for dest in self._consumers.get(stack.pop(), ()):
+            for dest in self.consumer_index.get(stack.pop(), ()):
                 if dest not in seen:
                     seen.add(dest)
                     stack.append(dest)
@@ -530,11 +573,22 @@ def init_daig(cfg: Cfg, loops: LoopInfo, domain, entry_state=None) -> Daig:
 
 
 def check_wf(d: Daig) -> list[Violation]:
-    """The five well-formedness conditions; an empty list means well-formed."""
+    """The five well-formedness conditions, plus intact cell links; an
+    empty list means well-formed."""
     out: list[Violation] = []
-    for name, cell in d.refs.items():
+    refs = d.refs
+    for name, cell in refs.items():
         if cell.name != name:
             out.append(Violation("BadName", name, "cell keyed under a different name"))
+        comp = cell.comp
+        if comp is not d.comps.get(name):
+            out.append(Violation("StaleLink", name, "cell links a computation set_comp did not record"))
+        elif cell.srcs is not None and (
+            comp is None
+            or len(cell.srcs) != len(comp.srcs)
+            or any(c is not refs.get(s) for c, s in zip(cell.srcs, comp.srcs))
+        ):
+            out.append(Violation("StaleLink", name, "cached sources are not its computation's"))
     for dest, comp in d.comps.items():
         if comp.dest != dest:
             out.append(Violation("BadDest", dest, "computation keyed under a different name"))
@@ -568,7 +622,7 @@ def check_wf(d: Daig) -> list[Violation]:
     while ready:
         n = ready.pop()
         removed += 1
-        for dest in d.consumers(n):
+        for dest in d.consumer_index.get(n, ()):
             comp = d.comps.get(dest)
             if comp is None or dest not in indeg:
                 continue

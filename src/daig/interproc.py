@@ -246,5 +246,15 @@ class DaigForest:
             total.add(eng.metrics)
         return total
 
+    def gauges(self) -> dict[str, int]:
+        """Current sizes: cells and empty cells summed over live engines,
+        and the entries of the memo they share."""
+        cells = empty = 0
+        for eng in self.engines.values():
+            refs = eng.daig.refs
+            cells += len(refs)
+            empty += sum(1 for c in refs.values() if c.contents is None)
+        return {"cells": cells, "empty_cells": empty, "memo_entries": len(self._memo)}
+
     def live_keys(self) -> list[tuple[str, Context]]:
         return sorted(self.engines)

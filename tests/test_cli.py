@@ -1,10 +1,15 @@
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from daig.cli import main
+from daig.cli import Session, SessionError, main
+from daig.domains import INTERVAL
+from daig.lang.cfg import CfgError
+from daig.lang.parser import ParseError, parse_program
+from daig.workload import INTERPROC_BASE
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -217,3 +222,96 @@ def test_analyze_too_deep_nesting_fails_with_a_message(tmp_path):
     assert code == 1
     assert out == ""
     assert err.strip() == "error: 65:12: blocks nested deeper than 64 levels"
+
+
+@pytest.mark.parametrize(
+    "domain,want", [("interval", "{x:[18446744073709551616,+inf]}"), ("const", "{}")]
+)
+def test_analyze_prints_a_state_after_repeated_squaring(tmp_path, domain, want):
+    src = tmp_path / "squares.imp"
+    src.write_text("fn main() {\n  x = 2;\n" + "  x = x * x;\n" * 14 + "}\n", encoding="utf-8")
+    code, out, err = run_cli(["analyze", str(src), "--loc", "exit", "--domain", domain])
+    assert code == 0, err
+    assert out.strip() == want
+
+
+def _gauges(line: str) -> dict[str, int]:
+    fields = dict(kv.split("=") for kv in line.split())
+    return {k: int(fields[k]) for k in ("cells", "empty_cells", "memo_entries")}
+
+
+def test_repl_metrics_report_graph_and_memo_gauges():
+    program = parse_program((SAMPLES / "while.imp").read_text(encoding="utf-8"))
+    session = Session(program, INTERVAL)
+    session.handle("query main exit")
+    warm = _gauges(session.handle("metrics"))
+    assert warm["cells"] > warm["empty_cells"] and warm["memo_entries"] > 0
+    assert session.handle("edit insert-after main 0 :: y = 1;") == "ok"
+    edited = _gauges(session.handle("metrics"))
+    assert edited["cells"] > warm["cells"]
+    assert edited["empty_cells"] > warm["empty_cells"]
+    session.handle("query main exit")
+    requeried = _gauges(session.handle("metrics"))
+    assert requeried["memo_entries"] > warm["memo_entries"]
+    assert requeried["empty_cells"] < edited["empty_cells"]
+
+
+def _malformed_line(rng: random.Random) -> str:
+    """One session line over INTERPROC_BASE that every handler must reject."""
+    procs = ("main", "inc", "clamp")
+    bad_procs = ("nope", "Main", "inc2", "ret")
+    bad_locs = ("999", "-1", "abc", "1.5", "ent", "0x1", "l0")
+    bad_ctxs = ("@[", "[0]", "@[a]", "@[1,,2]", "@[9]", "@[0,0,0]", "@", "@[0]x")
+    bad_stmts = ("x = ;", "x = 1", "while (x) {", "", "x = inc(;", "1 = x;", "x = y = 1;")
+    bad_conds = ("x <", ")", "", "x = 1", "(x < 1", "x < 1 1")
+    bad_calls = ("x = nope(1);", "x = inc();", "x = main(1);", "x = Inc(2);")
+    proc = rng.choice(procs)
+    kind = rng.randrange(12)
+    if kind == 0:
+        return rng.choice(("frob", "QUERY", "edits", "help", "metric", "dump-dot")) + " main exit"
+    if kind == 1:
+        return rng.choice(("query", f"query {proc}", f"query {proc} exit @[] extra"))
+    if kind == 2:
+        return f"query {rng.choice(bad_procs)} {rng.choice(('entry', 'exit', '0'))}"
+    if kind == 3:
+        return f"query {proc} {rng.choice(bad_locs)}"
+    if kind == 4:
+        return f"query {proc} {rng.choice(('entry', 'exit'))} {rng.choice(bad_ctxs)}"
+    if kind == 5:
+        return rng.choice(("dump", "dump dot", "dump png g.dot", "dump dot a b"))
+    if kind == 6:
+        return rng.choice((
+            f"edit insert-after {proc} entry x = 1;",
+            f"edit relabel {proc} 0 :: x = 1;",
+            f"edit insert-after {proc} :: x = 1;",
+            f"edit insert-if {proc} 0 1 :: x < 1",
+            "edit :: x = 1;",
+            f"edit insert-while {proc} :: x < 1",
+        ))
+    if kind == 7:
+        return f"edit {rng.choice(('delete', 'insert', 'relabel-edge'))} {proc} entry :: x = 1;"
+    if kind == 8:
+        return f"edit insert-after {rng.choice(bad_procs)} entry :: x = 1;"
+    if kind == 9:
+        where = rng.choice(("insert-after main", "relabel main exit"))
+        return f"edit {where} {rng.choice(bad_locs)} :: x = 1;"
+    if kind == 10:
+        if rng.random() < 0.5:
+            return f"edit insert-after {proc} entry :: {rng.choice(bad_stmts)}"
+        verb = rng.choice(("insert-if", "insert-while"))
+        return f"edit {verb} {proc} entry :: {rng.choice(bad_conds)}"
+    return f"edit insert-after main {rng.choice(('entry', 'exit'))} :: {rng.choice(bad_calls)}"
+
+
+@pytest.mark.parametrize("policy_k", [0, 1, 2])
+def test_session_rejects_malformed_lines_and_keeps_answering(policy_k):
+    rng = random.Random(policy_k)
+    session = Session(parse_program(INTERPROC_BASE), INTERVAL, policy_k=policy_k)
+    want = session.handle("query main exit")
+    cfgs = {name: proc.cfg for name, proc in session.forest.program.procedures.items()}
+    for _ in range(300):
+        line = _malformed_line(rng)
+        with pytest.raises((SessionError, CfgError, ParseError)):
+            session.handle(line)
+    assert session.handle("query main exit") == want
+    assert {n: p.cfg for n, p in session.forest.program.procedures.items()} == cfgs

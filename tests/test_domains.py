@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,10 @@ from hypothesis import given, settings, strategies as st
 from daig.domains import (
     CONST, INTERVAL, SIGN, ConcreteState, ConstState, SignState, STUCK, collecting_bounded, concrete_step,
 )
-from daig.domains.base import ContractViolation
+from daig.batch import batch_analyze
+from daig.domains.base import MAGNITUDE_LIMIT, ContractViolation
+from daig.engine import Engine
+from daig.lang.loops import analyze_loops
 from daig.domains.interval import INTERVAL_BOTTOM, NEG_INF, POS_INF, IntervalState
 from daig.lang.parser import parse_program, parse_stmt_text
 from daig.workload import gen_cond, gen_expr, gen_simple_stmt
@@ -155,7 +159,9 @@ def test_division_by_zero_interval_is_top():
     assert out.get("y") == (2, 3)
 
 
-# A bound beyond the float range: Python ints are unbounded.
+# A bound beyond the float range: Python ints are unbounded.  A state
+# built directly may hold one; a result bound past the magnitude limit is
+# stored widened (to the limit on the other side, to the infinity on its own).
 BIG = 2**1100
 
 
@@ -174,13 +180,13 @@ BIG = 2**1100
         pytest.param(
             "y = x + z;",
             ivl(x=(BIG, BIG), z=(0, None)),
-            f"{{x:[{BIG},{BIG}], y:[{BIG},+inf], z:[0,+inf]}}",
+            f"{{x:[{BIG},{BIG}], y:[{MAGNITUDE_LIMIT},+inf], z:[0,+inf]}}",
             id="big+nonneg",
         ),
         pytest.param(
             "y = z - x;",
             ivl(x=(BIG, BIG), z=(0, None)),
-            f"{{x:[{BIG},{BIG}], y:[{-BIG},+inf], z:[0,+inf]}}",
+            f"{{x:[{BIG},{BIG}], z:[0,+inf]}}",
             id="nonneg-big",
         ),
         pytest.param(
@@ -467,3 +473,41 @@ def test_domain_results_are_pinned():
         h.update(f"{dom.name}|{len(set(states))}|".encode())
         h.update("\n".join(out).encode())
     assert h.hexdigest() == PINNED_DIGEST
+
+
+# -- magnitude limit -----------------------------------------------------------
+
+
+def squarings(n: int) -> str:
+    return "fn main() {\n  x = 2;\n" + "  x = x * x;\n" * n + "}\n"
+
+
+def test_stored_bounds_past_the_limit_widen():
+    top = IntervalState({})
+    big = MAGNITUDE_LIMIT * 8
+    assert top.bind("x", (big, big)).get("x") == (MAGNITUDE_LIMIT, POS_INF)
+    assert top.bind("x", (-big, -big)).get("x") == (NEG_INF, -MAGNITUDE_LIMIT)
+    assert top.bind("x", (-big, big)) == top
+    at_limit = (-MAGNITUDE_LIMIT, MAGNITUDE_LIMIT)
+    assert top.bind("x", at_limit).get("x") == at_limit
+    assert top.bind("x", (big, 3)) == INTERVAL_BOTTOM
+    refined = INTERVAL.transfer(Assume(Binop("<", Var("x"), IntLit(big))), ivl(x=(0, 5)))
+    assert refined == ivl(x=(0, 5))
+    above = INTERVAL.transfer(Assume(Binop(">", Var("x"), IntLit(big))), top)
+    assert above.get("x") == (MAGNITUDE_LIMIT, POS_INF)
+    assert ConstState({}).bind("x", MAGNITUDE_LIMIT + 1) == ConstState({})
+    assert ConstState({}).bind("x", -MAGNITUDE_LIMIT).get("x") == -MAGNITUDE_LIMIT
+
+
+@pytest.mark.parametrize("dom", [INTERVAL, CONST], ids=lambda d: d.name)
+def test_repeated_squaring_stays_bounded(dom):
+    cfg = parse_program(squarings(14)).proc("main").cfg
+    oracle = batch_analyze(cfg, analyze_loops(cfg), dom).invariants[cfg.exit]
+    assert dom.equal(Engine(cfg, dom).query_loc(cfg.exit), oracle)
+    want = {"interval": f"{{x:[{MAGNITUDE_LIMIT},+inf]}}", "const": "{}"}[dom.name]
+    assert dom.to_text(oracle) == want
+    start = time.perf_counter()
+    cfg = parse_program(squarings(40)).proc("main").cfg
+    state = Engine(cfg, dom).query_loc(cfg.exit)
+    assert time.perf_counter() - start < 1.0
+    assert dom.to_text(state) == want

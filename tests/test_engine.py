@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from daig.graph import (
     Iter,
     LocN,
     Prod,
+    check_wf,
     head_fix_name,
     head_iter_name,
     loc_state_name,
@@ -398,6 +400,40 @@ def test_snapshot_is_independent():
     assert INTERVAL.to_text(snap.query_loc(cfg.exit)) == "{x:[10,+inf]}"
     assert INTERVAL.to_text(eng.query_loc(cfg.exit)) == "{x:[10,+inf]}"
     assert INTERVAL.to_text(eng.query_loc(eng.loops.back_edge_of(1).dst)) == "{x:[5,+inf]}"
+
+
+def test_snapshot_shares_no_cell_and_leaves_the_original_alone():
+    cfg = while_cfg()
+    eng = Engine(cfg, INTERVAL)
+    eng.query_loc(cfg.exit)
+    edge = next(e for e in cfg.edges if stmt_text(e.stmt) == "x = 0;")
+    eng.apply_program_edit(RelabelEdge(edge.src, edge.dst, parse_stmt_text("x = 5;")))
+    cells = {n: c.contents for n, c in eng.daig.refs.items()}
+    snap = eng.snapshot()
+    own = {id(c) for c in eng.daig.refs.values()}
+    assert not own & {id(c) for c in snap.daig.refs.values()}
+    assert INTERVAL.to_text(snap.query_loc(snap.cfg.exit)) == "{x:[10,+inf]}"
+    linked = [s for c in snap.daig.refs.values() if c.srcs is not None for s in c.srcs]
+    assert linked and not own & {id(s) for s in linked}
+    assert {n: c.contents for n, c in eng.daig.refs.items()} == cells
+    assert check_wf(snap.daig) == [] and check_wf(eng.daig) == []
+
+
+def test_long_session_pickles_without_walking_its_cell_links():
+    # Cached source links run the length of the program; a pickle that
+    # followed them would recurse once per statement.
+    eng = Engine(parse_program(EMPTY_MAIN).proc("main").cfg, INTERVAL)
+    inc = parse_stmt_text("y = y + 1;")
+    for _ in range(1199):
+        eng.apply_program_edit(InsertStmtAfter(eng.cfg.entry, inc))
+    eng.apply_program_edit(InsertStmtAfter(eng.cfg.entry, parse_stmt_text("y = 0;")))
+    assert INTERVAL.to_text(eng.query_loc(eng.cfg.exit)) == "{y:[1199,1199]}"
+    clone = pickle.loads(pickle.dumps(eng))
+    assert all(c.srcs is None for c in clone.daig.refs.values())
+    oracle = batch_analyze(clone.cfg, analyze_loops(clone.cfg), INTERVAL)
+    for loc in (clone.cfg.exit, *sorted(clone.cfg.locs)[::97]):
+        assert INTERVAL.equal(clone.query_loc(loc), oracle.invariants[loc])
+    assert check_wf(clone.daig) == []
 
 
 def test_unroll_region_skips_stale_iterates_of_a_rolled_back_inner_loop(monkeypatch):

@@ -16,6 +16,7 @@ from daig.graph import (
     Iter,
     LocN,
     Prod,
+    RefCell,
     check_ai_consistency,
     check_cfg_consistency,
     check_wf,
@@ -27,7 +28,7 @@ from daig.graph import (
     prewiden_name,
     to_dot,
 )
-from daig.engine import Engine
+from daig.engine import Engine, PreservationError
 from daig.lang.loops import analyze_loops
 from daig.lang.parser import parse_program
 from daig.workload import gen_edit, gen_program_source
@@ -119,6 +120,37 @@ def test_wf_detects_type_and_arity_errors():
     assert "BadType" in kinds
     d.set_comp(Computation(LocN(cfg.exit), FnSymbol.WIDEN, (LocN(cfg.entry),)))
     assert "BadArity" in {v.kind for v in check_wf(d)}
+
+
+def test_wf_detects_stale_cell_links():
+    eng = Engine(while_cfg(), INTERVAL, debug=True)
+    eng.query_loc(eng.cfg.exit)
+    d = eng.daig
+    assert check_wf(d) == []
+    name, cell = next(
+        (n, c) for n, c in d.refs.items() if c.srcs is not None and c.comp.fn is FnSymbol.TRANSFER
+    )
+    linked = cell.srcs
+    assert linked == tuple(d.refs[s] for s in cell.comp.srcs)
+
+    # a cached source that is not the cell its computation names
+    cell.srcs = (linked[0], RefCell(linked[1].name, linked[1].ty, linked[1].contents))
+    assert [(v.kind, v.name) for v in check_wf(d)] == [("StaleLink", name)]
+    cell.srcs = linked
+    assert check_wf(d) == []
+
+    # a computation written into the cell behind set_comp's back
+    recorded = cell.comp
+    cell.comp = Computation(recorded.dest, recorded.fn, recorded.srcs)
+    assert [(v.kind, v.name) for v in check_wf(d)] == [("StaleLink", name)]
+    with pytest.raises(PreservationError, match="StaleLink"):
+        eng.query_loc(eng.cfg.exit)
+    cell.comp = recorded
+
+    # set_comp drops the cached sources along with the computation it replaces
+    d.set_comp(recorded)
+    assert cell.srcs is None
+    assert check_wf(d) == []
 
 
 def test_cfg_consistency_after_unrolling():
