@@ -90,6 +90,8 @@ class Session:
                 raise SessionError(f"cannot write {words[2]}: {exc.strerror or exc}") from None
             return f"wrote {words[2]}"
         if cmd == "metrics":
+            if len(words) != 1:
+                raise SessionError("usage: metrics")
             counters = sorted(self.forest.metrics().snapshot().items())
             gauges = self.forest.gauges().items()
             return " ".join(f"{k}={v}" for k, v in [*counters, *gauges])

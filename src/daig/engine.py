@@ -14,9 +14,12 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from .graph import (
+    FIX,
+    JOIN,
+    TRANSFER,
+    WIDEN,
     CellType,
     Computation,
-    FnSymbol,
     Iter,
     LocN,
     Name,
@@ -24,10 +27,12 @@ from .graph import (
     check_cfg_consistency,
     check_wf,
     dest_structures,
+    graph_differences,
     incr_name,
     init_daig,
     name_key,
     stmt_cell_locs,
+    template_daig,
 )
 from .lang.cfg import Cfg, Edge, Loc
 from .lang.edits import (
@@ -93,8 +98,9 @@ def _fix_head(fix_dest: Name) -> Loc:
 class Engine:
     """Single-procedure analysis session: one graph, one memo.
 
-    The memo maps ``(fn, domain name, statement, state)`` for transfers and
-    ``(fn, domain name, *states)`` for joins and widens to the result;
+    The memo maps ``(fn name, domain name, statement, state)`` for
+    transfers and ``(fn name, domain name, *states)`` for joins and widens
+    to the result;
     states and statements are immutable with canonical equality, so the
     values themselves are the key.  Each caches its own hash, so a lookup
     hashes a key in O(1); no cached hash is pickled, so a pickled engine
@@ -105,6 +111,9 @@ class Engine:
     upstream only, so the graph has no reference cycles; a pickled or
     snapshot engine starts without cached sources and links them again as
     it is queried.
+
+    A fresh engine's graph comes from the one-pass ``init_daig``; under
+    ``debug`` it is checked against the union of the per-location templates.
 
     Mutating operations (query, write_cell, apply_program_edit) must be
     externally serialized; ``snapshot`` produces an independent copy that
@@ -136,10 +145,12 @@ class Engine:
         self.call_handler = call_handler
         self.metrics = Metrics()
         self.daig = init_daig(cfg, self.loops, domain, entry_state)
-        self._fix_by_final: dict[Name, Name] = {}
-        for comp in self.daig.comps.values():
-            if comp.fn is FnSymbol.FIX:
-                self._fix_by_final[comp.srcs[1]] = comp.dest
+        if debug:
+            diff = graph_differences(
+                self.daig, template_daig(cfg, self.loops, self.daig.entry_state)
+            )
+            if diff:
+                raise PreservationError(f"fresh graph differs from its templates: {diff[0]}")
 
     # -- plumbing -------------------------------------------------------------
 
@@ -155,16 +166,7 @@ class Engine:
         out.call_handler = self.call_handler
         out.metrics = Metrics(**self.metrics.snapshot())
         out.daig = self.daig.copy()
-        out._fix_by_final = dict(self._fix_by_final)
         return out
-
-    def _set_comp(self, comp: Computation) -> None:
-        old = self.daig.comps.get(comp.dest)
-        if old is not None and old.fn is FnSymbol.FIX:
-            self._fix_by_final.pop(old.srcs[1], None)
-        self.daig.set_comp(comp)
-        if comp.fn is FnSymbol.FIX:
-            self._fix_by_final[comp.srcs[1]] = comp.dest
 
     def _converged(self, prev, nxt) -> bool:
         if self.mode == "eq":
@@ -190,7 +192,7 @@ class Engine:
     def query(self, name: Name):
         """Value of the named cell, computing and caching missing inputs.
 
-        Filled cells answer immediately; an empty cell demands its
+        A filled cell answers at once; an empty cell demands its
         computation's sources in order, then answers from the memo table or
         by applying the function.  Fix cells converge by demanded unrolling.
         The walk follows cell links, not names: each cell holds its
@@ -199,8 +201,18 @@ class Engine:
         reads the cell's computation and sources afresh.
         """
         daig = self.daig
-        root = daig.cell(name)
+        root = daig.refs.get(name)
+        if root is None:
+            root = daig.cell(name)  # raises GraphError
+        if root.contents is not None:
+            if self.debug:
+                self.assert_invariants()
+            return root.contents
         sources = daig.sources
+        domain = self.domain
+        dname = domain.name
+        memo = self.memo if self.enable_memo else None
+        metrics = self.metrics
         stack = [root]
         budget = 10_000_000 + 100 * len(daig.refs)
         while stack:
@@ -217,7 +229,8 @@ class Engine:
             srcs = cell.srcs
             if srcs is None:
                 srcs = sources(cell)
-            if comp.fn is FnSymbol.FIX:
+            fn = comp.fn
+            if fn is FIX:
                 first, final = srcs
                 if first.contents is None:
                     stack.append(first)
@@ -229,17 +242,22 @@ class Engine:
                 if self._converged(first.contents, nxt):
                     cell.contents = nxt
                     n = cell.name
-                    self.metrics.loop_episodes[n] = first.name.count_of(_fix_head(n))
+                    metrics.loop_episodes[n] = first.name.count_of(_fix_head(n))
                     stack.pop()
                 else:
                     self._unroll(comp)
                 continue
-            missing = [s for s in srcs if s.contents is None]
-            if missing:
-                stack.extend(reversed(missing))
+            # Empty sources go on the stack so that the first is demanded first.
+            ready = True
+            for s in reversed(srcs):
+                if s.contents is None:
+                    stack.append(s)
+                    ready = False
+            if not ready:
                 continue
             vals = tuple([s.contents for s in srcs])
-            if comp.fn is FnSymbol.TRANSFER and isinstance(vals[0], Call):
+            if fn is TRANSFER and isinstance(vals[0], Call):
+                # Not memoized: the result depends on the callee's current code.
                 if self.call_handler is None:
                     raise ContractViolation(
                         f"call statement {stmt_text(vals[0])!r} reached an "
@@ -253,42 +271,37 @@ class Engine:
                 cell.contents = out
                 stack.pop()
                 continue
-            cell.contents = self._apply(comp, vals)
+            # ``_value_`` is the symbol's string, read without the Python-level
+            # ``value`` property; a string hashes in C, an enum member does not.
+            key = (fn._value_, dname) + vals
+            if memo is not None:
+                out = memo.get(key)
+                if out is not None:
+                    metrics.memo_hits += 1
+                    cell.contents = out
+                    stack.pop()
+                    continue
+            metrics.memo_misses += 1
+            if fn is TRANSFER:
+                out = domain.transfer(vals[0], vals[1])
+                metrics.transfer_evals += 1
+            elif fn is JOIN:
+                out = vals[0]
+                for v in vals[1:]:
+                    out = domain.join(out, v)
+                metrics.join_evals += 1
+            elif fn is WIDEN:
+                out = domain.widen(vals[0], vals[1])
+                metrics.widen_evals += 1
+            else:
+                raise EngineError(f"cannot apply {fn}")
+            if memo is not None:
+                memo[key] = out
+            cell.contents = out
             stack.pop()
         result = root.contents
         self._after_public_op()
         return result
-
-    def _apply(self, comp: Computation, vals: tuple):
-        # Call transfers never come through here: their results depend on the
-        # callee's current code, so the query loop dispatches them to the
-        # interprocedural handler without memoization.
-        domain = self.domain
-        if comp.fn is FnSymbol.TRANSFER and isinstance(vals[0], Call):
-            raise ContractViolation("call transfer cannot be applied locally")
-        key = (comp.fn, domain.name) + vals
-        if self.enable_memo:
-            hit = self.memo.get(key)
-            if hit is not None:
-                self.metrics.memo_hits += 1
-                return hit
-        self.metrics.memo_misses += 1
-        if comp.fn is FnSymbol.TRANSFER:
-            out = domain.transfer(vals[0], vals[1])
-            self.metrics.transfer_evals += 1
-        elif comp.fn is FnSymbol.JOIN:
-            out = vals[0]
-            for v in vals[1:]:
-                out = domain.join(out, v)
-            self.metrics.join_evals += 1
-        elif comp.fn is FnSymbol.WIDEN:
-            out = domain.widen(vals[0], vals[1])
-            self.metrics.widen_evals += 1
-        else:
-            raise EngineError(f"cannot apply {comp.fn}")
-        if self.enable_memo:
-            self.memo[key] = out
-        return out
 
     def _unroll(self, fix_comp: Computation) -> None:
         """Extend the loop of ``fix_comp`` by one abstract iteration.
@@ -340,7 +353,7 @@ class Engine:
                     b = bumped[s] = incr_name(s, head, loops)
                 srcs.append(b)
             dest = bumped[n]
-            if comp.fn is FnSymbol.FIX:
+            if comp.fn is FIX:
                 # A nested loop starts a fresh convergence in the new outer
                 # iteration: its fix edge is copied at depth one, not at the
                 # old instance's final depth.
@@ -353,8 +366,8 @@ class Engine:
             cur = refs[dest].comp
             if cur is not None and cur.fn is comp.fn and cur.srcs == srcs:
                 continue
-            self._set_comp(Computation(dest, comp.fn, srcs))
-        self._set_comp(Computation(fix_comp.dest, FnSymbol.FIX, (final, bumped[final])))
+            daig.set_comp(Computation(dest, comp.fn, srcs))
+        daig.set_comp(Computation(fix_comp.dest, FIX, (final, bumped[final])))
 
     def query_loc(self, loc: Loc):
         """Abstract state at a program location.
@@ -366,34 +379,24 @@ class Engine:
         if loc not in self.cfg.locs:
             raise EngineError(f"unknown location l{loc}")
         loops = self.loops
-        heads = list(loops.enclosing_heads(loc))
-        if loc in loops.natural_loops:
-            heads.append(loc)
+        enclosing = loops.enclosing
+        enc = enclosing[loc]
+        is_head = loc in loops.natural_loops
+        if not (enc or is_head):
+            return self.query(LocN(loc))
+        comps = self.daig.comps
         counts: dict[Loc, int] = {}
-        value = None
-        for h in heads:
-            fix_name = self._versioned_fix_name(h, counts)
+        for h in (enc + (loc,)) if is_head else enc:
+            outer = enclosing[h]
+            fix_name = Iter(LocN(h), [(g, counts[g]) for g in outer]) if outer else LocN(h)
             value = self.query(fix_name)
-            comp = self.daig.comps[fix_name]
-            assert isinstance(comp.srcs[0], Iter)
-            counts[h] = comp.srcs[0].count_of(h)
-        if loc in loops.natural_loops:
-            pass  # the fixed-point value from the final query above
-        elif heads:
-            enc = loops.enclosing_heads(loc)
-            name = Iter(LocN(loc), tuple((h, counts[h]) for h in enc))
-            value = self.daig.value(name)
-            if value is None:
-                raise EngineError(f"final iterate of l{loc} was not computed")
-        else:
-            value = self.query(LocN(loc))
+            counts[h] = comps[fix_name].srcs[0].count_of(h)
+        if is_head:
+            return value  # the fixed point from the final query above
+        value = self.daig.value(Iter(LocN(loc), [(h, counts[h]) for h in enc]))
+        if value is None:
+            raise EngineError(f"final iterate of l{loc} was not computed")
         return value
-
-    def _versioned_fix_name(self, head: Loc, counts: dict[Loc, int]) -> Name:
-        enc = self.loops.enclosing_heads(head)
-        if not enc:
-            return LocN(head)
-        return Iter(LocN(head), tuple((h, counts[h]) for h in enc))
 
     # -- edits ----------------------------------------------------------------
 
@@ -447,7 +450,7 @@ class Engine:
         daig = self.daig
         refs = daig.refs
         index = daig.consumer_index
-        fix_by_final = self._fix_by_final
+        fix_by_final = daig.fix_by_final
         work: list[Name] = [start] if include_self else list(index.get(start, ()))
         dirtied = 0
         while work:
@@ -468,7 +471,7 @@ class Engine:
                 if final.count_of(head) > 1:
                     first1 = final.with_count(head, 0)
                     final1 = final.with_count(head, 1)
-                    self._set_comp(Computation(fix_dest, FnSymbol.FIX, (first1, final1)))
+                    daig.set_comp(Computation(fix_dest, FIX, (first1, final1)))
                     work.append(final1)
         self.metrics.cells_dirtied += dirtied
 
@@ -507,11 +510,11 @@ class Engine:
             for comp in comps:
                 cur = daig.comps.get(comp.dest)
                 if cur is None:
-                    self._set_comp(comp)
-                elif comp.fn is FnSymbol.FIX:
+                    daig.set_comp(comp)
+                elif comp.fn is FIX:
                     continue  # any existing unrolling depth is acceptable
                 elif cur != comp:
-                    self._set_comp(comp)
+                    daig.set_comp(comp)
                     dirties.append(comp.dest)
         self.cfg = new_cfg
         self.loops = new_loops

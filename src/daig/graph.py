@@ -219,16 +219,27 @@ class FnSymbol(enum.Enum):
     FIX = "fix"
 
 
+# ``FnSymbol.FIX`` goes through ``EnumType.__getattr__``'s slow lookup path on
+# Python 3.11 (several times a plain attribute), so the graph build and the
+# demand walk compare against these module constants instead.
+TRANSFER = FnSymbol.TRANSFER
+JOIN = FnSymbol.JOIN
+WIDEN = FnSymbol.WIDEN
+FIX = FnSymbol.FIX
+
+
 class CellType(enum.Enum):
     STMT = "stmt"
     STATE = "state"
 
 
 class RefCell:
-    """A named cell: its contents, the computation into it (``comp``,
-    written only by :meth:`Daig.set_comp`), and that computation's source
-    cells (``srcs``), linked on first demand by :meth:`Daig.sources` and
-    cleared whenever the computation is replaced.
+    """A named cell: its contents, the computation into it (``comp``), and
+    that computation's source cells (``srcs``), linked on first demand by
+    :meth:`Daig.sources` and cleared whenever the computation is replaced.
+
+    A fresh graph (:func:`init_daig`) makes each cell with its computation
+    in place; after that, only :meth:`Daig.set_comp` writes ``comp``.
 
     Links point upstream only, from a cell to what it reads, so a graph
     holds no reference cycles and is freed by reference counting.  Pickling
@@ -290,7 +301,9 @@ class Daig:
 
     ``comps`` maps each computed cell's name to its computation, and the
     cell links the same object; ``consumer_index`` maps a name to the
-    names of the cells whose computations read it.
+    names of the cells whose computations read it; ``fix_by_final`` maps
+    the final iterate of each fix computation to that computation's
+    destination.
     """
 
     def __init__(self, entry_name: Name, entry_state):
@@ -299,6 +312,7 @@ class Daig:
         self.entry_name = entry_name
         self.entry_state = entry_state
         self.consumer_index: dict[Name, set[Name]] = {}
+        self.fix_by_final: dict[Name, Name] = {}
 
     # -- construction and mutation ------------------------------------------
 
@@ -323,6 +337,8 @@ class Daig:
                 users = index.get(s)
                 if users is not None:
                     users.discard(dest)
+            if old.fn is FIX:
+                self.fix_by_final.pop(old.srcs[1], None)
         self.comps[dest] = comp
         cell.comp = comp
         cell.srcs = None
@@ -332,6 +348,8 @@ class Daig:
                 index[s] = {dest}
             else:
                 users.add(dest)
+        if comp.fn is FIX:
+            self.fix_by_final[comp.srcs[1]] = dest
 
     def sources(self, cell: RefCell) -> tuple[RefCell, ...]:
         """The cells ``cell``'s computation reads, linked on first use."""
@@ -357,6 +375,7 @@ class Daig:
         out.refs = {n: RefCell(c.name, c.ty, c.contents, c.comp) for n, c in self.refs.items()}
         out.comps = dict(self.comps)
         out.consumer_index = {n: set(s) for n, s in self.consumer_index.items()}
+        out.fix_by_final = dict(self.fix_by_final)
         return out
 
     # -- reachability ---------------------------------------------------------
@@ -551,12 +570,103 @@ def _check_structured_loops(cfg: Cfg, loops: LoopInfo) -> None:
 def init_daig(cfg: Cfg, loops: LoopInfo, domain, entry_state=None) -> Daig:
     """Fresh graph for a CFG: statement cells filled, the entry state cell
     pre-filled, every other abstract-state cell empty, loops encoded at
-    unrolling depth one."""
+    unrolling depth one.
+
+    One pass over the locations makes each cell with its computation in
+    place.  The result equals the union of :func:`dest_structures` over
+    every location, which :func:`template_daig` builds as the reference.
+    """
     _check_structured_loops(cfg, loops)
-    if cfg.entry in loops.natural_loops or loops.enclosing_heads(cfg.entry):
+    entry = cfg.entry
+    natural = loops.natural_loops
+    enclosing = loops.enclosing
+    if entry in natural or enclosing[entry]:
         raise UnsupportedCfg("the entry location may not participate in a loop")
     if entry_state is None:
         entry_state = domain.init()
+    locs = sorted(cfg.locs)
+
+    # Each location's name and state cell name, and each head's fix cell
+    # name, are made once (see loc_state_name and head_fix_name).
+    loc_n: dict[Loc, LocN] = {}
+    state: dict[Loc, Name] = {}
+    fix: dict[Loc, Name] = {}
+    for loc in locs:
+        ln = loc_n[loc] = LocN(loc)
+        enc = enclosing[loc]
+        zeros = [(h, 0) for h in enc] if enc else []
+        if loc in natural:
+            fix[loc] = Iter(ln, zeros) if enc else ln
+            state[loc] = Iter(ln, zeros + [(loc, 0)])
+        else:
+            state[loc] = Iter(ln, zeros) if enc else ln
+
+    def read(src: Loc, dst: Loc) -> Name:  # src_nm
+        body = natural.get(src)
+        if body is not None and dst != src and dst not in body:
+            return fix[src]
+        return state[src]
+
+    d = Daig(entry_name=loc_n[entry], entry_state=entry_state)
+    refs = d.refs
+    fix_by_final = d.fix_by_final
+    stmt_ty, state_ty = CellType.STMT, CellType.STATE
+    join_indices, fwd_in = loops.join_indices, loops.fwd_in
+    for loc in locs:
+        ln, n = loc_n[loc], state[loc]
+        indexed = join_indices.get(loc)
+        into = None
+        if indexed is not None:
+            pres = []
+            for i, e in enumerate(indexed, 1):
+                idx = IdxN(i)
+                sname = Prod(idx, Prod(loc_n[e.src], ln))
+                pre = Prod(idx, n)
+                refs[sname] = RefCell(sname, stmt_ty, e.stmt)
+                refs[pre] = RefCell(
+                    pre, state_ty, None, Computation(pre, TRANSFER, (sname, read(e.src, loc)))
+                )
+                pres.append(pre)
+            into = Computation(n, JOIN, tuple(pres))
+        else:
+            # Outside join_indices a location has at most one forward edge in.
+            for e in fwd_in[loc]:
+                sname = Prod(loc_n[e.src], ln)
+                refs[sname] = RefCell(sname, stmt_ty, e.stmt)
+                into = Computation(n, TRANSFER, (sname, read(e.src, loc)))
+        refs[n] = RefCell(n, state_ty, entry_state if loc == entry else None, into)
+        if loc in natural:
+            back = loops.back_edge_of(loc)
+            iter1 = n.with_count(loc, 1)
+            pre_w = Prod(n, iter1)
+            f = fix[loc]
+            sname = Prod(loc_n[back.src], ln)
+            refs[sname] = RefCell(sname, stmt_ty, back.stmt)
+            refs[iter1] = RefCell(iter1, state_ty, None, Computation(iter1, WIDEN, (n, pre_w)))
+            refs[pre_w] = RefCell(
+                pre_w, state_ty, None, Computation(pre_w, TRANSFER, (sname, read(back.src, loc)))
+            )
+            refs[f] = RefCell(f, state_ty, None, Computation(f, FIX, (n, iter1)))
+            fix_by_final[iter1] = f
+
+    comps, index = d.comps, d.consumer_index
+    for name, cell in refs.items():
+        comp = cell.comp
+        if comp is not None:
+            comps[name] = comp
+            for s in comp.srcs:
+                users = index.get(s)
+                if users is None:
+                    index[s] = {name}
+                else:
+                    users.add(name)
+    return d
+
+
+def template_daig(cfg: Cfg, loops: LoopInfo, entry_state) -> Daig:
+    """The fresh graph as the union of :func:`dest_structures` over every
+    location, built through :meth:`Daig.add_cell` and :meth:`Daig.set_comp`:
+    the reference :func:`init_daig` is checked against."""
     d = Daig(entry_name=LocN(cfg.entry), entry_state=entry_state)
     d.add_cell(LocN(cfg.entry), CellType.STATE, entry_state)
     for loc in sorted(cfg.locs):
@@ -567,6 +677,31 @@ def init_daig(cfg: Cfg, loops: LoopInfo, domain, entry_state=None) -> Daig:
         for comp in comps:
             d.set_comp(comp)
     return d
+
+
+def graph_differences(a: Daig, b: Daig) -> list[str]:
+    """Where two graphs differ in entry, cell names, types, contents,
+    computations, consumer index or fix index; empty when they agree."""
+    out: list[str] = []
+    if a.entry_name is not b.entry_name or a.entry_state != b.entry_state:
+        out.append("entry cell differs")
+    for name in a.refs.keys() ^ b.refs.keys():
+        out.append(f"cell {name!r} is in only one graph")
+    for name, cell in a.refs.items():
+        other = b.refs.get(name)
+        if other is None:
+            continue
+        if cell.ty is not other.ty or cell.contents != other.contents:
+            out.append(f"cell {name!r} is {cell!r} against {other!r}")
+        if cell.comp != other.comp:
+            out.append(f"cell {name!r} computes {cell.comp!r} against {other.comp!r}")
+    if a.comps != b.comps:
+        out.append("computation tables differ")
+    if a.consumer_index != b.consumer_index:
+        out.append("consumer indexes differ")
+    if a.fix_by_final != b.fix_by_final:
+        out.append("fix indexes differ")
+    return out
 
 
 # --- checkers -----------------------------------------------------------------

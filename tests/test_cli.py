@@ -256,6 +256,14 @@ def test_repl_metrics_report_graph_and_memo_gauges():
     assert requeried["empty_cells"] < edited["empty_cells"]
 
 
+@pytest.mark.parametrize("line", ["metrics now", "metrics main exit", "  metrics  -v "])
+def test_repl_metrics_takes_no_arguments(line):
+    session = Session(parse_program(INTERPROC_BASE), INTERVAL)
+    with pytest.raises(SessionError, match="^usage: metrics$"):
+        session.handle(line)
+    assert "transfer_evals=0" in session.handle(" metrics ").split()
+
+
 def _malformed_line(rng: random.Random) -> str:
     """One session line over INTERPROC_BASE that every handler must reject."""
     procs = ("main", "inc", "clamp")

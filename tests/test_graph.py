@@ -20,20 +20,23 @@ from daig.graph import (
     check_ai_consistency,
     check_cfg_consistency,
     check_wf,
+    graph_differences,
     head_fix_name,
     head_iter_name,
     incr_name,
     init_daig,
     loc_state_name,
     prewiden_name,
+    template_daig,
     to_dot,
 )
 from daig.engine import Engine, PreservationError
+from daig.lang.edits import apply_edit
 from daig.lang.loops import analyze_loops
 from daig.lang.parser import parse_program
 from daig.workload import gen_edit, gen_program_source
 
-from helpers import APPEND_SRC, append_cfg, while_cfg
+from helpers import APPEND_SRC, append_cfg, ivl, while_cfg
 
 
 def build(src):
@@ -95,6 +98,60 @@ def test_init_daig_is_deterministic():
     b = init_daig(cfg, loops, INTERVAL)
     assert list(a.refs) == list(b.refs)
     assert a.comps == b.comps
+
+
+# A join in front of the outer loop's head and of the nested loop's head.
+JOINED_LOOPS_SRC = """
+fn main() {
+  if (x0 < 1) { x0 = 1; }
+  while (x0 < 9) {
+    if (x1 < x0) { x1 = x0; } else { x2 = x1; }
+    while (x1 < 5) { x1 = x1 + 1; }
+    x0 = x0 + 1;
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_one_pass_build_equals_the_union_of_templates(seed):
+    rng = random.Random(seed)
+    entry_states = [None, ivl(x0=(0, 3), x1=(None, 2))]
+    cfg = parse_program(JOINED_LOOPS_SRC).proc("main").cfg
+    nested = joined_heads = 0
+    for step in range(121):
+        if step % 8 == 0:
+            loops = analyze_loops(cfg)
+            nested += any(loops.enclosing[h] for h in loops.natural_loops)
+            joined_heads += any(h in loops.join_indices for h in loops.natural_loops)
+            for entry_state in entry_states:
+                d = init_daig(cfg, loops, INTERVAL, entry_state)
+                want = template_daig(cfg, loops, entry_state or INTERVAL.init())
+                assert graph_differences(d, want) == []
+                assert check_wf(d) == []
+                assert check_cfg_consistency(d, cfg, loops)
+                Engine(cfg, INTERVAL, loops=loops, debug=True, entry_state=entry_state)
+        cfg, _delta = apply_edit(cfg, gen_edit(rng, cfg), validate=False)
+    assert nested and joined_heads
+
+
+def test_graph_differences_and_debug_engine_catch_a_bad_build(monkeypatch):
+    cfg = parse_program(JOINED_LOOPS_SRC).proc("main").cfg
+    loops = analyze_loops(cfg)
+    want = template_daig(cfg, loops, INTERVAL.init())
+
+    def drop_a_consumer(*args):
+        d = init_daig(*args)
+        d.consumer_index[next(iter(d.fix_by_final))].clear()
+        return d
+
+    assert graph_differences(drop_a_consumer(cfg, loops, INTERVAL), want) == [
+        "consumer indexes differ"
+    ]
+    monkeypatch.setattr("daig.engine.init_daig", drop_a_consumer)
+    Engine(cfg, INTERVAL, loops=loops)
+    with pytest.raises(PreservationError, match="differs from its templates"):
+        Engine(cfg, INTERVAL, loops=loops, debug=True)
 
 
 def test_wf_detects_self_dependency():

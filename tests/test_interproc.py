@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 
@@ -289,3 +290,41 @@ def test_edit_closing_a_call_cycle_is_rejected_before_any_state_changes(src, pro
     assert engine_states(forest) == states
     assert forest.metrics() == metrics
     assert_forest_matches_inline_oracle(forest, program)
+
+
+# A call whose argument changes between loop iterates (ROADMAP item 1).
+CALL_IN_LOOP_SRC = (
+    "fn inc(a) { ret = a + 1; } "
+    "fn main() { x0 = 0; while (x0 < 100) { x0 = inc(x0); } print(x0); }"
+)
+
+
+class _Deadline(Exception):
+    pass
+
+
+@pytest.mark.xfail(
+    raises=_Deadline, strict=True,
+    reason="each loop iterate's call replaces the site's one entry contribution, "
+    "so the two iterates keep dirtying each other",
+)
+@pytest.mark.parametrize("policy_k", [0, 1, 2])
+def test_call_inside_a_loop_answers_within_a_second(policy_k):
+    program = parse_program(CALL_IN_LOOP_SRC)
+    exit_loc = program.proc("main").cfg.exit
+    want = inlined_invariants(program)[exit_loc]
+
+    def expire(signum, frame):
+        raise _Deadline(f"no answer within 1 s at k={policy_k}")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        got = DaigForest(program, INTERVAL, policy_k=policy_k).query_loc("main", exit_loc)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    if policy_k:
+        assert INTERVAL.to_text(got) == INTERVAL.to_text(want)
+    else:
+        assert INTERVAL.leq(want, got)
