@@ -66,6 +66,11 @@ class MapState:
     ``stored(value)``: the value a binding keeps, within
     ``MAGNITUDE_LIMIT``, or None for a value no concrete integer has,
     which binds the state to bottom.
+
+    Every state's slots are set by ``_fill`` from canonical bindings.  The
+    constructor drops top values first; ``bind``, which changes one binding
+    of a canonical state, skips that filter and returns the state itself
+    when the binding is unchanged.
     """
 
     __slots__ = ("bindings", "bottom", "_items", "_hash", "_text")
@@ -74,11 +79,14 @@ class MapState:
 
     def __init__(self, bindings: Optional[dict] = None, bottom: bool = False):
         top = self.TOP
-        self.bindings = {} if bottom else {v: x for v, x in (bindings or {}).items() if x != top}
+        self._fill({} if bottom else {v: x for v, x in (bindings or {}).items() if x != top}, bottom)
+
+    def _fill(self, bindings: dict, bottom: bool) -> None:
+        self.bindings = bindings
         self.bottom = bottom
-        self._items = tuple(sorted(self.bindings.items()))
+        self._items = tuple(sorted(bindings.items()))
         self._hash = hash((bottom, self._items))
-        self._text: Optional[str] = None
+        self._text = None
 
     def get(self, var: str):
         return self.bindings.get(var, self.TOP)
@@ -87,14 +95,22 @@ class MapState:
         if self.bottom:
             return self
         value = self.stored(value)
+        bindings = self.bindings
         if value is None:
-            return type(self)(bottom=True)
-        out = dict(self.bindings)
-        if value == self.TOP:
-            out.pop(var, None)
+            new, bottom = {}, True
+        elif value == self.TOP:
+            if var not in bindings:
+                return self
+            new, bottom = dict(bindings), False
+            del new[var]
+        elif bindings.get(var) == value:
+            return self
         else:
-            out[var] = value
-        return type(self)(out)
+            new, bottom = dict(bindings), False
+            new[var] = value
+        out = object.__new__(type(self))
+        out._fill(new, bottom)
+        return out
 
     def __eq__(self, other):
         return (

@@ -16,9 +16,10 @@ from typing import Callable, Optional
 from .graph import (
     FIX,
     JOIN,
+    STATE,
+    STMT,
     TRANSFER,
     WIDEN,
-    CellType,
     Computation,
     Iter,
     LocN,
@@ -108,12 +109,12 @@ class Engine:
 
     Demand walks linked cells: each cell holds the computation into it and
     caches its source cells, so a query looks up no names.  Links point
-    upstream only, so the graph has no reference cycles; a pickled or
-    snapshot engine starts without cached sources and links them again as
-    it is queried.
-
-    A fresh engine's graph comes from the one-pass ``init_daig``; under
-    ``debug`` it is checked against the union of the per-location templates.
+    upstream only, so the graph has no reference cycles.  A fresh engine's
+    graph comes from the one-pass ``init_daig`` with every source linked;
+    under ``debug`` it is checked against the union of the per-location
+    templates.  A pickled or snapshot engine starts without cached sources
+    and links them again as it is queried, as do cells that unrolling or an
+    edit gives a new computation.
 
     Mutating operations (query, write_cell, apply_program_edit) must be
     externally serialized; ``snapshot`` produces an independent copy that
@@ -196,7 +197,8 @@ class Engine:
         computation's sources in order, then answers from the memo table or
         by applying the function.  Fix cells converge by demanded unrolling.
         The walk follows cell links, not names: each cell holds its
-        computation and, once demanded, its source cells.  Unrolling and
+        computation and its source cells, linked when a fresh graph is built
+        or on the cell's first demand after that.  Unrolling and
         call handlers may replace computations, so after either the loop
         reads the cell's computation and sources afresh.
         """
@@ -341,7 +343,7 @@ class Engine:
         for n in region:
             nn = bumped[n] = incr_name(n, head, loops)
             if nn not in refs:
-                daig.add_cell(nn, CellType.STATE, None)
+                daig.add_cell(nn, STATE, None)
         for n in region:
             comp = refs[n].comp
             if comp is None:
@@ -411,7 +413,7 @@ class Engine:
         from iterate one.
         """
         cell = self.daig.cell(name)
-        if value is not None and cell.ty is CellType.STMT:
+        if value is not None and cell.ty is STMT:
             if not is_stmt(value):
                 raise EngineError(f"cell {name!r} holds statements")
             self._check_no_calls((value,))
@@ -447,6 +449,8 @@ class Engine:
                     )
 
     def _dirty(self, start: Name, include_self: bool) -> None:
+        # The consumer sets are visited in an order that follows where names
+        # sit in memory; what this empties is a closure, the same in any order.
         daig = self.daig
         refs = daig.refs
         index = daig.consumer_index
@@ -504,8 +508,8 @@ class Engine:
             for name, ty, contents in cells:
                 cur = daig.refs.get(name)
                 if cur is None:
-                    daig.add_cell(name, ty, contents if ty is CellType.STMT else None)
-                elif ty is CellType.STMT and cur.contents != contents:
+                    daig.add_cell(name, ty, contents if ty is STMT else None)
+                elif ty is STMT and cur.contents != contents:
                     content_writes.append((name, contents))
             for comp in comps:
                 cur = daig.comps.get(comp.dest)

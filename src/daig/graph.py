@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 from weakref import ref
 
 from .lang.cfg import Cfg, CfgError, Loc
@@ -25,10 +25,12 @@ from .lang.syntax import Call, stmt_text
 
 # --- names ----------------------------------------------------------------
 #
-# Identity is equality, so dict and set lookups that hit never call back into
-# Python.  The tables hold weak references: a name lives only as long as some
-# graph or caller holds it.  Hashes stay value-based, so the iteration order
-# of a set of names does not depend on where the names sit in memory.
+# Identity is equality, and names hash by identity too, so dict and set
+# operations on names never call back into Python.  The tables hold weak
+# references: a name lives only as long as some graph or caller holds it.
+# An identity hash follows the name's address, so the iteration order of a
+# set of names can differ between runs: whatever such an order could reach
+# an output is sorted by ``name_key`` first, or does not depend on order.
 
 
 class _Entry(ref):
@@ -49,8 +51,7 @@ _PROD: dict = {}
 _ITER: dict = {}
 
 
-def _intern(table: dict, key, name: "Name", h: int) -> "Name":
-    name._h = h
+def _intern(table: dict, key, name: "Name") -> "Name":
     entry = table[key] = _Entry(name, _forget)
     entry.table = table
     entry.key = key
@@ -58,7 +59,7 @@ def _intern(table: dict, key, name: "Name", h: int) -> "Name":
 
 
 class LocN:
-    __slots__ = ("loc", "_h", "__weakref__")
+    __slots__ = ("loc", "__weakref__")
 
     def __new__(cls, loc: Loc) -> "LocN":
         entry = _LOCN.get(loc)
@@ -68,20 +69,17 @@ class LocN:
                 return self
         self = object.__new__(cls)
         self.loc = loc
-        return _intern(_LOCN, loc, self, hash(("loc", loc)))
+        return _intern(_LOCN, loc, self)
 
     def __reduce__(self):
         return (LocN, (self.loc,))
-
-    def __hash__(self):
-        return self._h
 
     def __repr__(self):
         return f"l{self.loc}"
 
 
 class IdxN:
-    __slots__ = ("index", "_h", "__weakref__")
+    __slots__ = ("index", "__weakref__")
 
     def __new__(cls, index: int) -> "IdxN":
         entry = _IDXN.get(index)
@@ -91,13 +89,10 @@ class IdxN:
                 return self
         self = object.__new__(cls)
         self.index = index
-        return _intern(_IDXN, index, self, hash(("idx", index)))
+        return _intern(_IDXN, index, self)
 
     def __reduce__(self):
         return (IdxN, (self.index,))
-
-    def __hash__(self):
-        return self._h
 
     def __repr__(self):
         return str(self.index)
@@ -106,7 +101,7 @@ class IdxN:
 class Prod:
     """Right-nested name product; use :func:`prod` to build canonically."""
 
-    __slots__ = ("left", "right", "_h", "__weakref__")
+    __slots__ = ("left", "right", "__weakref__")
 
     def __new__(cls, left: "Name", right: "Name") -> "Prod":
         assert not isinstance(left, Prod), "products are right-nested"
@@ -121,13 +116,10 @@ class Prod:
         self = object.__new__(cls)
         self.left = left
         self.right = right
-        return _intern(_PROD, key, self, hash(("prod", left, right)))
+        return _intern(_PROD, key, self)
 
     def __reduce__(self):
         return (Prod, (self.left, self.right))
-
-    def __hash__(self):
-        return self._h
 
     def __repr__(self):
         return f"{self.left!r}.{self.right!r}"
@@ -145,13 +137,13 @@ def _iter(base: LocN, counts: tuple[tuple[Loc, int], ...]) -> "Iter":
     self = object.__new__(Iter)
     self.base = base
     self.counts = counts
-    return _intern(_ITER, key, self, hash(("iter", base, counts)))
+    return _intern(_ITER, key, self)
 
 
 class Iter:
     """A location name tagged with one iteration count per enclosing loop head."""
 
-    __slots__ = ("base", "counts", "_h", "__weakref__")
+    __slots__ = ("base", "counts", "__weakref__")
 
     def __new__(cls, base: LocN, counts: Iterable[tuple[Loc, int]]) -> "Iter":
         return _iter(base, tuple(sorted(counts)))
@@ -171,9 +163,6 @@ class Iter:
 
     def __reduce__(self):
         return (Iter, (self.base, self.counts))
-
-    def __hash__(self):
-        return self._h
 
     def __repr__(self):
         if len(self.counts) == 1:
@@ -219,27 +208,31 @@ class FnSymbol(enum.Enum):
     FIX = "fix"
 
 
-# ``FnSymbol.FIX`` goes through ``EnumType.__getattr__``'s slow lookup path on
-# Python 3.11 (several times a plain attribute), so the graph build and the
-# demand walk compare against these module constants instead.
-TRANSFER = FnSymbol.TRANSFER
-JOIN = FnSymbol.JOIN
-WIDEN = FnSymbol.WIDEN
-FIX = FnSymbol.FIX
-
-
 class CellType(enum.Enum):
     STMT = "stmt"
     STATE = "state"
 
 
+# ``FnSymbol.FIX`` goes through ``EnumType.__getattr__``'s slow lookup path on
+# Python 3.11 (several times a plain attribute), so the graph, its checkers
+# and the engine read these module constants instead.
+TRANSFER = FnSymbol.TRANSFER
+JOIN = FnSymbol.JOIN
+WIDEN = FnSymbol.WIDEN
+FIX = FnSymbol.FIX
+STMT = CellType.STMT
+STATE = CellType.STATE
+
+
 class RefCell:
     """A named cell: its contents, the computation into it (``comp``), and
-    that computation's source cells (``srcs``), linked on first demand by
-    :meth:`Daig.sources` and cleared whenever the computation is replaced.
+    that computation's source cells (``srcs``), cleared whenever the
+    computation is replaced and linked again on demand by
+    :meth:`Daig.sources`.
 
     A fresh graph (:func:`init_daig`) makes each cell with its computation
-    in place; after that, only :meth:`Daig.set_comp` writes ``comp``.
+    in place and links every computed cell's sources; after that, only
+    :meth:`Daig.set_comp` writes ``comp``.
 
     Links point upstream only, from a cell to what it reads, so a graph
     holds no reference cycles and is freed by reference counting.  Pickling
@@ -267,8 +260,7 @@ class RefCell:
         return f"{self.name!r}[{what}:{self.ty.value}]"
 
 
-@dataclass(frozen=True)
-class Computation:
+class Computation(NamedTuple):
     dest: Name
     fn: FnSymbol
     srcs: tuple[Name, ...]
@@ -278,7 +270,7 @@ class Computation:
         return f"{self.dest!r} <- {self.fn.value}({args})"
 
 
-_ARITY = {FnSymbol.TRANSFER: 2, FnSymbol.WIDEN: 2, FnSymbol.FIX: 2}
+_ARITY = {TRANSFER: 2, WIDEN: 2, FIX: 2}
 
 
 @dataclass(frozen=True)
@@ -518,7 +510,7 @@ def dest_structures(
     comps: list[Computation] = []
     n_d = loc_state_name(d, loops)
     if d != cfg.entry:
-        cells.append((n_d, CellType.STATE, None))
+        cells.append((n_d, STATE, None))
 
     indexed = loops.join_indices.get(d)
     if indexed is not None:
@@ -527,16 +519,16 @@ def dest_structures(
             i = pos + 1
             sname = prod(IdxN(i), LocN(e.src), LocN(d))
             pre = Prod(IdxN(i), n_d)
-            cells.append((sname, CellType.STMT, e.stmt))
-            cells.append((pre, CellType.STATE, None))
-            comps.append(Computation(pre, FnSymbol.TRANSFER, (sname, src_nm(e.src, d, loops))))
+            cells.append((sname, STMT, e.stmt))
+            cells.append((pre, STATE, None))
+            comps.append(Computation(pre, TRANSFER, (sname, src_nm(e.src, d, loops))))
             operands.append(pre)
-        comps.append(Computation(n_d, FnSymbol.JOIN, tuple(operands)))
+        comps.append(Computation(n_d, JOIN, tuple(operands)))
     else:
         for e in loops.fwd_in[d]:
             sname = Prod(LocN(e.src), LocN(d))
-            cells.append((sname, CellType.STMT, e.stmt))
-            comps.append(Computation(n_d, FnSymbol.TRANSFER, (sname, src_nm(e.src, d, loops))))
+            cells.append((sname, STMT, e.stmt))
+            comps.append(Computation(n_d, TRANSFER, (sname, src_nm(e.src, d, loops))))
 
     if d in loops.natural_loops:
         back = loops.back_edge_of(d)
@@ -544,15 +536,13 @@ def dest_structures(
         pre_w = prewiden_name(d, loops)
         fix = head_fix_name(d, loops)
         sname = Prod(LocN(back.src), LocN(d))
-        cells.append((sname, CellType.STMT, back.stmt))
-        cells.append((iter1, CellType.STATE, None))
-        cells.append((pre_w, CellType.STATE, None))
-        cells.append((fix, CellType.STATE, None))
-        comps.append(Computation(pre_w, FnSymbol.TRANSFER, (sname, src_nm(back.src, d, loops))))
-        comps.append(
-            Computation(iter1, FnSymbol.WIDEN, (head_iter_name(d, 0, loops), pre_w))
-        )
-        comps.append(Computation(fix, FnSymbol.FIX, (head_iter_name(d, 0, loops), iter1)))
+        cells.append((sname, STMT, back.stmt))
+        cells.append((iter1, STATE, None))
+        cells.append((pre_w, STATE, None))
+        cells.append((fix, STATE, None))
+        comps.append(Computation(pre_w, TRANSFER, (sname, src_nm(back.src, d, loops))))
+        comps.append(Computation(iter1, WIDEN, (head_iter_name(d, 0, loops), pre_w)))
+        comps.append(Computation(fix, FIX, (head_iter_name(d, 0, loops), iter1)))
     return cells, comps
 
 
@@ -573,8 +563,10 @@ def init_daig(cfg: Cfg, loops: LoopInfo, domain, entry_state=None) -> Daig:
     unrolling depth one.
 
     One pass over the locations makes each cell with its computation in
-    place.  The result equals the union of :func:`dest_structures` over
-    every location, which :func:`template_daig` builds as the reference.
+    place, and a final pass over the cells links each computed cell's
+    sources, so a first demand looks up no names.  The result equals the
+    union of :func:`dest_structures` over every location, which
+    :func:`template_daig` builds as the reference.
     """
     _check_structured_loops(cfg, loops)
     entry = cfg.entry
@@ -610,7 +602,6 @@ def init_daig(cfg: Cfg, loops: LoopInfo, domain, entry_state=None) -> Daig:
     d = Daig(entry_name=loc_n[entry], entry_state=entry_state)
     refs = d.refs
     fix_by_final = d.fix_by_final
-    stmt_ty, state_ty = CellType.STMT, CellType.STATE
     join_indices, fwd_in = loops.join_indices, loops.fwd_in
     for loc in locs:
         ln, n = loc_n[loc], state[loc]
@@ -622,9 +613,9 @@ def init_daig(cfg: Cfg, loops: LoopInfo, domain, entry_state=None) -> Daig:
                 idx = IdxN(i)
                 sname = Prod(idx, Prod(loc_n[e.src], ln))
                 pre = Prod(idx, n)
-                refs[sname] = RefCell(sname, stmt_ty, e.stmt)
+                refs[sname] = RefCell(sname, STMT, e.stmt)
                 refs[pre] = RefCell(
-                    pre, state_ty, None, Computation(pre, TRANSFER, (sname, read(e.src, loc)))
+                    pre, STATE, None, Computation(pre, TRANSFER, (sname, read(e.src, loc)))
                 )
                 pres.append(pre)
             into = Computation(n, JOIN, tuple(pres))
@@ -632,21 +623,21 @@ def init_daig(cfg: Cfg, loops: LoopInfo, domain, entry_state=None) -> Daig:
             # Outside join_indices a location has at most one forward edge in.
             for e in fwd_in[loc]:
                 sname = Prod(loc_n[e.src], ln)
-                refs[sname] = RefCell(sname, stmt_ty, e.stmt)
+                refs[sname] = RefCell(sname, STMT, e.stmt)
                 into = Computation(n, TRANSFER, (sname, read(e.src, loc)))
-        refs[n] = RefCell(n, state_ty, entry_state if loc == entry else None, into)
+        refs[n] = RefCell(n, STATE, entry_state if loc == entry else None, into)
         if loc in natural:
             back = loops.back_edge_of(loc)
             iter1 = n.with_count(loc, 1)
             pre_w = Prod(n, iter1)
             f = fix[loc]
             sname = Prod(loc_n[back.src], ln)
-            refs[sname] = RefCell(sname, stmt_ty, back.stmt)
-            refs[iter1] = RefCell(iter1, state_ty, None, Computation(iter1, WIDEN, (n, pre_w)))
+            refs[sname] = RefCell(sname, STMT, back.stmt)
+            refs[iter1] = RefCell(iter1, STATE, None, Computation(iter1, WIDEN, (n, pre_w)))
             refs[pre_w] = RefCell(
-                pre_w, state_ty, None, Computation(pre_w, TRANSFER, (sname, read(back.src, loc)))
+                pre_w, STATE, None, Computation(pre_w, TRANSFER, (sname, read(back.src, loc)))
             )
-            refs[f] = RefCell(f, state_ty, None, Computation(f, FIX, (n, iter1)))
+            refs[f] = RefCell(f, STATE, None, Computation(f, FIX, (n, iter1)))
             fix_by_final[iter1] = f
 
     comps, index = d.comps, d.consumer_index
@@ -654,7 +645,9 @@ def init_daig(cfg: Cfg, loops: LoopInfo, domain, entry_state=None) -> Daig:
         comp = cell.comp
         if comp is not None:
             comps[name] = comp
-            for s in comp.srcs:
+            srcs = comp.srcs
+            cell.srcs = tuple([refs[s] for s in srcs])
+            for s in srcs:
                 users = index.get(s)
                 if users is None:
                     index[s] = {name}
@@ -668,7 +661,7 @@ def template_daig(cfg: Cfg, loops: LoopInfo, entry_state) -> Daig:
     location, built through :meth:`Daig.add_cell` and :meth:`Daig.set_comp`:
     the reference :func:`init_daig` is checked against."""
     d = Daig(entry_name=LocN(cfg.entry), entry_state=entry_state)
-    d.add_cell(LocN(cfg.entry), CellType.STATE, entry_state)
+    d.add_cell(LocN(cfg.entry), STATE, entry_state)
     for loc in sorted(cfg.locs):
         cells, comps = dest_structures(cfg, loops, loc)
         for name, ty, contents in cells:
@@ -685,7 +678,7 @@ def graph_differences(a: Daig, b: Daig) -> list[str]:
     out: list[str] = []
     if a.entry_name is not b.entry_name or a.entry_state != b.entry_state:
         out.append("entry cell differs")
-    for name in a.refs.keys() ^ b.refs.keys():
+    for name in sorted(a.refs.keys() ^ b.refs.keys(), key=name_key):
         out.append(f"cell {name!r} is in only one graph")
     for name, cell in a.refs.items():
         other = b.refs.get(name)
@@ -737,13 +730,13 @@ def check_wf(d: Daig) -> list[Violation]:
         arity = _ARITY.get(comp.fn)
         if arity is not None and len(comp.srcs) != arity:
             out.append(Violation("BadArity", dest, f"{comp.fn.value} takes {arity} sources"))
-        if comp.fn is FnSymbol.JOIN and len(comp.srcs) < 2:
+        if comp.fn is JOIN and len(comp.srcs) < 2:
             out.append(Violation("BadArity", dest, "join takes at least 2 sources"))
-        if d.refs[dest].ty is not CellType.STATE:
+        if d.refs[dest].ty is not STATE:
             out.append(Violation("BadType", dest, "computation into a non-state cell"))
-        expect_stmt_first = comp.fn is FnSymbol.TRANSFER
+        expect_stmt_first = comp.fn is TRANSFER
         for i, s in enumerate(comp.srcs):
-            want = CellType.STMT if (expect_stmt_first and i == 0) else CellType.STATE
+            want = STMT if (expect_stmt_first and i == 0) else STATE
             if d.refs[s].ty is not want:
                 out.append(Violation("BadType", s, f"source {i} of {dest!r} should be {want.value}"))
 
@@ -777,7 +770,7 @@ def check_wf(d: Daig) -> list[Violation]:
 
 
 def _fix_depth(comp: Computation, head: Loc) -> Optional[int]:
-    if comp.fn is not FnSymbol.FIX or len(comp.srcs) != 2:
+    if comp.fn is not FIX or len(comp.srcs) != 2:
         return None
     a, b = comp.srcs
     if not (isinstance(a, Iter) and isinstance(b, Iter)):
@@ -840,7 +833,7 @@ def check_cfg_consistency(
             return fail(f"missing cell {name!r}")
         if cell.ty is not ty:
             return fail(f"cell {name!r} has type {cell.ty.value}, wanted {ty.value}")
-        if ty is CellType.STMT and cell.contents != contents:
+        if ty is STMT and cell.contents != contents:
             return fail(
                 f"statement cell {name!r} holds {stmt_text(cell.contents)!r}, "
                 f"wanted {stmt_text(contents)!r}"
@@ -864,7 +857,7 @@ def check_cfg_consistency(
                 loop_base[h].append(comp)
 
     for comp in template_comps:
-        if comp.fn is FnSymbol.FIX:
+        if comp.fn is FIX:
             continue  # checked per live loop version below
         actual = d.comps.get(comp.dest)
         if actual is None:
@@ -891,7 +884,7 @@ def check_cfg_consistency(
         for i in range(k):
             it = set_counts(head_iter_name(h, i, loops), version)
             it1 = set_counts(head_iter_name(h, i + 1, loops), version)
-            widen = Computation(it1, FnSymbol.WIDEN, (it, Prod(it, it1)))
+            widen = Computation(it1, WIDEN, (it, Prod(it, it1)))
             if d.comps.get(widen.dest) != widen:
                 failure.append(f"missing widen step {widen!r}")
                 return None
@@ -900,7 +893,7 @@ def check_cfg_consistency(
                 return None
         for i in range(1, k):
             for base in loop_base[h]:
-                if base.fn is FnSymbol.FIX:
+                if base.fn is FIX:
                     continue
                 want = set_counts_comp(base, version)
                 for _ in range(i):
@@ -956,7 +949,7 @@ def check_ai_consistency(d: Daig, domain, reasons: Optional[list[str]] = None) -
         return fail("entry cell does not hold the initial abstract state")
 
     for name, cell in d.refs.items():
-        if cell.ty is not CellType.STATE or cell.is_empty():
+        if cell.ty is not STATE or cell.is_empty():
             continue
         comp = d.comps.get(name)
         if comp is None:
@@ -967,21 +960,21 @@ def check_ai_consistency(d: Daig, domain, reasons: Optional[list[str]] = None) -
             if sc is None or sc.is_empty():
                 return fail(f"filled cell {name!r} has empty source {s!r}")
             vals.append(sc.contents)
-        if comp.fn is FnSymbol.FIX:
+        if comp.fn is FIX:
             if not (domain.equal(vals[0], vals[1]) and domain.equal(cell.contents, vals[0])):
                 return fail(f"fix cell {name!r} does not equal its converged iterates")
-        elif comp.fn is FnSymbol.TRANSFER:
+        elif comp.fn is TRANSFER:
             if isinstance(vals[0], Call):
                 continue
             if not domain.equal(cell.contents, domain.transfer(vals[0], vals[1])):
                 return fail(f"transfer result at {name!r} is stale")
-        elif comp.fn is FnSymbol.JOIN:
+        elif comp.fn is JOIN:
             acc = vals[0]
             for v in vals[1:]:
                 acc = domain.join(acc, v)
             if not domain.equal(cell.contents, acc):
                 return fail(f"join result at {name!r} is stale")
-        elif comp.fn is FnSymbol.WIDEN:
+        elif comp.fn is WIDEN:
             if not domain.equal(cell.contents, domain.widen(vals[0], vals[1])):
                 return fail(f"widen result at {name!r} is stale")
     return True
@@ -1006,7 +999,7 @@ def to_dot(d: Daig, domain=None) -> str:
     lines = ["digraph daig {", "  rankdir=TB;", '  node [fontsize=10];']
     for name, cell in sorted(d.refs.items(), key=lambda kv: name_key(kv[0])):
         label = repr(name)
-        if cell.ty is CellType.STMT:
+        if cell.ty is STMT:
             label += "\\n" + esc(stmt_text(cell.contents))
             style = "rounded,filled"
             fill = "gray92"

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 from daig.batch import batch_analyze
 from daig.domains import INTERVAL, SIGN, ConcreteState, collecting_bounded
@@ -6,7 +8,7 @@ from daig.lang.loops import analyze_loops
 from daig.lang.parser import parse_program
 from daig.workload import gen_program_source
 
-from helpers import WHILE_SRC, gen_sound_program, ivl
+from helpers import WHILE_SRC, gen_sound_program, ivl, while_cfg
 
 
 def analyze(src, domain=INTERVAL, mode="eq"):
@@ -98,3 +100,19 @@ def test_modes_agree_for_interval_and_sign():
             assert {l: dom.to_text(v) for l, v in eq.invariants.items()} == {
                 l: dom.to_text(v) for l, v in leq.invariants.items()
             }
+
+
+def test_result_is_freed_by_reference_counting():
+    """No reference cycle keeps a result, or the states it holds, alive
+    until the cyclic garbage collector runs."""
+    cfg = while_cfg()
+    loops = analyze_loops(cfg)
+    gc.collect()
+    gc.disable()
+    try:
+        res = batch_analyze(cfg, loops, INTERVAL)
+        alive = weakref.ref(res)
+        del res
+        assert alive() is None
+    finally:
+        gc.enable()

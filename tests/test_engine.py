@@ -1,3 +1,4 @@
+import gc
 import pickle
 import random
 
@@ -525,6 +526,33 @@ def test_seeded_session_counters_are_pinned():
         "cells_dirtied": 1937,
     }
     assert len(eng.daig.refs) == 297
+
+
+@pytest.mark.parametrize("seed", [0, 7, 9])  # seeds whose sessions unroll loops
+def test_a_session_leaves_no_reference_cycles(seed):
+    """Graphs, engines and batch results are freed by reference counting
+    alone: after a whole session with the cyclic collector off, it finds
+    nothing to collect."""
+    rng = random.Random(seed)
+    cfg = parse_program(gen_program_source(rng, loop_budget=4)).proc("main").cfg
+    gc.collect()
+    gc.disable()
+    try:
+        eng = Engine(cfg, INTERVAL)
+        for loc in sorted(eng.cfg.locs):
+            eng.query_loc(loc)
+        for _ in range(20):
+            eng.apply_program_edit(gen_edit(rng, eng.cfg))
+            locs = sorted(eng.cfg.locs)
+            for _ in range(3):
+                eng.query_loc(rng.choice(locs))
+        result = batch_analyze(eng.cfg, analyze_loops(eng.cfg), INTERVAL)
+        assert result.invariants[eng.cfg.exit] == eng.query_loc(eng.cfg.exit)
+        assert eng.metrics.unrollings > 0
+        del cfg, eng, result
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 CALL_SRC = "fn main() { x = 1; while (x < 5) { x = x + 1; } }"

@@ -1,21 +1,26 @@
-"""Pickles cross processes whose string hashes differ (``PYTHONHASHSEED``).
+"""Pickles cross processes whose string hashes differ (``PYTHONHASHSEED``),
+and outputs do not depend on hashes or memory addresses.
 
 Syntax nodes, states and contexts keep their hash in a slot.  Pickling
 rebuilds them through their constructors, so an object loaded in another
 process hashes like a fresh equal one, and an engine loaded there still hits
-its memo.
+its memo.  Cell names hash by identity, so set orders follow where names sit
+in memory; a session must still give the same graph, cell order and
+counters in every process.
 """
 
+import hashlib
 import pickle
 import random
 
 from daig.batch import batch_analyze
 from daig.domains import INTERVAL, ConstState, SignState
 from daig.engine import Engine
+from daig.graph import to_dot
 from daig.interproc import Context
 from daig.lang.loops import analyze_loops
 from daig.lang.parser import parse_program
-from daig.workload import gen_edit, gen_program_source
+from daig.workload import EMPTY_MAIN, WorkloadSpec, gen_edit, gen_program_source
 
 from helpers import ivl, run_under_hash_seed
 
@@ -120,3 +125,37 @@ def test_engine_pickled_under_one_seed_continues_under_another(tmp_path):
     # as the original did, and as one loaded in this process does.
     assert resumed == in_process
     assert continue_session(pickle.loads(path.read_bytes())) == in_process
+
+
+def nested_loop_session() -> list[str]:
+    """60 edits of a growing program, each followed by 5 queries: digests of
+    the graph's DOT text and of its cell order, then the counters."""
+    spec = WorkloadSpec(seed=0, edit_count=60, p_stmt=0.6, p_if=0.15, p_while=0.25)
+    rng = random.Random(5)
+    eng = Engine(parse_program(EMPTY_MAIN).proc("main").cfg, INTERVAL)
+    for _ in range(60):
+        eng.apply_program_edit(gen_edit(rng, eng.cfg, spec))
+        locs = sorted(eng.cfg.locs)
+        for _ in range(5):
+            eng.query_loc(rng.choice(locs))
+    assert max(len(heads) for heads in eng.loops.enclosing.values()) >= 2
+    assert eng.metrics.unrollings > 0
+    return [
+        hashlib.sha256(to_dot(eng.daig, INTERVAL).encode()).hexdigest(),
+        hashlib.sha256("\n".join(map(repr, eng.daig.refs)).encode()).hexdigest(),
+        str(eng.metrics.snapshot()),
+    ]
+
+
+_SESSION = """
+from test_hash_seeds import nested_loop_session
+
+print("\\n".join(nested_loop_session()))
+"""
+
+
+def test_a_session_gives_the_same_graph_and_counters_in_every_process():
+    first = run_under_hash_seed("1", _SESSION).splitlines()
+    assert len(first) == 3
+    assert run_under_hash_seed("2", _SESSION).splitlines() == first
+    assert nested_loop_session() == first

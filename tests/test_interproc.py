@@ -292,10 +292,21 @@ def test_edit_closing_a_call_cycle_is_rejected_before_any_state_changes(src, pro
     assert_forest_matches_inline_oracle(forest, program)
 
 
-# A call whose argument changes between loop iterates (ROADMAP item 1).
+# A call whose argument changes between loop iterates (ROADMAP item 1), then
+# two calls in one loop body, and a call inside nested loops.
 CALL_IN_LOOP_SRC = (
     "fn inc(a) { ret = a + 1; } "
     "fn main() { x0 = 0; while (x0 < 100) { x0 = inc(x0); } print(x0); }"
+)
+TWO_CALLS_IN_LOOP_SRC = (
+    "fn inc(a) { ret = a + 1; } "
+    "fn clamp(a) { if (a < 0) { ret = 0; } else { ret = a; } } "
+    "fn main() { x0 = 0; while (x0 < 100) { x0 = clamp(x0); x0 = inc(x0); } print(x0); }"
+)
+CALL_IN_NESTED_LOOPS_SRC = (
+    "fn inc(a) { ret = a + 1; } "
+    "fn main() { x0 = 0; y = 0; "
+    "while (y < 10) { while (x0 < 100) { x0 = inc(x0); } y = y + 1; } print(x0); }"
 )
 
 
@@ -308,9 +319,14 @@ class _Deadline(Exception):
     reason="each loop iterate's call replaces the site's one entry contribution, "
     "so the two iterates keep dirtying each other",
 )
-@pytest.mark.parametrize("policy_k", [0, 1, 2])
-def test_call_inside_a_loop_answers_within_a_second(policy_k):
-    program = parse_program(CALL_IN_LOOP_SRC)
+@pytest.mark.parametrize(
+    "src, policy_k",
+    [pytest.param(CALL_IN_LOOP_SRC, k, id=str(k)) for k in (0, 1, 2)]
+    + [pytest.param(TWO_CALLS_IN_LOOP_SRC, k, id=f"two-calls-{k}") for k in (0, 1, 2)]
+    + [pytest.param(CALL_IN_NESTED_LOOPS_SRC, k, id=f"nested-loops-{k}") for k in (0, 1, 2)],
+)
+def test_call_inside_a_loop_answers_within_a_second(src, policy_k):
+    program = parse_program(src)
     exit_loc = program.proc("main").cfg.exit
     want = inlined_invariants(program)[exit_loc]
 
