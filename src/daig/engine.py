@@ -23,17 +23,16 @@ from .graph import (
     Computation,
     Iter,
     LocN,
+    LocNames,
     Name,
     check_ai_consistency,
     check_cfg_consistency,
     check_wf,
     dest_structures,
-    graph_differences,
     incr_name,
     init_daig,
     name_key,
     stmt_cell_locs,
-    template_daig,
 )
 from .lang.cfg import Cfg, Edge, Loc
 from .lang.edits import (
@@ -107,14 +106,17 @@ class Engine:
     hashes a key in O(1); no cached hash is pickled, so a pickled engine
     still hits its memo in a process with another string-hash seed.
 
-    Demand walks linked cells: each cell holds the computation into it and
-    caches its source cells, so a query looks up no names.  Links point
-    upstream only, so the graph has no reference cycles.  A fresh engine's
-    graph comes from the one-pass ``init_daig`` with every source linked;
-    under ``debug`` it is checked against the union of the per-location
-    templates.  A pickled or snapshot engine starts without cached sources
-    and links them again as it is queried, as do cells that unrolling or an
-    edit gives a new computation.
+    Demand walks linked cells: each cell holds the computation into it (the
+    only place it is kept) and caches its source cells, so a query looks up
+    no names.  Links point upstream only, so the graph has no reference
+    cycles.  ``dest_structures`` is the one builder of a location's cells:
+    a fresh graph (``init_daig``) is its cells over every location, and an
+    edit adopts its cells for the locations it touches, writing each
+    computation through ``Daig.set_comp``.  Under ``debug`` the fresh graph
+    and every public operation are checked by ``assert_invariants``.  A
+    pickled or snapshot engine starts without cached sources and links them
+    again as it is queried, as do cells that unrolling or an edit gives a
+    new computation.
 
     Mutating operations (query, write_cell, apply_program_edit) must be
     externally serialized; ``snapshot`` produces an independent copy that
@@ -147,11 +149,7 @@ class Engine:
         self.metrics = Metrics()
         self.daig = init_daig(cfg, self.loops, domain, entry_state)
         if debug:
-            diff = graph_differences(
-                self.daig, template_daig(cfg, self.loops, self.daig.entry_state)
-            )
-            if diff:
-                raise PreservationError(f"fresh graph differs from its templates: {diff[0]}")
+            self.assert_invariants()
 
     # -- plumbing -------------------------------------------------------------
 
@@ -386,13 +384,13 @@ class Engine:
         is_head = loc in loops.natural_loops
         if not (enc or is_head):
             return self.query(LocN(loc))
-        comps = self.daig.comps
+        refs = self.daig.refs
         counts: dict[Loc, int] = {}
         for h in (enc + (loc,)) if is_head else enc:
             outer = enclosing[h]
             fix_name = Iter(LocN(h), [(g, counts[g]) for g in outer]) if outer else LocN(h)
             value = self.query(fix_name)
-            counts[h] = comps[fix_name].srcs[0].count_of(h)
+            counts[h] = refs[fix_name].comp.srcs[0].count_of(h)
         if is_head:
             return value  # the fixed point from the final query above
         value = self.daig.value(Iter(LocN(loc), [(h, counts[h]) for h in enc]))
@@ -430,7 +428,7 @@ class Engine:
             self._dirty(name, include_self=False)
         else:
             if value is None:
-                if name not in self.daig.comps:
+                if cell.comp is None:
                     raise EngineError(f"cannot empty source cell {name!r}")
             elif is_stmt(value):
                 raise EngineError(f"cell {name!r} holds abstract states")
@@ -494,32 +492,38 @@ class Engine:
         """Bring the graph in step with ``new_cfg``, which differs from the
         current program by ``delta`` and has loop structure ``loops`` (as
         derived by ``analyze_loops``): keep join indices stable, re-derive the
-        flow into every touched location, and dirty whatever reads a changed
-        statement or computation.  One derived edit may be spliced into
-        every engine analyzing the edited procedure."""
+        flow into every touched location with ``dest_structures``, adopt the
+        cells the graph lacks, and dirty whatever reads a changed statement
+        or computation.  Every computation goes in through ``set_comp``.
+        One derived edit may be spliced into every engine analyzing the
+        edited procedure."""
         ji = stable_join_indices(self.loops.join_indices, delta, loops)
         new_loops = replace(loops, join_indices=ji)
         targets = sorted(delta.touched_dsts() | set(delta.added_locs))
         daig = self.daig
+        refs = daig.refs
+        names = LocNames(new_loops)
         content_writes: list[tuple[Name, Stmt]] = []
         dirties: list[Name] = []
         for d_loc in targets:
-            cells, comps = dest_structures(new_cfg, new_loops, d_loc)
-            for name, ty, contents in cells:
-                cur = daig.refs.get(name)
+            for name, cell in dest_structures(new_cfg, names, d_loc).items():
+                comp = cell.comp
+                cur = refs.get(name)
                 if cur is None:
-                    daig.add_cell(name, ty, contents if ty is STMT else None)
-                elif ty is STMT and cur.contents != contents:
-                    content_writes.append((name, contents))
-            for comp in comps:
-                cur = daig.comps.get(comp.dest)
-                if cur is None:
+                    cell.comp = None
+                    refs[name] = cell
+                    if comp is not None:
+                        daig.set_comp(comp)
+                elif cell.ty is STMT:
+                    if cur.contents != cell.contents:
+                        content_writes.append((name, cell.contents))
+                elif comp is None or cur.comp == comp:
+                    continue
+                elif cur.comp is None:
                     daig.set_comp(comp)
-                elif comp.fn is FIX:
-                    continue  # any existing unrolling depth is acceptable
-                elif cur != comp:
+                elif comp.fn is not FIX:  # any existing unrolling depth is acceptable
                     daig.set_comp(comp)
-                    dirties.append(comp.dest)
+                    dirties.append(name)
         self.cfg = new_cfg
         self.loops = new_loops
         for name, stmt in content_writes:

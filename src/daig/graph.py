@@ -99,7 +99,7 @@ class IdxN:
 
 
 class Prod:
-    """Right-nested name product; use :func:`prod` to build canonically."""
+    """Right-nested name product: the left part is never itself a product."""
 
     __slots__ = ("left", "right", "__weakref__")
 
@@ -174,18 +174,6 @@ class Iter:
 Name = Union[LocN, IdxN, Prod, Iter]
 
 
-def prod(*parts: Name) -> Name:
-    """Right-nested product of names (a single part is itself)."""
-    assert parts
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        if isinstance(p, Prod):
-            out = prod(p.left, prod(p.right, out))
-        else:
-            out = Prod(p, out)
-    return out
-
-
 def name_key(n: Name) -> tuple:
     if isinstance(n, LocN):
         return (0, n.loc)
@@ -230,9 +218,11 @@ class RefCell:
     computation is replaced and linked again on demand by
     :meth:`Daig.sources`.
 
-    A fresh graph (:func:`init_daig`) makes each cell with its computation
-    in place and links every computed cell's sources; after that, only
-    :meth:`Daig.set_comp` writes ``comp``.
+    The cell is the only place its computation is kept.
+    :func:`dest_structures` makes each cell with its computation in place,
+    and a fresh graph (:func:`init_daig`) links every computed cell's
+    sources; after that, only :meth:`Daig.set_comp` writes ``comp``,
+    keeping the graph's indexes in step.
 
     Links point upstream only, from a cell to what it reads, so a graph
     holds no reference cycles and is freed by reference counting.  Pickling
@@ -271,6 +261,7 @@ class Computation(NamedTuple):
 
 
 _ARITY = {TRANSFER: 2, WIDEN: 2, FIX: 2}
+_NO_NAMES: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -289,18 +280,18 @@ class GraphError(KeyError):
 
 
 class Daig:
-    """Mutable cell/computation store with a consumer index for dirtying.
+    """Mutable cell store with a consumer index for dirtying.
 
-    ``comps`` maps each computed cell's name to its computation, and the
-    cell links the same object; ``consumer_index`` maps a name to the
-    names of the cells whose computations read it; ``fix_by_final`` maps
+    ``refs`` maps each name to its cell, which holds the computation into
+    it; ``consumer_index`` maps a name to the names of the cells whose
+    computations read it (a set may be left empty); ``fix_by_final`` maps
     the final iterate of each fix computation to that computation's
-    destination.
+    destination.  Both indexes are derived from the cells' computations,
+    and :func:`check_wf` checks that they invert them exactly.
     """
 
     def __init__(self, entry_name: Name, entry_state):
         self.refs: dict[Name, RefCell] = {}
-        self.comps: dict[Name, Computation] = {}
         self.entry_name = entry_name
         self.entry_state = entry_state
         self.consumer_index: dict[Name, set[Name]] = {}
@@ -331,7 +322,6 @@ class Daig:
                     users.discard(dest)
             if old.fn is FIX:
                 self.fix_by_final.pop(old.srcs[1], None)
-        self.comps[dest] = comp
         cell.comp = comp
         cell.srcs = None
         for s in comp.srcs:
@@ -365,7 +355,6 @@ class Daig:
         same immutable names, computations and contents."""
         out = Daig(self.entry_name, self.entry_state)
         out.refs = {n: RefCell(c.name, c.ty, c.contents, c.comp) for n, c in self.refs.items()}
-        out.comps = dict(self.comps)
         out.consumer_index = {n: set(s) for n, s in self.consumer_index.items()}
         out.fix_by_final = dict(self.fix_by_final)
         return out
@@ -390,14 +379,17 @@ class Daig:
         Cells without a computation (statements, the entry) end the walk and
         are left out.
         """
-        comps = self.comps
+        refs = self.refs
         seen: set[Name] = set()
-        stack = [n] if n in comps else []
+        root = refs.get(n)
+        stack = [root.comp] if root is not None and root.comp is not None else []
         while stack:
-            for s in comps[stack.pop()].srcs:
-                if s not in seen and s is not stop and s in comps:
-                    seen.add(s)
-                    stack.append(s)
+            for s in stack.pop().srcs:
+                if s not in seen and s is not stop:
+                    cell = refs.get(s)
+                    if cell is not None and cell.comp is not None:
+                        seen.add(s)
+                        stack.append(cell.comp)
         return seen
 
 
@@ -432,18 +424,6 @@ def head_fix_name(head: Loc, loops: LoopInfo) -> Name:
     if not heads:
         return LocN(head)
     return Iter(LocN(head), _zero_counts(heads))
-
-
-def prewiden_name(head: Loc, loops: LoopInfo) -> Name:
-    return Prod(head_iter_name(head, 0, loops), head_iter_name(head, 1, loops))
-
-
-def src_nm(src: Loc, dst: Loc, loops: LoopInfo) -> Name:
-    """State cell read by the flow ``src -> dst``: the fixed point when the
-    flow leaves a loop at its head, the current iterate otherwise."""
-    if src in loops.natural_loops and dst != src and dst not in loops.natural_loops[src]:
-        return head_fix_name(src, loops)
-    return loc_state_name(src, loops)
 
 
 def incr_name(n: Name, head: Loc, loops: LoopInfo) -> Name:
@@ -494,56 +474,77 @@ class UnsupportedCfg(CfgError):
     pass
 
 
-CellSpec = tuple[Name, CellType, object]
+class LocNames(dict):
+    """Each location's ``LocN``, state cell name and fix cell name (``None``
+    off loop heads), made once on first use by :func:`loc_state_name` and
+    :func:`head_fix_name`, for one loop structure (``loops``)."""
+
+    __slots__ = ("loops",)
+
+    def __init__(self, loops: LoopInfo):
+        self.loops = loops
+
+    def __missing__(self, loc: Loc) -> tuple[LocN, Name, Optional[Name]]:
+        loops = self.loops
+        state = loc_state_name(loc, loops)
+        fix = head_fix_name(loc, loops) if loc in loops.natural_loops else None
+        out = self[loc] = (state if isinstance(state, LocN) else state.base, state, fix)
+        return out
+
+    def read(self, src: Loc, dst: Loc) -> Name:
+        """State cell read by the flow ``src -> dst``: the fixed point when
+        the flow leaves a loop at its head, the current iterate otherwise."""
+        _, state, fix = self[src]
+        if fix is not None and dst != src and dst not in self.loops.natural_loops[src]:
+            return fix
+        return state
 
 
-def dest_structures(
-    cfg: Cfg, loops: LoopInfo, d: Loc
-) -> tuple[list[CellSpec], list[Computation]]:
-    """Cells and computations encoding all flow into location ``d``.
+def dest_structures(cfg: Cfg, names: LocNames, d: Loc) -> dict[Name, RefCell]:
+    """The cells encoding all flow into location ``d``, by name, each state
+    cell with the computation into it in place, named through ``names``.
 
-    The union over locations (plus the pre-filled entry) is the initial
-    graph; the same templates drive consistency checking and the structural
-    surgery after program edits.
+    This is the one place a location's cells are made: a fresh graph
+    (:func:`init_daig`) is these cells over every location plus the
+    pre-filled entry, which is not among them; edit surgery
+    (``Engine.splice``) adopts them for the locations an edit touches; and
+    :func:`check_cfg_consistency` compares a graph against them.
     """
-    cells: list[CellSpec] = []
-    comps: list[Computation] = []
-    n_d = loc_state_name(d, loops)
-    if d != cfg.entry:
-        cells.append((n_d, STATE, None))
-
+    loops = names.loops
+    ln, n_d, fix = names[d]
+    out: dict[Name, RefCell] = {}
     indexed = loops.join_indices.get(d)
     if indexed is not None:
-        operands = []
-        for pos, e in enumerate(indexed):
-            i = pos + 1
-            sname = prod(IdxN(i), LocN(e.src), LocN(d))
-            pre = Prod(IdxN(i), n_d)
-            cells.append((sname, STMT, e.stmt))
-            cells.append((pre, STATE, None))
-            comps.append(Computation(pre, TRANSFER, (sname, src_nm(e.src, d, loops))))
-            operands.append(pre)
-        comps.append(Computation(n_d, JOIN, tuple(operands)))
+        pres = []
+        for i, e in enumerate(indexed, 1):
+            idx = IdxN(i)
+            sname = Prod(idx, Prod(names[e.src][0], ln))
+            pre = Prod(idx, n_d)
+            out[sname] = RefCell(sname, STMT, e.stmt)
+            read = names.read(e.src, d)
+            out[pre] = RefCell(pre, STATE, None, Computation(pre, TRANSFER, (sname, read)))
+            pres.append(pre)
+        into = Computation(n_d, JOIN, tuple(pres))
     else:
+        into = None
+        # Outside join_indices a location has at most one forward edge in.
         for e in loops.fwd_in[d]:
-            sname = Prod(LocN(e.src), LocN(d))
-            cells.append((sname, STMT, e.stmt))
-            comps.append(Computation(n_d, TRANSFER, (sname, src_nm(e.src, d, loops))))
-
-    if d in loops.natural_loops:
+            sname = Prod(names[e.src][0], ln)
+            out[sname] = RefCell(sname, STMT, e.stmt)
+            into = Computation(n_d, TRANSFER, (sname, names.read(e.src, d)))
+    if d != cfg.entry:
+        out[n_d] = RefCell(n_d, STATE, None, into)
+    if fix is not None:
         back = loops.back_edge_of(d)
-        iter1 = head_iter_name(d, 1, loops)
-        pre_w = prewiden_name(d, loops)
-        fix = head_fix_name(d, loops)
-        sname = Prod(LocN(back.src), LocN(d))
-        cells.append((sname, STMT, back.stmt))
-        cells.append((iter1, STATE, None))
-        cells.append((pre_w, STATE, None))
-        cells.append((fix, STATE, None))
-        comps.append(Computation(pre_w, TRANSFER, (sname, src_nm(back.src, d, loops))))
-        comps.append(Computation(iter1, WIDEN, (head_iter_name(d, 0, loops), pre_w)))
-        comps.append(Computation(fix, FIX, (head_iter_name(d, 0, loops), iter1)))
-    return cells, comps
+        iter1 = n_d.with_count(d, 1)
+        pre_w = Prod(n_d, iter1)
+        sname = Prod(names[back.src][0], ln)
+        out[sname] = RefCell(sname, STMT, back.stmt)
+        read = names.read(back.src, d)
+        out[pre_w] = RefCell(pre_w, STATE, None, Computation(pre_w, TRANSFER, (sname, read)))
+        out[iter1] = RefCell(iter1, STATE, None, Computation(iter1, WIDEN, (n_d, pre_w)))
+        out[fix] = RefCell(fix, STATE, None, Computation(fix, FIX, (n_d, iter1)))
+    return out
 
 
 def _check_structured_loops(cfg: Cfg, loops: LoopInfo) -> None:
@@ -562,89 +563,28 @@ def init_daig(cfg: Cfg, loops: LoopInfo, domain, entry_state=None) -> Daig:
     pre-filled, every other abstract-state cell empty, loops encoded at
     unrolling depth one.
 
-    One pass over the locations makes each cell with its computation in
-    place, and a final pass over the cells links each computed cell's
-    sources, so a first demand looks up no names.  The result equals the
-    union of :func:`dest_structures` over every location, which
-    :func:`template_daig` builds as the reference.
+    The cells are :func:`dest_structures` over every location, each name
+    made once; a final pass links each computed cell's sources, so a first
+    demand looks up no names, and fills the consumer and fix indexes.
     """
     _check_structured_loops(cfg, loops)
     entry = cfg.entry
-    natural = loops.natural_loops
-    enclosing = loops.enclosing
-    if entry in natural or enclosing[entry]:
+    if entry in loops.natural_loops or loops.enclosing[entry]:
         raise UnsupportedCfg("the entry location may not participate in a loop")
     if entry_state is None:
         entry_state = domain.init()
-    locs = sorted(cfg.locs)
-
-    # Each location's name and state cell name, and each head's fix cell
-    # name, are made once (see loc_state_name and head_fix_name).
-    loc_n: dict[Loc, LocN] = {}
-    state: dict[Loc, Name] = {}
-    fix: dict[Loc, Name] = {}
-    for loc in locs:
-        ln = loc_n[loc] = LocN(loc)
-        enc = enclosing[loc]
-        zeros = [(h, 0) for h in enc] if enc else []
-        if loc in natural:
-            fix[loc] = Iter(ln, zeros) if enc else ln
-            state[loc] = Iter(ln, zeros + [(loc, 0)])
-        else:
-            state[loc] = Iter(ln, zeros) if enc else ln
-
-    def read(src: Loc, dst: Loc) -> Name:  # src_nm
-        body = natural.get(src)
-        if body is not None and dst != src and dst not in body:
-            return fix[src]
-        return state[src]
-
-    d = Daig(entry_name=loc_n[entry], entry_state=entry_state)
+    names = LocNames(loops)
+    entry_name = names[entry][0]
+    d = Daig(entry_name=entry_name, entry_state=entry_state)
     refs = d.refs
-    fix_by_final = d.fix_by_final
-    join_indices, fwd_in = loops.join_indices, loops.fwd_in
-    for loc in locs:
-        ln, n = loc_n[loc], state[loc]
-        indexed = join_indices.get(loc)
-        into = None
-        if indexed is not None:
-            pres = []
-            for i, e in enumerate(indexed, 1):
-                idx = IdxN(i)
-                sname = Prod(idx, Prod(loc_n[e.src], ln))
-                pre = Prod(idx, n)
-                refs[sname] = RefCell(sname, STMT, e.stmt)
-                refs[pre] = RefCell(
-                    pre, STATE, None, Computation(pre, TRANSFER, (sname, read(e.src, loc)))
-                )
-                pres.append(pre)
-            into = Computation(n, JOIN, tuple(pres))
-        else:
-            # Outside join_indices a location has at most one forward edge in.
-            for e in fwd_in[loc]:
-                sname = Prod(loc_n[e.src], ln)
-                refs[sname] = RefCell(sname, STMT, e.stmt)
-                into = Computation(n, TRANSFER, (sname, read(e.src, loc)))
-        refs[n] = RefCell(n, STATE, entry_state if loc == entry else None, into)
-        if loc in natural:
-            back = loops.back_edge_of(loc)
-            iter1 = n.with_count(loc, 1)
-            pre_w = Prod(n, iter1)
-            f = fix[loc]
-            sname = Prod(loc_n[back.src], ln)
-            refs[sname] = RefCell(sname, STMT, back.stmt)
-            refs[iter1] = RefCell(iter1, STATE, None, Computation(iter1, WIDEN, (n, pre_w)))
-            refs[pre_w] = RefCell(
-                pre_w, STATE, None, Computation(pre_w, TRANSFER, (sname, read(back.src, loc)))
-            )
-            refs[f] = RefCell(f, STATE, None, Computation(f, FIX, (n, iter1)))
-            fix_by_final[iter1] = f
+    refs[entry_name] = RefCell(entry_name, STATE, entry_state)
+    for loc in sorted(cfg.locs):
+        refs.update(dest_structures(cfg, names, loc))
 
-    comps, index = d.comps, d.consumer_index
+    index, fix_by_final = d.consumer_index, d.fix_by_final
     for name, cell in refs.items():
         comp = cell.comp
         if comp is not None:
-            comps[name] = comp
             srcs = comp.srcs
             cell.srcs = tuple([refs[s] for s in srcs])
             for s in srcs:
@@ -653,109 +593,79 @@ def init_daig(cfg: Cfg, loops: LoopInfo, domain, entry_state=None) -> Daig:
                     index[s] = {name}
                 else:
                     users.add(name)
+            if comp.fn is FIX:
+                fix_by_final[srcs[1]] = name
     return d
-
-
-def template_daig(cfg: Cfg, loops: LoopInfo, entry_state) -> Daig:
-    """The fresh graph as the union of :func:`dest_structures` over every
-    location, built through :meth:`Daig.add_cell` and :meth:`Daig.set_comp`:
-    the reference :func:`init_daig` is checked against."""
-    d = Daig(entry_name=LocN(cfg.entry), entry_state=entry_state)
-    d.add_cell(LocN(cfg.entry), STATE, entry_state)
-    for loc in sorted(cfg.locs):
-        cells, comps = dest_structures(cfg, loops, loc)
-        for name, ty, contents in cells:
-            if name not in d.refs:
-                d.add_cell(name, ty, contents)
-        for comp in comps:
-            d.set_comp(comp)
-    return d
-
-
-def graph_differences(a: Daig, b: Daig) -> list[str]:
-    """Where two graphs differ in entry, cell names, types, contents,
-    computations, consumer index or fix index; empty when they agree."""
-    out: list[str] = []
-    if a.entry_name is not b.entry_name or a.entry_state != b.entry_state:
-        out.append("entry cell differs")
-    for name in sorted(a.refs.keys() ^ b.refs.keys(), key=name_key):
-        out.append(f"cell {name!r} is in only one graph")
-    for name, cell in a.refs.items():
-        other = b.refs.get(name)
-        if other is None:
-            continue
-        if cell.ty is not other.ty or cell.contents != other.contents:
-            out.append(f"cell {name!r} is {cell!r} against {other!r}")
-        if cell.comp != other.comp:
-            out.append(f"cell {name!r} computes {cell.comp!r} against {other.comp!r}")
-    if a.comps != b.comps:
-        out.append("computation tables differ")
-    if a.consumer_index != b.consumer_index:
-        out.append("consumer indexes differ")
-    if a.fix_by_final != b.fix_by_final:
-        out.append("fix indexes differ")
-    return out
 
 
 # --- checkers -----------------------------------------------------------------
 
 
 def check_wf(d: Daig) -> list[Violation]:
-    """The five well-formedness conditions, plus intact cell links; an
-    empty list means well-formed."""
+    """The five well-formedness conditions, plus intact cell links and exact
+    indexes; an empty list means well-formed.
+
+    Dirtying reads only ``consumer_index`` and ``fix_by_final``, so each
+    must be exactly the inverse of the cells' computations: a name lists
+    every cell whose computation reads it and no other (an empty set is
+    allowed), and each fix computation's final iterate, and nothing else,
+    maps to that computation's destination.
+    """
     out: list[Violation] = []
     refs = d.refs
+    users: dict[Name, set[Name]] = {}  # the consumer index the computations imply
+    fixes: dict[Name, Name] = {}  # the fix index they imply
     for name, cell in refs.items():
         if cell.name != name:
             out.append(Violation("BadName", name, "cell keyed under a different name"))
         comp = cell.comp
-        if comp is not d.comps.get(name):
-            out.append(Violation("StaleLink", name, "cell links a computation set_comp did not record"))
-        elif cell.srcs is not None and (
+        if cell.srcs is not None and (
             comp is None
             or len(cell.srcs) != len(comp.srcs)
             or any(c is not refs.get(s) for c, s in zip(cell.srcs, comp.srcs))
         ):
             out.append(Violation("StaleLink", name, "cached sources are not its computation's"))
-    for dest, comp in d.comps.items():
-        if comp.dest != dest:
-            out.append(Violation("BadDest", dest, "computation keyed under a different name"))
-        missing = [s for s in comp.srcs if s not in d.refs]
-        if comp.dest not in d.refs:
-            out.append(Violation("MissingRef", comp.dest, "destination has no cell"))
+        if comp is None:
+            continue
+        if comp.dest is not name:
+            out.append(Violation("BadDest", name, "cell holds a computation into another cell"))
+            continue
+        for s in comp.srcs:
+            users.setdefault(s, set()).add(name)
+        if comp.fn is FIX and len(comp.srcs) == 2:
+            fixes[comp.srcs[1]] = name
+        missing = [s for s in comp.srcs if s not in refs]
         for s in missing:
-            out.append(Violation("MissingRef", s, f"source of {dest!r} has no cell"))
-        if missing or comp.dest not in d.refs:
+            out.append(Violation("MissingRef", s, f"source of {name!r} has no cell"))
+        if missing:
             continue
         arity = _ARITY.get(comp.fn)
         if arity is not None and len(comp.srcs) != arity:
-            out.append(Violation("BadArity", dest, f"{comp.fn.value} takes {arity} sources"))
+            out.append(Violation("BadArity", name, f"{comp.fn.value} takes {arity} sources"))
         if comp.fn is JOIN and len(comp.srcs) < 2:
-            out.append(Violation("BadArity", dest, "join takes at least 2 sources"))
-        if d.refs[dest].ty is not STATE:
-            out.append(Violation("BadType", dest, "computation into a non-state cell"))
+            out.append(Violation("BadArity", name, "join takes at least 2 sources"))
+        if cell.ty is not STATE:
+            out.append(Violation("BadType", name, "computation into a non-state cell"))
         expect_stmt_first = comp.fn is TRANSFER
         for i, s in enumerate(comp.srcs):
             want = STMT if (expect_stmt_first and i == 0) else STATE
-            if d.refs[s].ty is not want:
-                out.append(Violation("BadType", s, f"source {i} of {dest!r} should be {want.value}"))
+            if refs[s].ty is not want:
+                out.append(Violation("BadType", s, f"source {i} of {name!r} should be {want.value}"))
 
     # acyclicity by Kahn's algorithm over the computation hyperedges
-    indeg = {n: 0 for n in d.refs}
-    for comp in d.comps.values():
-        if comp.dest in indeg and all(s in d.refs for s in comp.srcs):
-            indeg[comp.dest] = len(set(comp.srcs))
+    indeg = {n: 0 for n in refs}
+    for name, cell in refs.items():
+        comp = cell.comp
+        if comp is not None and comp.dest is name and all(s in refs for s in comp.srcs):
+            indeg[name] = len(set(comp.srcs))
     ready = [n for n, k in indeg.items() if k == 0]
     removed = 0
     while ready:
         n = ready.pop()
         removed += 1
-        for dest in d.consumer_index.get(n, ()):
-            comp = d.comps.get(dest)
-            if comp is None or dest not in indeg:
-                continue
-            if n in comp.srcs:
-                indeg[dest] -= len([s for s in set(comp.srcs) if s == n])
+        for dest in users.get(n, ()):
+            if indeg[dest] > 0:
+                indeg[dest] -= 1
                 if indeg[dest] == 0:
                     ready.append(dest)
     if removed != len(indeg):
@@ -763,8 +673,23 @@ def check_wf(d: Daig) -> list[Violation]:
         for n in stuck[:1]:
             out.append(Violation("Acyclicity", n, "cell participates in a dependency cycle"))
 
-    for name, cell in d.refs.items():
-        if cell.is_empty() and name not in d.comps:
+    stale: list[Violation] = []
+    index = d.consumer_index
+    for s, want in users.items():
+        for u in want - index.get(s, _NO_NAMES):
+            stale.append(Violation("StaleIndex", s, f"consumer {u!r} is not indexed"))
+    for s, have in index.items():
+        for u in have - users.get(s, _NO_NAMES):
+            stale.append(Violation("StaleIndex", s, f"indexed consumer {u!r} does not read it"))
+    for final in fixes.keys() | d.fix_by_final.keys():
+        have, want = d.fix_by_final.get(final), fixes.get(final)
+        if have is not want:
+            detail = f"fix index gives {have!r}, wanted {want!r}"
+            stale.append(Violation("StaleIndex", final, detail))
+    out += sorted(stale, key=lambda v: (name_key(v.name), v.detail))
+
+    for name, cell in refs.items():
+        if cell.is_empty() and cell.comp is None:
             out.append(Violation("EmptyNeedsDep", name, "empty cell has no incoming computation"))
     return out
 
@@ -805,7 +730,7 @@ def check_cfg_consistency(
 ) -> bool:
     """Whether the graph encodes this CFG's abstract interpretation.
 
-    Forward-edge and join structures must match the construction templates
+    Forward-edge and join structures must match :func:`dest_structures`
     exactly; every back edge must be present at some unrolling depth k >= 1
     with all intermediate iterations in place.
     """
@@ -820,24 +745,27 @@ def check_cfg_consistency(
     if d.entry_name not in d.refs:
         return fail("entry cell missing")
 
-    template_cells: list[CellSpec] = []
-    template_comps: list[Computation] = []
-    for loc in sorted(cfg.locs):
-        cells, comps = dest_structures(cfg, loops, loc)
-        template_cells += cells
-        template_comps += comps
-
-    for name, ty, contents in template_cells:
+    names = LocNames(loops)
+    template = [
+        cell for loc in sorted(cfg.locs) for cell in dest_structures(cfg, names, loc).values()
+    ]
+    for want in template:
+        name, ty = want.name, want.ty
         cell = d.refs.get(name)
         if cell is None:
             return fail(f"missing cell {name!r}")
         if cell.ty is not ty:
             return fail(f"cell {name!r} has type {cell.ty.value}, wanted {ty.value}")
-        if ty is STMT and cell.contents != contents:
+        if ty is STMT and cell.contents != want.contents:
             return fail(
                 f"statement cell {name!r} holds {stmt_text(cell.contents)!r}, "
-                f"wanted {stmt_text(contents)!r}"
+                f"wanted {stmt_text(want.contents)!r}"
             )
+    template_comps = [cell.comp for cell in template if cell.comp is not None]
+
+    def comp_at(n: Name) -> Optional[Computation]:
+        cell = d.refs.get(n)
+        return None if cell is None else cell.comp
 
     loop_base: dict[Loc, list[Computation]] = {h: [] for h in loops.natural_loops}
 
@@ -859,7 +787,7 @@ def check_cfg_consistency(
     for comp in template_comps:
         if comp.fn is FIX:
             continue  # checked per live loop version below
-        actual = d.comps.get(comp.dest)
+        actual = comp_at(comp.dest)
         if actual is None:
             return fail(f"missing computation into {comp.dest!r}")
         if actual != comp:
@@ -873,7 +801,7 @@ def check_cfg_consistency(
 
     def check_loop_version(h: Loc, version: dict[Loc, int]) -> Optional[int]:
         fix_name = set_counts(head_fix_name(h, loops), version)
-        actual = d.comps.get(fix_name)
+        actual = comp_at(fix_name)
         if actual is None:
             failure.append(f"missing fix computation at {fix_name!r}")
             return None
@@ -885,7 +813,7 @@ def check_cfg_consistency(
             it = set_counts(head_iter_name(h, i, loops), version)
             it1 = set_counts(head_iter_name(h, i + 1, loops), version)
             widen = Computation(it1, WIDEN, (it, Prod(it, it1)))
-            if d.comps.get(widen.dest) != widen:
+            if comp_at(widen.dest) != widen:
                 failure.append(f"missing widen step {widen!r}")
                 return None
             if it1 not in d.refs or Prod(it, it1) not in d.refs:
@@ -898,7 +826,7 @@ def check_cfg_consistency(
                 want = set_counts_comp(base, version)
                 for _ in range(i):
                     want = incr_comp(want, h, loops)
-                if d.comps.get(want.dest) != want:
+                if comp_at(want.dest) != want:
                     failure.append(f"missing unrolled copy {want!r}")
                     return None
                 if want.dest not in d.refs:
@@ -951,7 +879,7 @@ def check_ai_consistency(d: Daig, domain, reasons: Optional[list[str]] = None) -
     for name, cell in d.refs.items():
         if cell.ty is not STATE or cell.is_empty():
             continue
-        comp = d.comps.get(name)
+        comp = cell.comp
         if comp is None:
             continue
         vals = []
@@ -1014,7 +942,8 @@ def to_dot(d: Daig, domain=None) -> str:
         lines.append(
             f'  {nid(name)} [shape=box, style="{style}", fillcolor={fill}, label="{esc(label)}"];'
         )
-    for i, comp in enumerate(sorted(d.comps.values(), key=lambda c: name_key(c.dest))):
+    comps = [cell.comp for cell in d.refs.values() if cell.comp is not None]
+    for i, comp in enumerate(sorted(comps, key=lambda c: name_key(c.dest))):
         j = f"f{i}"
         lines.append(f'  {j} [shape=point, xlabel="{comp.fn.value}"];')
         for s in comp.srcs:

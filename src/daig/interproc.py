@@ -14,8 +14,9 @@ so re-querying everything reproduces a from-scratch forest exactly.
 from __future__ import annotations
 
 from typing import Optional
+from weakref import ref
 
-from .engine import Engine, Metrics
+from .engine import Engine, EngineError, Metrics
 from .graph import Computation, Name, stmt_cell_locs
 from .lang.cfg import CfgError, Loc, Program
 from .lang.edits import ProgramEdit, apply_edit, inserted_stmts
@@ -142,27 +143,38 @@ class DaigForest:
         self._dirty_callers(proc, ctx)
 
     def _call_handler(self, caller: str, caller_ctx: Context):
+        # The forest holds its engines and each engine its handler, so the
+        # handler holds the forest weakly: a strong reference would make a
+        # cycle that only the cyclic collector frees.
+        forest = ref(self)
+
         def handle(stmt: Call, pre_state, comp: Computation):
-            if self.domain.is_bot(pre_state):
-                return pre_state
-            src_loc, _dst = stmt_cell_locs(comp.srcs[0])
-            site: CallSite = (caller, src_loc)
-            callee = self.program.proc(stmt.callee)
-            arg = (
-                self.domain.eval_arg(stmt.actual, pre_state)
-                if stmt.actual is not None
-                else None
-            )
-            entry = self.domain.entry_state_for_call(callee.param, arg)
-            ctx = callee_context(self.policy_k, caller_ctx, site)
-            self.call_deps.setdefault((stmt.callee, ctx), set()).add(
-                (caller, caller_ctx, comp.dest)
-            )
-            self._register_entry(stmt.callee, ctx, site, entry)
-            exit_state = self.engines[(stmt.callee, ctx)].query_loc(callee.cfg.exit)
-            return self.domain.return_state(pre_state, stmt.lhs, exit_state)
+            owner = forest()
+            if owner is None:
+                raise EngineError("the forest this engine belongs to has been freed")
+            return owner._call(caller, caller_ctx, stmt, pre_state, comp)
 
         return handle
+
+    def _call(self, caller: str, caller_ctx: Context, stmt: Call, pre_state, comp: Computation):
+        if self.domain.is_bot(pre_state):
+            return pre_state
+        src_loc, _dst = stmt_cell_locs(comp.srcs[0])
+        site: CallSite = (caller, src_loc)
+        callee = self.program.proc(stmt.callee)
+        arg = (
+            self.domain.eval_arg(stmt.actual, pre_state)
+            if stmt.actual is not None
+            else None
+        )
+        entry = self.domain.entry_state_for_call(callee.param, arg)
+        ctx = callee_context(self.policy_k, caller_ctx, site)
+        self.call_deps.setdefault((stmt.callee, ctx), set()).add(
+            (caller, caller_ctx, comp.dest)
+        )
+        self._register_entry(stmt.callee, ctx, site, entry)
+        exit_state = self.engines[(stmt.callee, ctx)].query_loc(callee.cfg.exit)
+        return self.domain.return_state(pre_state, stmt.lhs, exit_state)
 
     # -- queries -----------------------------------------------------------
 

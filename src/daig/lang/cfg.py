@@ -88,21 +88,25 @@ class Program:
                             f"call to unknown procedure {e.stmt.callee!r} in {name!r}"
                         )
                     callees[name].add(e.stmt.callee)
+        # Depth-first over sorted callees with an explicit stack: a nested
+        # function calling itself would leave a reference cycle per call.
         order: list[str] = []
-        state: dict[str, int] = {}  # 1 = visiting, 2 = done
-
-        def visit(n: str, trail: tuple[str, ...]) -> None:
-            if state.get(n) == 2:
-                return
-            if state.get(n) == 1:
-                cycle = " -> ".join(trail + (n,))
-                raise CfgError(f"recursive call cycle: {cycle}")
-            state[n] = 1
-            for c in sorted(callees[n]):
-                visit(c, trail + (n,))
-            state[n] = 2
-            order.append(n)
-
-        for name in sorted(self.procedures):
-            visit(name, ())
+        done: set[str] = set()
+        for root in sorted(self.procedures):
+            if root in done:
+                continue
+            trail = [root]
+            stack = [iter(sorted(callees[root]))]
+            while stack:
+                c = next(stack[-1], None)
+                if c is None:
+                    stack.pop()
+                    done.add(trail[-1])
+                    order.append(trail.pop())
+                elif c in trail:
+                    cycle = " -> ".join(trail + [c])
+                    raise CfgError(f"recursive call cycle: {cycle}")
+                elif c not in done:
+                    trail.append(c)
+                    stack.append(iter(sorted(callees[c])))
         return order

@@ -187,35 +187,50 @@ def gen_program_source(
     input_vars: tuple[str, ...] = (),
 ) -> str:
     """Random single-procedure source text for the consistency suites."""
-    budget = [loop_budget]
-
-    def block(depth: int, count: int) -> list[str]:
-        lines = []
-        for _ in range(count):
-            roll = rng.random()
-            if roll < 0.62 or depth >= max_depth:
-                lines.append(stmt_text(gen_simple_stmt(rng, vars)))
-            elif roll < 0.85 or budget[0] <= 0:
-                inner = block(depth + 1, rng.randint(1, 2))
-                lines.append(f"if ({cond_source(rng)}) {{ {' '.join(inner)} }}")
-                if rng.random() < 0.5:
-                    other = block(depth + 1, rng.randint(1, 2))
-                    lines[-1] += f" else {{ {' '.join(other)} }}"
-            else:
-                budget[0] -= 1
-                inner = block(depth + 1, rng.randint(1, 2))
-                lines.append(f"while ({cond_source(rng)}) {{ {' '.join(inner)} }}")
-        return lines
-
-    def cond_source(r: random.Random) -> str:
-        return expr_text(gen_cond(r, 1, vars + input_vars or vars))
-
-    body = block(0, rng.randint(3, max_stmts))
+    gen = _BlockSource(rng, max_depth, loop_budget, vars, vars + input_vars or vars)
+    body = gen.block(0, rng.randint(3, max_stmts))
     for v in input_vars:
         # Touch inputs so they appear in the analysis; they stay unassigned
         # before first read, reading as unknown abstractly and 0 concretely.
         body.insert(rng.randrange(len(body) + 1), f"print({v});")
     return "fn main() { " + " ".join(body) + " }"
+
+
+class _BlockSource:
+    """Statement lines for :func:`gen_program_source`, all drawn from one
+    ``rng``.  A class, not nested closures: a closure that calls itself
+    leaves a reference cycle behind every call."""
+
+    __slots__ = ("rng", "max_depth", "loops_left", "vars", "cond_vars")
+
+    def __init__(self, rng, max_depth, loop_budget, vars, cond_vars):
+        self.rng = rng
+        self.max_depth = max_depth
+        self.loops_left = loop_budget
+        self.vars = vars
+        self.cond_vars = cond_vars
+
+    def block(self, depth: int, count: int) -> list[str]:
+        rng = self.rng
+        lines = []
+        for _ in range(count):
+            roll = rng.random()
+            if roll < 0.62 or depth >= self.max_depth:
+                lines.append(stmt_text(gen_simple_stmt(rng, self.vars)))
+            elif roll < 0.85 or self.loops_left <= 0:
+                inner = self.block(depth + 1, rng.randint(1, 2))
+                lines.append(f"if ({self.cond()}) {{ {' '.join(inner)} }}")
+                if rng.random() < 0.5:
+                    other = self.block(depth + 1, rng.randint(1, 2))
+                    lines[-1] += f" else {{ {' '.join(other)} }}"
+            else:
+                self.loops_left -= 1
+                inner = self.block(depth + 1, rng.randint(1, 2))
+                lines.append(f"while ({self.cond()}) {{ {' '.join(inner)} }}")
+        return lines
+
+    def cond(self) -> str:
+        return expr_text(gen_cond(self.rng, 1, self.cond_vars))
 
 
 # -- the four configurations ------------------------------------------------

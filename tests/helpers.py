@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import daig.engine
@@ -58,6 +60,25 @@ def ivl(**bounds) -> IntervalState:
     for var, (lo, hi) in bounds.items():
         out[var] = (NEG_INF if lo is None else lo, POS_INF if hi is None else hi)
     return IntervalState(out)
+
+
+def computations(daig) -> dict:
+    """Each computed cell's name mapped to the computation its cell holds."""
+    return {n: c.comp for n, c in daig.refs.items() if c.comp is not None}
+
+
+@contextmanager
+def no_reference_cycles():
+    """Run the block with the cyclic garbage collector off, then assert that
+    it finds nothing to collect: whatever the block dropped was freed by
+    reference counting alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def count_loop_analyses(monkeypatch) -> list[Cfg]:

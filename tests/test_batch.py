@@ -1,4 +1,3 @@
-import gc
 import random
 import weakref
 
@@ -8,7 +7,7 @@ from daig.lang.loops import analyze_loops
 from daig.lang.parser import parse_program
 from daig.workload import gen_program_source
 
-from helpers import WHILE_SRC, gen_sound_program, ivl, while_cfg
+from helpers import WHILE_SRC, gen_sound_program, ivl, no_reference_cycles, while_cfg
 
 
 def analyze(src, domain=INTERVAL, mode="eq"):
@@ -105,14 +104,9 @@ def test_modes_agree_for_interval_and_sign():
 def test_result_is_freed_by_reference_counting():
     """No reference cycle keeps a result, or the states it holds, alive
     until the cyclic garbage collector runs."""
-    cfg = while_cfg()
-    loops = analyze_loops(cfg)
-    gc.collect()
-    gc.disable()
-    try:
-        res = batch_analyze(cfg, loops, INTERVAL)
+    with no_reference_cycles():
+        cfg = while_cfg()
+        res = batch_analyze(cfg, analyze_loops(cfg), INTERVAL)
         alive = weakref.ref(res)
         del res
         assert alive() is None
-    finally:
-        gc.enable()

@@ -1,6 +1,6 @@
-import gc
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,16 +17,30 @@ from daig.graph import (
     head_fix_name,
     head_iter_name,
     loc_state_name,
-    prod,
     stmt_cell_locs,
 )
+from daig.lang.cfg import Edge
 from daig.lang.edits import InsertIf, InsertStmtAfter, InsertWhile, RelabelEdge
 from daig.lang.loops import analyze_loops
 from daig.lang.parser import parse_expr_text, parse_program, parse_stmt_text
-from daig.lang.syntax import stmt_text
-from daig.workload import EMPTY_MAIN, gen_edit, gen_program_source, gen_simple_stmt
+from daig.lang.syntax import Assume, Skip, stmt_text
+from daig.workload import (
+    EMPTY_MAIN,
+    VAR_POOL,
+    gen_cond,
+    gen_edit,
+    gen_program_source,
+    gen_simple_stmt,
+)
 
-from helpers import append_cfg, count_loop_analyses, ivl, while_cfg
+from helpers import (
+    append_cfg,
+    computations,
+    count_loop_analyses,
+    ivl,
+    no_reference_cycles,
+    while_cfg,
+)
 
 
 def test_query_reuse_costs_nothing():
@@ -41,7 +55,7 @@ def test_query_reuse_costs_nothing():
 def test_demand_chain_computes_exactly_two_transfers():
     cfg = append_cfg()
     eng = Engine(cfg, INTERVAL, enable_memo=False)
-    pre_join = prod(IdxN(1), LocN(cfg.exit))
+    pre_join = Prod(IdxN(1), LocN(cfg.exit))
     eng.query(pre_join)
     assert eng.metrics.transfer_evals == 2
     assert eng.metrics.join_evals == 0
@@ -78,7 +92,7 @@ def test_while_loop_converges_after_one_unrolling():
     assert INTERVAL.to_text(eng.query_loc(cfg.exit)) == "{x:[10,+inf]}"
     assert eng.metrics.unrollings == 1
     # the two greatest iterates hold equal values and the fix cell matches
-    fix = eng.daig.comps[head_fix_name(head, eng.loops)]
+    fix = eng.daig.refs[head_fix_name(head, eng.loops)].comp
     v1 = eng.daig.value(fix.srcs[0])
     v2 = eng.daig.value(fix.srcs[1])
     assert INTERVAL.equal(v1, v2)
@@ -121,7 +135,7 @@ def test_unroll_adds_three_cells_and_never_copies_statements():
     stmt_cells_after = [n for n, c in eng.daig.refs.items() if c.ty is CellType.STMT]
     assert stmt_cells_before == stmt_cells_after
     # the fix edge moved forward one iteration
-    assert eng.daig.comps[head_fix_name(head, loops)].srcs == (it1, it2)
+    assert eng.daig.refs[head_fix_name(head, loops)].comp.srcs == (it1, it2)
 
 
 def test_unroll_is_idempotent_after_rollback():
@@ -130,15 +144,15 @@ def test_unroll_is_idempotent_after_rollback():
     loops = eng.loops
     (head,) = loops.natural_loops
     eng.query(head_fix_name(head, loops))
-    shape_before = (dict(eng.daig.comps), sorted(map(repr, eng.daig.refs)))
+    shape_before = (computations(eng.daig), sorted(map(repr, eng.daig.refs)))
     # roll the loop back by editing the back-edge statement, then re-demand
     (back,) = loops.back_edges
     eng.apply_program_edit(RelabelEdge(back.src, back.dst, back.stmt))
     eng.write_cell(Prod(LocN(back.src), LocN(back.dst)), parse_stmt_text("x = x + 1;"))
-    fix = eng.daig.comps[head_fix_name(head, eng.loops)]
+    fix = eng.daig.refs[head_fix_name(head, eng.loops)].comp
     assert fix.srcs == (head_iter_name(head, 0, loops), head_iter_name(head, 1, loops))
     eng.query(head_fix_name(head, loops))
-    shape_after = (dict(eng.daig.comps), sorted(map(repr, eng.daig.refs)))
+    shape_after = (computations(eng.daig), sorted(map(repr, eng.daig.refs)))
     assert shape_before == shape_after
 
 
@@ -159,9 +173,9 @@ def test_write_cell_dirty_set_is_exact_on_branch_edit():
     filled = {n for n, c in eng.daig.refs.items() if not c.is_empty()}
     # relabel the then-branch statement (an indexed cell, since it feeds the
     # join): only its pre-join cell and the join itself depend on it
-    eng.write_cell(prod(IdxN(1), LocN(2), LocN(cfg.exit)), parse_stmt_text("ret = 0;"))
+    eng.write_cell(Prod(IdxN(1), Prod(LocN(2), LocN(cfg.exit))), parse_stmt_text("ret = 0;"))
     emptied = {n for n in filled if eng.daig.refs[n].contents is None}
-    assert emptied == {prod(IdxN(1), LocN(cfg.exit)), LocN(cfg.exit)}
+    assert emptied == {Prod(IdxN(1), LocN(cfg.exit)), LocN(cfg.exit)}
 
 
 def test_editing_converged_loop_rolls_back_and_empties_iterates():
@@ -171,11 +185,11 @@ def test_editing_converged_loop_rolls_back_and_empties_iterates():
     (head,) = eng.loops.natural_loops
     eng.query_loc(cfg.exit)
     assert eng.metrics.unrollings >= 1  # converged at depth two
-    fix_before = eng.daig.comps[head_fix_name(head, eng.loops)]
+    fix_before = eng.daig.refs[head_fix_name(head, eng.loops)].comp
     assert fix_before.srcs[1].count_of(head) == 2
     (back,) = eng.loops.back_edges
     eng.write_cell(Prod(LocN(back.src), LocN(back.dst)), parse_stmt_text("x = x + 2;"))
-    fix_after = eng.daig.comps[head_fix_name(head, eng.loops)]
+    fix_after = eng.daig.refs[head_fix_name(head, eng.loops)].comp
     assert fix_after.srcs == (
         head_iter_name(head, 0, eng.loops),
         head_iter_name(head, 1, eng.loops),
@@ -210,7 +224,7 @@ def test_statement_write_cannot_merge_parallel_edges():
     join_indices = dict(eng.loops.join_indices)
     contents = {n: c.contents for n, c in eng.daig.refs.items()}
     with pytest.raises(EngineError, match="duplicate an existing edge"):
-        eng.write_cell(prod(IdxN(2), LocN(second.src), LocN(join_loc)), first.stmt)
+        eng.write_cell(Prod(IdxN(2), Prod(LocN(second.src), LocN(join_loc))), first.stmt)
     assert eng.cfg == cfg
     assert eng.loops.join_indices == join_indices
     assert {n: c.contents for n, c in eng.daig.refs.items()} == contents
@@ -256,7 +270,7 @@ def test_statement_write_matches_relabel_edit():
             assert {n: c.contents for n, c in written.daig.refs.items()} == {
                 n: c.contents for n, c in edited.daig.refs.items()
             }
-            assert written.daig.comps == edited.daig.comps
+            assert computations(written.daig) == computations(edited.daig)
             assert written.metrics.cells_dirtied == edited.metrics.cells_dirtied
             oracle = batch_analyze(written.cfg, analyze_loops(written.cfg), INTERVAL)
             for loc in sorted(written.cfg.locs):
@@ -454,7 +468,7 @@ def test_unroll_region_skips_stale_iterates_of_a_rolled_back_inner_loop(monkeypa
     (inner,) = set(loops.natural_loops) - {outer}
     eng.query_loc(eng.cfg.exit)
     inner_fix = Iter(LocN(inner), ((outer, 0),))
-    assert eng.daig.comps[inner_fix].srcs[1].count_of(inner) == 2
+    assert eng.daig.refs[inner_fix].comp.srcs[1].count_of(inner) == 2
     # The inner body now leaves j at 0: after the edit the inner loop
     # converges at depth one, and its depth-two structure stays behind.
     (back,) = [e for e in loops.back_edges if e.dst == inner]
@@ -462,10 +476,10 @@ def test_unroll_region_skips_stale_iterates_of_a_rolled_back_inner_loop(monkeypa
     it1 = Iter(LocN(inner), ((outer, 0), (inner, 1)))
     it2 = Iter(LocN(inner), ((outer, 0), (inner, 2)))
     stale = {it2, Prod(it1, it2)}
-    first, final = eng.daig.comps[LocN(outer)].srcs
+    first, final = eng.daig.refs[LocN(outer)].comp.srcs
     assert (first.count_of(outer), final.count_of(outer)) == (0, 1)
     region = eng.daig.backward_set(final, stop=first)
-    assert stale <= eng.daig.forward_set(first) & set(eng.daig.comps)
+    assert stale <= eng.daig.forward_set(first) & set(computations(eng.daig))
     assert not stale & region
     assert region == eng.daig.forward_set(first) & eng.daig.backward_set(final)
 
@@ -482,7 +496,7 @@ def test_unroll_region_skips_stale_iterates_of_a_rolled_back_inner_loop(monkeypa
     oracle = batch_analyze(eng.cfg, analyze_loops(eng.cfg), INTERVAL)
     for loc in sorted(eng.cfg.locs):
         assert INTERVAL.equal(eng.query_loc(loc), oracle.invariants[loc])
-    assert eng.daig.comps[inner_fix].srcs[1].count_of(inner) == 1
+    assert eng.daig.refs[inner_fix].comp.srcs[1].count_of(inner) == 1
     assert regions and not any(stale & r for r in regions)
 
 
@@ -504,6 +518,54 @@ def test_unroll_region_along_seeded_edit_streams():
         eng.assert_invariants()
         unrollings += eng.metrics.unrollings
     assert unrollings >= 300
+
+
+def mixed_edit(rng, cfg, loops):
+    """One edit of a stream mixing ``gen_edit`` insertions with relabels of
+    existing edges (to ``skip``, to a fresh simple statement, of a loop
+    guard, of a back edge); returns the edit's kind and the edit."""
+    pairs = Counter((e.src, e.dst) for e in cfg.edges)
+    edges = sorted((e for e in cfg.edges if pairs[e.src, e.dst] == 1), key=Edge.sort_key)
+    pools = {
+        "skip": edges,
+        "stmt": edges,
+        "guard": [e for e in edges if e.src in loops.natural_loops and e not in loops.back_edges],
+        "back": [e for e in edges if e in loops.back_edges],
+    }
+    kind = rng.choice(("insert", "insert", "skip", "stmt", "guard", "back"))
+    if not pools.get(kind):
+        return "insert", gen_edit(rng, cfg)
+    e = rng.choice(pools[kind])
+    if kind == "skip":
+        new = Skip()
+    elif kind == "guard":
+        new = Assume(gen_cond(rng, 1, VAR_POOL[:4]))
+    else:
+        new = gen_simple_stmt(rng, VAR_POOL[:4])
+    return kind, RelabelEdge(e.src, e.dst, new)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 5])  # seeds whose sessions unroll loops
+def test_relabels_mixed_with_insertions_match_batch(seed):
+    rng = random.Random(seed)
+    eng = Engine(parse_program(gen_program_source(rng)).proc("main").cfg, INTERVAL, debug=True)
+    kinds = set()
+    for _ in range(40):
+        kind, edit = mixed_edit(rng, eng.cfg, eng.loops)
+        kinds.add(kind)
+        eng.apply_program_edit(edit)
+        locs = sorted(eng.cfg.locs)
+        for _ in range(3):
+            eng.query_loc(rng.choice(locs))
+        # The sweep checks the invariants once, not after every query.
+        eng.debug = False
+        oracle = batch_analyze(eng.cfg, analyze_loops(eng.cfg), INTERVAL)
+        for loc in locs:
+            assert INTERVAL.equal(eng.query_loc(loc), oracle.invariants[loc])
+        eng.assert_invariants()
+        eng.debug = True
+    assert kinds == {"insert", "skip", "stmt", "guard", "back"}
+    assert eng.metrics.unrollings > 0
 
 
 def test_seeded_session_counters_are_pinned():
@@ -534,10 +596,8 @@ def test_a_session_leaves_no_reference_cycles(seed):
     alone: after a whole session with the cyclic collector off, it finds
     nothing to collect."""
     rng = random.Random(seed)
-    cfg = parse_program(gen_program_source(rng, loop_budget=4)).proc("main").cfg
-    gc.collect()
-    gc.disable()
-    try:
+    with no_reference_cycles():
+        cfg = parse_program(gen_program_source(rng, loop_budget=4)).proc("main").cfg
         eng = Engine(cfg, INTERVAL)
         for loc in sorted(eng.cfg.locs):
             eng.query_loc(loc)
@@ -550,9 +610,6 @@ def test_a_session_leaves_no_reference_cycles(seed):
         assert result.invariants[eng.cfg.exit] == eng.query_loc(eng.cfg.exit)
         assert eng.metrics.unrollings > 0
         del cfg, eng, result
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
 
 
 CALL_SRC = "fn main() { x = 1; while (x < 5) { x = x + 1; } }"

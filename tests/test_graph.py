@@ -20,14 +20,12 @@ from daig.graph import (
     check_ai_consistency,
     check_cfg_consistency,
     check_wf,
-    graph_differences,
     head_fix_name,
     head_iter_name,
     incr_name,
     init_daig,
     loc_state_name,
-    prewiden_name,
-    template_daig,
+    name_key,
     to_dot,
 )
 from daig.engine import Engine, PreservationError
@@ -36,7 +34,7 @@ from daig.lang.loops import analyze_loops
 from daig.lang.parser import parse_program
 from daig.workload import gen_edit, gen_program_source
 
-from helpers import APPEND_SRC, append_cfg, ivl, while_cfg
+from helpers import APPEND_SRC, append_cfg, computations, ivl, while_cfg
 
 
 def build(src):
@@ -48,8 +46,7 @@ def build(src):
 def test_single_edge_daig():
     cfg, loops, d = build("fn main() { x = 1; }")
     assert len(d.refs) == 3  # statement, filled entry, empty exit
-    assert len(d.comps) == 1
-    (comp,) = d.comps.values()
+    (comp,) = computations(d).values()
     assert comp.fn is FnSymbol.TRANSFER
     assert d.value(LocN(cfg.entry)) == INTERVAL.init()
     assert d.cell(LocN(cfg.exit)).is_empty()
@@ -60,11 +57,11 @@ def test_append_daig_structure():
     (back,) = loops.back_edges
     head = back.dst
     # one fix edge from the two first iterates into the head's fixed point
-    fix = d.comps[head_fix_name(head, loops)]
+    fix = d.refs[head_fix_name(head, loops)].comp
     assert fix.fn is FnSymbol.FIX
     assert fix.srcs == (head_iter_name(head, 0, loops), head_iter_name(head, 1, loops))
     # the return join has two ordered operands
-    join = d.comps[LocN(cfg.exit)]
+    join = d.refs[LocN(cfg.exit)].comp
     assert join.fn is FnSymbol.JOIN
     assert join.srcs == (
         Prod(IdxN(1), LocN(cfg.exit)),
@@ -97,7 +94,7 @@ def test_init_daig_is_deterministic():
     a = init_daig(cfg, loops, INTERVAL)
     b = init_daig(cfg, loops, INTERVAL)
     assert list(a.refs) == list(b.refs)
-    assert a.comps == b.comps
+    assert computations(a) == computations(b)
 
 
 # A join in front of the outer loop's head and of the nested loop's head.
@@ -114,7 +111,7 @@ fn main() {
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_one_pass_build_equals_the_union_of_templates(seed):
+def test_fresh_graphs_are_well_formed_and_answer_like_batch(seed):
     rng = random.Random(seed)
     entry_states = [None, ivl(x0=(0, 3), x1=(None, 2))]
     cfg = parse_program(JOINED_LOOPS_SRC).proc("main").cfg
@@ -126,32 +123,53 @@ def test_one_pass_build_equals_the_union_of_templates(seed):
             joined_heads += any(h in loops.join_indices for h in loops.natural_loops)
             for entry_state in entry_states:
                 d = init_daig(cfg, loops, INTERVAL, entry_state)
-                want = template_daig(cfg, loops, entry_state or INTERVAL.init())
-                assert graph_differences(d, want) == []
                 assert check_wf(d) == []
                 assert check_cfg_consistency(d, cfg, loops)
+                # a debug engine checks its fresh graph with assert_invariants
                 Engine(cfg, INTERVAL, loops=loops, debug=True, entry_state=entry_state)
+                eng = Engine(cfg, INTERVAL, loops=loops, entry_state=entry_state)
+                oracle = batch_analyze(cfg, loops, INTERVAL, entry_state=entry_state)
+                for loc in sorted(cfg.locs):
+                    assert INTERVAL.equal(eng.query_loc(loc), oracle.invariants[loc])
+                eng.assert_invariants()
         cfg, _delta = apply_edit(cfg, gen_edit(rng, cfg), validate=False)
     assert nested and joined_heads
 
 
-def test_graph_differences_and_debug_engine_catch_a_bad_build(monkeypatch):
+def test_wf_and_debug_engine_catch_a_stale_index(monkeypatch):
     cfg = parse_program(JOINED_LOOPS_SRC).proc("main").cfg
     loops = analyze_loops(cfg)
-    want = template_daig(cfg, loops, INTERVAL.init())
-
-    def drop_a_consumer(*args):
-        d = init_daig(*args)
-        d.consumer_index[next(iter(d.fix_by_final))].clear()
-        return d
-
-    assert graph_differences(drop_a_consumer(cfg, loops, INTERVAL), want) == [
-        "consumer indexes differ"
+    final, fix = next(iter(init_daig(cfg, loops, INTERVAL).fix_by_final.items()))
+    exit_name = LocN(cfg.exit)  # read by no computation
+    cases = [
+        (
+            lambda d: d.consumer_index[final].discard(fix),
+            ("StaleIndex", final, f"consumer {fix!r} is not indexed"),
+        ),
+        (
+            lambda d: d.consumer_index.setdefault(exit_name, set()).add(fix),
+            ("StaleIndex", exit_name, f"indexed consumer {fix!r} does not read it"),
+        ),
+        (
+            lambda d: d.fix_by_final.__setitem__(final, exit_name),
+            ("StaleIndex", final, f"fix index gives {exit_name!r}, wanted {fix!r}"),
+        ),
     ]
-    monkeypatch.setattr("daig.engine.init_daig", drop_a_consumer)
-    Engine(cfg, INTERVAL, loops=loops)
-    with pytest.raises(PreservationError, match="differs from its templates"):
-        Engine(cfg, INTERVAL, loops=loops, debug=True)
+    for corrupt, want in cases:
+        d = init_daig(cfg, loops, INTERVAL)
+        assert check_wf(d) == []
+        corrupt(d)
+        assert [(v.kind, v.name, v.detail) for v in check_wf(d)] == [want]
+
+        def bad_build(*args, corrupt=corrupt):
+            d = init_daig(*args)
+            corrupt(d)
+            return d
+
+        monkeypatch.setattr("daig.engine.init_daig", bad_build)
+        Engine(cfg, INTERVAL, loops=loops)
+        with pytest.raises(PreservationError, match="StaleIndex"):
+            Engine(cfg, INTERVAL, loops=loops, debug=True)
 
 
 def test_wf_detects_self_dependency():
@@ -185,7 +203,11 @@ def test_wf_detects_stale_cell_links():
     d = eng.daig
     assert check_wf(d) == []
     name, cell = next(
-        (n, c) for n, c in d.refs.items() if c.srcs is not None and c.comp.fn is FnSymbol.TRANSFER
+        (n, c)
+        for n, c in d.refs.items()
+        if c.srcs is not None
+        and c.comp.fn is FnSymbol.TRANSFER
+        and c.comp.srcs[1] is not d.entry_name
     )
     linked = cell.srcs
     assert linked == tuple(d.refs[s] for s in cell.comp.srcs)
@@ -196,10 +218,14 @@ def test_wf_detects_stale_cell_links():
     cell.srcs = linked
     assert check_wf(d) == []
 
-    # a computation written into the cell behind set_comp's back
+    # a computation with other sources written into the cell behind
+    # set_comp's back: the cached sources and the consumer index are stale
     recorded = cell.comp
-    cell.comp = Computation(recorded.dest, recorded.fn, recorded.srcs)
-    assert [(v.kind, v.name) for v in check_wf(d)] == [("StaleLink", name)]
+    stmt, old_src = recorded.srcs
+    cell.comp = Computation(recorded.dest, recorded.fn, (stmt, d.entry_name))
+    assert [(v.kind, v.name) for v in check_wf(d)] == [("StaleLink", name)] + sorted(
+        [("StaleIndex", d.entry_name), ("StaleIndex", old_src)], key=lambda kv: name_key(kv[1])
+    )
     with pytest.raises(PreservationError, match="StaleLink"):
         eng.query_loc(eng.cfg.exit)
     cell.comp = recorded
@@ -262,7 +288,7 @@ def reaches(d, n, target) -> bool:
 
 def test_reaches():
     cfg, loops, d = build(APPEND_SRC)
-    (comp,) = [c for c in d.comps.values() if c.dest == loc_state_name(2, loops)]
+    (comp,) = [c for c in computations(d).values() if c.dest == loc_state_name(2, loops)]
     assert reaches(d, comp.srcs[0], comp.dest)
     assert not reaches(d, comp.dest, comp.dest)  # irreflexive on acyclic graphs
     assert reaches(d, LocN(cfg.entry), LocN(cfg.exit))
@@ -317,10 +343,13 @@ def test_incr_name_nested_counts():
 def test_pre_widen_and_fix_names():
     cfg = while_cfg()
     loops = analyze_loops(cfg)
+    d = init_daig(cfg, loops, INTERVAL)
     (head,) = loops.natural_loops
     assert head_fix_name(head, loops) == LocN(head)
-    pw = prewiden_name(head, loops)
-    assert pw == Prod(head_iter_name(head, 0, loops), head_iter_name(head, 1, loops))
+    it0, it1 = head_iter_name(head, 0, loops), head_iter_name(head, 1, loops)
+    pw = Prod(it0, it1)
+    assert d.refs[pw].comp.fn is FnSymbol.TRANSFER
+    assert d.refs[it1].comp == Computation(it1, FnSymbol.WIDEN, (it0, pw))
 
 
 def test_dot_export_mentions_cells_and_functions():
@@ -368,7 +397,7 @@ def test_pickled_and_copied_engines_share_interned_names():
     for other in (pickle.loads(pickle.dumps(eng)), copy.copy(eng)):
         for n in other.daig.refs:
             assert rebuilt(n) is n
-        for comp in other.daig.comps.values():
+        for comp in computations(other.daig).values():
             assert all(rebuilt(n) is n for n in (comp.dest,) + comp.srcs)
         rng = random.Random(11)
         other.apply_program_edit(gen_edit(rng, other.cfg))

@@ -6,6 +6,7 @@ import pytest
 from daig.batch import batch_analyze
 from daig.domains import INTERVAL
 from daig.domains.interval import IntervalState
+from daig.engine import EngineError
 from daig.interproc import Context, DaigForest, ENTRY_CONTEXT, callee_context
 from daig.lang.cfg import CfgError
 from daig.lang.edits import InsertStmtAfter, RelabelEdge
@@ -14,7 +15,9 @@ from daig.lang.loops import analyze_loops
 from daig.lang.parser import parse_program, parse_stmt_text
 from daig.lang.syntax import stmt_text
 
-from helpers import count_loop_analyses, gen_call_tree_source
+from daig.workload import INTERPROC_BASE
+
+from helpers import count_loop_analyses, gen_call_tree_source, no_reference_cycles
 
 
 def drop_inline_vars(state):
@@ -164,6 +167,42 @@ def test_edit_of_main_with_no_callers_dirties_nothing_else():
     # the callee's engine is untouched by an edit in its caller's prefix
     assert {n for n, c in f_eng.daig.refs.items() if not c.is_empty()} >= f_filled
     assert_matches_inline_oracle(program, policy_k=0)
+
+
+def test_a_forest_session_leaves_no_reference_cycles():
+    """A forest, its engines and their call handlers are freed by reference
+    counting alone: after a session with the cyclic collector off, it finds
+    nothing to collect."""
+    src = INTERPROC_BASE.replace(
+        "fn main() { x0 = 1; }", "fn main() { x0 = 1; y = both(x0); z = inc(y); }"
+    ) + "fn both(p) { a = inc(p); ret = clamp(a); }"
+    with no_reference_cycles():
+        program = parse_program(src)
+        forest = DaigForest(program, INTERVAL, policy_k=1)
+        for loc in sorted(program.proc("main").cfg.locs):
+            forest.query_loc("main", loc)
+        for proc, ctx in forest.live_keys():
+            for loc in sorted(program.proc(proc).cfg.locs):
+                forest.query_loc(proc, loc, ctx)
+        inc_cfg = program.proc("inc").cfg
+        (edge,) = inc_cfg.edges
+        forest.apply_program_edit("inc", RelabelEdge(edge.src, edge.dst, parse_stmt_text("ret = p + 2;")))
+        assert_forest_matches_inline_oracle(forest, program)
+        assert len(forest.live_keys()) == 5
+        del program, forest, inc_cfg, edge
+
+
+def test_an_engine_that_outlives_its_forest_says_so():
+    program = parse_program("fn main() { y = 1; x = f(y); }\nfn f(p) { ret = p + 1; }")
+    forest = DaigForest(program, INTERVAL)
+    exit_loc = program.proc("main").cfg.exit
+    forest.query_loc("main", exit_loc)
+    ((_, _, ret_cell),) = forest.call_deps[("f", ENTRY_CONTEXT)]
+    eng = forest.engine("main")
+    del forest
+    eng.write_cell(ret_cell, None)
+    with pytest.raises(EngineError, match="forest this engine belongs to has been freed"):
+        eng.query_loc(exit_loc)
 
 
 def assert_forest_matches_inline_oracle(forest, program):
@@ -337,6 +376,11 @@ def test_call_inside_a_loop_answers_within_a_second(src, policy_k):
     try:
         signal.setitimer(signal.ITIMER_REAL, 1.0)
         got = DaigForest(program, INTERVAL, policy_k=policy_k).query_loc("main", exit_loc)
+    except _Deadline as exc:
+        # Raised again from this frame without the library frames the alarm
+        # interrupted: one of those can lack a line number, which pytest
+        # cannot format into its report.
+        raise _Deadline(str(exc)) from None
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)

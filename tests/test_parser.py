@@ -26,7 +26,9 @@ from daig.lang.syntax import (
     expr_text,
     stmt_text,
 )
-from daig.workload import gen_program_source, gen_simple_stmt, gen_cond
+from daig.workload import INTERPROC_BASE, gen_program_source, gen_simple_stmt, gen_cond
+
+from helpers import no_reference_cycles
 
 from helpers import APPEND_SRC
 
@@ -249,3 +251,13 @@ def test_deep_nesting_is_a_parse_error_not_a_recursion_error():
         parse_expr_text(" + ".join(["x"] * 1000))
     with pytest.raises(ParseError, match="blocks nested deeper"):
         parse_program("fn main() {\n" + "if (x > 0) {\n" * 330 + "}\n" * 331)
+
+
+def test_parsing_leaves_no_reference_cycles():
+    """Generating and parsing a program, call ordering included, is freed by
+    reference counting alone."""
+    rng = random.Random(3)
+    with no_reference_cycles():
+        for _ in range(5):
+            parse_program(gen_program_source(rng, input_vars=("i0",)))
+        assert parse_program(INTERPROC_BASE).call_order() == ["clamp", "inc", "main"]
