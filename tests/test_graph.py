@@ -259,6 +259,103 @@ def test_cfg_consistency_fails_against_pre_edit_cfg():
     assert not check_cfg_consistency(eng.daig, cfg, loops)
 
 
+# Queried everywhere, the inner loop converges at depth one in the outer
+# loop's first iterate and at depth two in its second.
+NESTED_SRC = """
+fn main() {
+  i = 0;
+  while (i < 3) {
+    j = 0;
+    while (j < i) { j = j + 1; }
+    i = i + 1;
+  }
+}
+"""
+
+
+def nested_engine() -> Engine:
+    eng = Engine(parse_program(NESTED_SRC).proc("main").cfg, INTERVAL)
+    for loc in sorted(eng.cfg.locs):
+        eng.query_loc(loc)
+    return eng
+
+
+def nested_heads(loops):
+    """(outer, inner) loop heads of ``NESTED_SRC``."""
+    (inner,) = (h for h in loops.natural_loops if loops.enclosing[h])
+    (outer,) = loops.enclosing[inner]
+    return outer, inner
+
+
+def test_cfg_consistency_catches_faults_in_unrolled_nested_loops():
+    eng = nested_engine()
+    d, cfg, loops = eng.daig, eng.cfg, eng.loops
+    outer, inner = nested_heads(loops)
+
+    def at(loc, o, i=None):
+        """State cell of ``loc`` at outer count ``o`` (and inner count ``i``)."""
+        name = loc_state_name(loc, loops).with_count(outer, o)
+        return name if i is None else name.with_count(inner, i)
+
+    def inner_fix(o):
+        return Iter(LocN(inner), ((outer, o),))
+
+    def depth(fix_name, head):
+        return d.refs[fix_name].comp.srcs[1].count_of(head)
+
+    assert depth(LocN(outer), outer) == 2
+    assert [depth(inner_fix(o), inner) for o in (0, 1)] == [1, 2]
+    reasons: list[str] = []
+    assert check_cfg_consistency(d, cfg, loops, reasons) and not reasons
+
+    (inner_body,) = loops.natural_loops[inner] - {inner}
+    after_inner = loops.back_edge_of(outer).src  # reads the inner fixed point
+    exit_stmt = Prod(LocN(inner), LocN(after_inner))
+    assert d.refs[exit_stmt].ty is CellType.STMT
+
+    def delete(g, name):
+        del g.refs[name]
+
+    def drop_comp(g, name):
+        g.refs[name].comp = None
+
+    def swap_srcs(g, name):
+        comp = g.refs[name].comp
+        g.set_comp(Computation(name, comp.fn, comp.srcs[::-1]))
+
+    def misread(g, name):
+        g.set_comp(Computation(name, FnSymbol.TRANSFER, (exit_stmt, inner_fix(0))))
+
+    faults = [
+        ("unrolled body cell deleted", delete, at(inner_body, 1, 1)),
+        ("widen step removed", drop_comp, at(inner, 1, 2)),
+        ("fix sources swapped", swap_srcs, LocN(outer)),
+        ("inner fix at outer iterate 1 missing", delete, inner_fix(1)),
+        ("copied transfer reads the first iterate's fixed point", misread, at(after_inner, 1)),
+    ]
+    for what, corrupt, victim in faults:
+        snap = eng.snapshot()
+        corrupt(snap.daig, victim)
+        reasons = []
+        assert not check_cfg_consistency(snap.daig, cfg, loops, reasons), what
+        assert reasons and repr(victim) in reasons[0], (what, reasons)
+
+    # Roll the inner loop back by an edit and query again: it now converges
+    # at depth one in both outer iterates, and its deeper iterates stay
+    # behind, read by nothing live.
+    from daig.lang.edits import RelabelEdge
+    from daig.lang.parser import parse_stmt_text
+
+    back = loops.back_edge_of(inner)
+    eng.apply_program_edit(RelabelEdge(back.src, back.dst, parse_stmt_text("j = 0;")))
+    for loc in sorted(eng.cfg.locs):
+        eng.query_loc(loc)
+    assert [depth(inner_fix(o), inner) for o in (0, 1)] == [1, 1]
+    assert at(inner, 1, 2) in d.refs
+    reasons = []
+    assert check_cfg_consistency(d, eng.cfg, eng.loops, reasons) and not reasons
+
+
 def test_ai_consistency_vacuous_then_preserved_then_detects_corruption():
     cfg = while_cfg()
     loops = analyze_loops(cfg)
