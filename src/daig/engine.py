@@ -29,10 +29,12 @@ from .graph import (
     check_cfg_consistency,
     check_wf,
     dest_structures,
-    incr_name,
+    fix_head,
+    head_fix_name,
     init_daig,
     name_key,
     stmt_cell_locs,
+    unroll,
 )
 from .lang.cfg import Cfg, Edge, Loc
 from .lang.edits import (
@@ -87,14 +89,6 @@ class Metrics:
             setattr(self, f, getattr(self, f) + getattr(other, f))
 
 
-def _fix_head(fix_dest: Name) -> Loc:
-    if isinstance(fix_dest, LocN):
-        return fix_dest.loc
-    if isinstance(fix_dest, Iter):
-        return fix_dest.base.loc
-    raise EngineError(f"not a fix cell name: {fix_dest!r}")
-
-
 class Engine:
     """Single-procedure analysis session: one graph, one memo.
 
@@ -112,8 +106,11 @@ class Engine:
     cycles.  ``dest_structures`` is the one builder of a location's cells:
     a fresh graph (``init_daig``) is its cells over every location, and an
     edit adopts its cells for the locations it touches, writing each
-    computation through ``Daig.set_comp``.  Under ``debug`` the fresh graph
-    and every public operation are checked by ``assert_invariants``.  A
+    computation through ``Daig.set_comp``.  ``unroll`` is the one code that
+    extends a loop by an iterate.  Under ``debug`` the fresh graph and every
+    public operation are checked by ``assert_invariants``, which compares the
+    graph with a from-scratch reference: a fresh graph whose live loops
+    ``unroll`` takes to this graph's depths.  A
     pickled or snapshot engine starts without cached sources and links them
     again as it is queried, as do cells that unrolling or an edit gives a
     new computation.
@@ -242,7 +239,7 @@ class Engine:
                 if self._converged(first.contents, nxt):
                     cell.contents = nxt
                     n = cell.name
-                    metrics.loop_episodes[n] = first.name.count_of(_fix_head(n))
+                    metrics.loop_episodes[n] = first.name.count_of(fix_head(n))
                     stack.pop()
                 else:
                     self._unroll(comp)
@@ -304,70 +301,21 @@ class Engine:
         return result
 
     def _unroll(self, fix_comp: Computation) -> None:
-        """Extend the loop of ``fix_comp`` by one abstract iteration.
-
-        Cells strictly between the two iterate sources (plus the final
-        iterate itself) are copied with their iteration count bumped, and
-        the fix edge slides forward.  Unrolling rewrites only what is
-        missing: a cell left by an earlier roll-back is reused, and a copied
-        computation equal to the one in place is skipped, keeping its cell's
-        source links.  Each name is bumped once per call.  Statement cells
-        carry no iteration counts, so program syntax is never duplicated.
-
-        The region is found by walking back from the final iterate through
-        computations, never past the first: a natural loop is entered only
-        through its head, so this is exactly the set of computed cells both
-        downstream of the first iterate and upstream of the final one.  It
-        costs O(body x nesting), not a walk to the end of the program; stale
-        deeper iterates of an inner loop rolled back by an edit are read by
-        no live computation, so the walk never reaches them.
-        """
-        daig = self.daig
-        refs = daig.refs
-        loops = self.loops
-        first, final = fix_comp.srcs
-        head = _fix_head(fix_comp.dest)
+        """Extend the loop of ``fix_comp`` by one abstract iteration with
+        :func:`daig.graph.unroll`.  Under ``debug``, the cells it copied
+        must be exactly those both downstream of the first iterate and
+        upstream of the final one."""
         self.metrics.unrollings += 1
-        between = daig.backward_set(final, stop=first)
+        daig = self.daig
+        between = unroll(daig, fix_comp, self.loops)
         if self.debug:
+            first, final = fix_comp.srcs
             want = daig.forward_set(first) & daig.backward_set(final)
             if between != want:
                 raise PreservationError(
                     f"unrolling region of {fix_comp.dest!r} is "
                     f"{sorted(between, key=name_key)}, wanted {sorted(want, key=name_key)}"
                 )
-        region = sorted(between | {final}, key=name_key)
-        bumped: dict[Name, Name] = {}
-        for n in region:
-            nn = bumped[n] = incr_name(n, head, loops)
-            if nn not in refs:
-                daig.add_cell(nn, STATE, None)
-        for n in region:
-            comp = refs[n].comp
-            if comp is None:
-                raise EngineError(f"loop region cell {n!r} has no computation")
-            srcs = []
-            for s in comp.srcs:
-                b = bumped.get(s)
-                if b is None:
-                    b = bumped[s] = incr_name(s, head, loops)
-                srcs.append(b)
-            dest = bumped[n]
-            if comp.fn is FIX:
-                # A nested loop starts a fresh convergence in the new outer
-                # iteration: its fix edge is copied at depth one, not at the
-                # old instance's final depth.
-                inner = _fix_head(dest)
-                final_src = srcs[1]
-                assert isinstance(final_src, Iter)
-                srcs = (final_src.with_count(inner, 0), final_src.with_count(inner, 1))
-            else:
-                srcs = tuple(srcs)
-            cur = refs[dest].comp
-            if cur is not None and cur.fn is comp.fn and cur.srcs == srcs:
-                continue
-            daig.set_comp(Computation(dest, comp.fn, srcs))
-        daig.set_comp(Computation(fix_comp.dest, FIX, (final, bumped[final])))
 
     def query_loc(self, loc: Loc):
         """Abstract state at a program location.
@@ -379,16 +327,14 @@ class Engine:
         if loc not in self.cfg.locs:
             raise EngineError(f"unknown location l{loc}")
         loops = self.loops
-        enclosing = loops.enclosing
-        enc = enclosing[loc]
+        enc = loops.enclosing[loc]
         is_head = loc in loops.natural_loops
         if not (enc or is_head):
             return self.query(LocN(loc))
         refs = self.daig.refs
         counts: dict[Loc, int] = {}
         for h in (enc + (loc,)) if is_head else enc:
-            outer = enclosing[h]
-            fix_name = Iter(LocN(h), [(g, counts[g]) for g in outer]) if outer else LocN(h)
+            fix_name = head_fix_name(h, loops, counts)
             value = self.query(fix_name)
             counts[h] = refs[fix_name].comp.srcs[0].count_of(h)
         if is_head:
@@ -468,7 +414,7 @@ class Engine:
             fix_dest = fix_by_final.get(n)
             if fix_dest is not None:
                 final = refs[fix_dest].comp.srcs[1]
-                head = _fix_head(fix_dest)
+                head = fix_head(fix_dest)
                 assert isinstance(final, Iter)
                 if final.count_of(head) > 1:
                     first1 = final.with_count(head, 0)

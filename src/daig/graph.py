@@ -414,16 +414,16 @@ def loc_state_name(loc: Loc, loops: LoopInfo) -> Name:
     return Iter(LocN(loc), _zero_counts(heads))
 
 
-def head_iter_name(head: Loc, i: int, loops: LoopInfo) -> Iter:
-    counts = _zero_counts(loops.enclosing_heads(head)) + ((head, i),)
-    return Iter(LocN(head), counts)
-
-
-def head_fix_name(head: Loc, loops: LoopInfo) -> Name:
-    heads = loops.enclosing_heads(head)
+def head_fix_name(head: Loc, loops: LoopInfo, counts: Optional[dict[Loc, int]] = None) -> Name:
+    """Fixed-point cell name of the loop at ``head``: plain for an outermost
+    loop, else tagged with each enclosing head's count in ``counts`` (all
+    zero when ``counts`` is left out)."""
+    heads = loops.enclosing[head]
     if not heads:
         return LocN(head)
-    return Iter(LocN(head), _zero_counts(heads))
+    if counts is None:
+        return Iter(LocN(head), _zero_counts(heads))
+    return Iter(LocN(head), [(h, counts[h]) for h in heads])
 
 
 def incr_name(n: Name, head: Loc, loops: LoopInfo) -> Name:
@@ -444,14 +444,6 @@ def incr_name(n: Name, head: Loc, loops: LoopInfo) -> Name:
             return n.with_count(head, n.count_of(head) + 1)
         return n
     return n
-
-
-def incr_comp(c: Computation, head: Loc, loops: LoopInfo) -> Computation:
-    return Computation(
-        dest=incr_name(c.dest, head, loops),
-        fn=c.fn,
-        srcs=tuple(incr_name(s, head, loops) for s in c.srcs),
-    )
 
 
 def stmt_cell_locs(name: Name) -> tuple[Loc, Loc]:
@@ -507,8 +499,7 @@ def dest_structures(cfg: Cfg, names: LocNames, d: Loc) -> dict[Name, RefCell]:
     This is the one place a location's cells are made: a fresh graph
     (:func:`init_daig`) is these cells over every location plus the
     pre-filled entry, which is not among them; edit surgery
-    (``Engine.splice``) adopts them for the locations an edit touches; and
-    :func:`check_cfg_consistency` compares a graph against them.
+    (``Engine.splice``) adopts them for the locations an edit touches.
     """
     loops = names.loops
     ln, n_d, fix = names[d]
@@ -596,6 +587,78 @@ def init_daig(cfg: Cfg, loops: LoopInfo, domain, entry_state=None) -> Daig:
             if comp.fn is FIX:
                 fix_by_final[srcs[1]] = name
     return d
+
+
+# --- unrolling ----------------------------------------------------------------
+
+
+def fix_head(fix_dest: Name) -> Loc:
+    """The loop head whose fixed point the fix cell ``fix_dest`` holds."""
+    if isinstance(fix_dest, LocN):
+        return fix_dest.loc
+    if isinstance(fix_dest, Iter):
+        return fix_dest.base.loc
+    raise GraphError(f"not a fix cell name: {fix_dest!r}")
+
+
+def unroll(d: Daig, fix: Computation, loops: LoopInfo) -> set[Name]:
+    """Extend the loop of ``fix`` by one abstract iteration: the only code
+    that makes a loop's iterates beyond the first.
+
+    Cells strictly between the two iterate sources (plus the final iterate
+    itself) are copied with their iteration count bumped, and the fix edge
+    slides forward.  Unrolling rewrites only what is missing: a cell left
+    by an earlier roll-back is reused, and a copied computation equal to
+    the one in place is skipped, keeping its cell's source links.  Each
+    name is bumped once per call.  Statement cells carry no iteration
+    counts, so program syntax is never duplicated.
+
+    The region is found by walking back from the final iterate through
+    computations, never past the first: a natural loop is entered only
+    through its head, so this is exactly the set of computed cells both
+    downstream of the first iterate and upstream of the final one.  It
+    costs O(body x nesting), not a walk to the end of the program; stale
+    deeper iterates of an inner loop rolled back by an edit are read by no
+    live computation, so the walk never reaches them.  Returns the cells
+    strictly between the two iterates, which were copied with the final one.
+    """
+    refs = d.refs
+    first, final = fix.srcs
+    head = fix_head(fix.dest)
+    between = d.backward_set(final, stop=first)
+    region = sorted(between | {final}, key=name_key)
+    bumped: dict[Name, Name] = {}
+    for n in region:
+        nn = bumped[n] = incr_name(n, head, loops)
+        if nn not in refs:
+            d.add_cell(nn, STATE, None)
+    for n in region:
+        comp = refs[n].comp
+        if comp is None:
+            raise GraphError(f"loop region cell {n!r} has no computation")
+        srcs = []
+        for s in comp.srcs:
+            b = bumped.get(s)
+            if b is None:
+                b = bumped[s] = incr_name(s, head, loops)
+            srcs.append(b)
+        dest = bumped[n]
+        if comp.fn is FIX:
+            # A nested loop starts a fresh convergence in the new outer
+            # iteration: its fix edge is copied at depth one, not at the
+            # old instance's final depth.
+            inner = fix_head(dest)
+            final_src = srcs[1]
+            assert isinstance(final_src, Iter)
+            srcs = (final_src.with_count(inner, 0), final_src.with_count(inner, 1))
+        else:
+            srcs = tuple(srcs)
+        cur = refs[dest].comp
+        if cur is not None and cur.fn is comp.fn and cur.srcs == srcs:
+            continue
+        d.set_comp(Computation(dest, comp.fn, srcs))
+    d.set_comp(Computation(fix.dest, FIX, (final, bumped[final])))
+    return between
 
 
 # --- checkers -----------------------------------------------------------------
@@ -694,45 +757,18 @@ def check_wf(d: Daig) -> list[Violation]:
     return out
 
 
-def _fix_depth(comp: Computation, head: Loc) -> Optional[int]:
-    if comp.fn is not FIX or len(comp.srcs) != 2:
-        return None
-    a, b = comp.srcs
-    if not (isinstance(a, Iter) and isinstance(b, Iter)):
-        return None
-    k = b.count_of(head)
-    if a.count_of(head) != k - 1 or k < 1:
-        return None
-    return k
-
-
-def set_counts(n: Name, version: dict[Loc, int]) -> Name:
-    """Re-version a template name: overwrite the iteration counts of the
-    heads mentioned in ``version``, leaving other dimensions alone."""
-    if isinstance(n, Prod):
-        return Prod(set_counts(n.left, version), set_counts(n.right, version))
-    if isinstance(n, Iter):
-        counts = tuple((h, version.get(h, c)) for h, c in n.counts)
-        return Iter(n.base, counts)
-    return n
-
-
-def set_counts_comp(c: Computation, version: dict[Loc, int]) -> Computation:
-    return Computation(
-        dest=set_counts(c.dest, version),
-        fn=c.fn,
-        srcs=tuple(set_counts(s, version) for s in c.srcs),
-    )
-
-
 def check_cfg_consistency(
     d: Daig, cfg: Cfg, loops: LoopInfo, reasons: Optional[list[str]] = None
 ) -> bool:
     """Whether the graph encodes this CFG's abstract interpretation.
 
-    Forward-edge and join structures must match :func:`dest_structures`
-    exactly; every back edge must be present at some unrolling depth k >= 1
-    with all intermediate iterations in place.
+    The graph is compared with a from-scratch reference: a fresh graph
+    (:func:`init_daig`) with each live loop unrolled by :func:`unroll` to
+    the depth the graph's own fix computation shows, outer loops first,
+    since unrolling an outer loop makes its inner loops' instances.  Every
+    reference cell must be in the graph with the same type, statement and
+    computation, fix computations included; extra cells, the iterates a
+    roll-back leaves behind, are allowed.
     """
 
     def fail(msg: str) -> bool:
@@ -740,123 +776,40 @@ def check_cfg_consistency(
             reasons.append(msg)
         return False
 
-    if d.entry_name != LocN(cfg.entry):
+    if d.entry_name is not LocN(cfg.entry):
         return fail("entry cell name does not match the CFG entry")
-    if d.entry_name not in d.refs:
-        return fail("entry cell missing")
+    ref = init_daig(cfg, loops, None, d.entry_state)
+    refs = d.refs
+    heads = sorted(loops.natural_loops, key=lambda h: (len(loops.enclosing[h]), h))
+    for h in heads:
+        instances = [n for n in ref.fix_by_final.values() if fix_head(n) == h]
+        for name in sorted(instances, key=name_key):
+            cell = refs.get(name)
+            comp = None if cell is None else cell.comp
+            if comp is None:
+                return fail(f"missing fix computation at {name!r}")
+            final = comp.srcs[-1] if comp.fn is FIX and comp.srcs else None
+            k = final.count_of(h) if isinstance(final, Iter) else 0
+            # A bound on the depth keeps a corrupt graph from driving the
+            # reference into an endless unroll.
+            if not 1 <= k <= len(refs):
+                return fail(f"fix computation at {name!r} is malformed: {comp!r}")
+            for _ in range(k - 1):
+                unroll(ref, ref.refs[name].comp, loops)
 
-    names = LocNames(loops)
-    template = [
-        cell for loc in sorted(cfg.locs) for cell in dest_structures(cfg, names, loc).values()
-    ]
-    for want in template:
-        name, ty = want.name, want.ty
-        cell = d.refs.get(name)
+    for name, want in ref.refs.items():
+        cell = refs.get(name)
         if cell is None:
             return fail(f"missing cell {name!r}")
-        if cell.ty is not ty:
-            return fail(f"cell {name!r} has type {cell.ty.value}, wanted {ty.value}")
-        if ty is STMT and cell.contents != want.contents:
+        if cell.ty is not want.ty:
+            return fail(f"cell {name!r} has type {cell.ty.value}, wanted {want.ty.value}")
+        if want.ty is STMT and cell.contents != want.contents:
             return fail(
                 f"statement cell {name!r} holds {stmt_text(cell.contents)!r}, "
                 f"wanted {stmt_text(want.contents)!r}"
             )
-    template_comps = [cell.comp for cell in template if cell.comp is not None]
-
-    def comp_at(n: Name) -> Optional[Computation]:
-        cell = d.refs.get(n)
-        return None if cell is None else cell.comp
-
-    loop_base: dict[Loc, list[Computation]] = {h: [] for h in loops.natural_loops}
-
-    def mentions_iter0_of(comp: Computation, h: Loc) -> bool:
-        body = loops.natural_loops[h]
-
-        def hits(n: Name) -> bool:
-            if isinstance(n, Prod):
-                return hits(n.left) or hits(n.right)
-            return isinstance(n, Iter) and n.base.loc in body and n.count_of(h) == 0
-
-        return any(hits(x) for x in (comp.dest,) + comp.srcs)
-
-    for comp in template_comps:
-        for h in loop_base:
-            if mentions_iter0_of(comp, h):
-                loop_base[h].append(comp)
-
-    for comp in template_comps:
-        if comp.fn is FIX:
-            continue  # checked per live loop version below
-        actual = comp_at(comp.dest)
-        if actual is None:
-            return fail(f"missing computation into {comp.dest!r}")
-        if actual != comp:
-            return fail(f"computation at {comp.dest!r} is {actual!r}, wanted {comp!r}")
-
-    # Every loop must be present at every live version: once per iteration
-    # count of each enclosing loop, each version at its own depth k >= 1,
-    # with the full widen chain and body copies up to that depth.  Nested
-    # fix structures are validated by their own versions, not as copies.
-    failure: list[str] = []
-
-    def check_loop_version(h: Loc, version: dict[Loc, int]) -> Optional[int]:
-        fix_name = set_counts(head_fix_name(h, loops), version)
-        actual = comp_at(fix_name)
-        if actual is None:
-            failure.append(f"missing fix computation at {fix_name!r}")
-            return None
-        k = _fix_depth(actual, h)
-        if k is None:
-            failure.append(f"fix computation at {fix_name!r} is malformed: {actual!r}")
-            return None
-        for i in range(k):
-            it = set_counts(head_iter_name(h, i, loops), version)
-            it1 = set_counts(head_iter_name(h, i + 1, loops), version)
-            widen = Computation(it1, WIDEN, (it, Prod(it, it1)))
-            if comp_at(widen.dest) != widen:
-                failure.append(f"missing widen step {widen!r}")
-                return None
-            if it1 not in d.refs or Prod(it, it1) not in d.refs:
-                failure.append(f"missing iterate cells for step {i + 1} at l{h}")
-                return None
-        for i in range(1, k):
-            for base in loop_base[h]:
-                if base.fn is FIX:
-                    continue
-                want = set_counts_comp(base, version)
-                for _ in range(i):
-                    want = incr_comp(want, h, loops)
-                if comp_at(want.dest) != want:
-                    failure.append(f"missing unrolled copy {want!r}")
-                    return None
-                if want.dest not in d.refs:
-                    failure.append(f"missing unrolled cell {want.dest!r}")
-                    return None
-        return k
-
-    heads = sorted(
-        loops.natural_loops, key=lambda h: (len(loops.enclosing_heads(h)), h)
-    )
-    depth_at: dict[tuple[Loc, tuple[tuple[Loc, int], ...]], int] = {}
-    for h in heads:
-        parents = loops.enclosing_heads(h)
-        if not parents:
-            versions = [{}]
-        else:
-            parent = parents[-1]
-            versions = []
-            for (ph, pv), pk in depth_at.items():
-                if ph != parent:
-                    continue
-                for i in range(pk):
-                    v = dict(pv)
-                    v[parent] = i
-                    versions.append(v)
-        for v in versions:
-            k = check_loop_version(h, v)
-            if k is None:
-                return fail(failure[-1])
-            depth_at[(h, tuple(sorted(v.items())))] = k
+        if cell.comp != want.comp:
+            return fail(f"computation at {name!r} is {cell.comp!r}, wanted {want.comp!r}")
     return True
 
 

@@ -14,7 +14,7 @@ import pytest
 from daig.batch import batch_analyze
 from daig.domains import INTERVAL, SIGN, ConcreteState, collecting_bounded
 from daig.engine import Engine
-from daig.graph import head_fix_name, set_counts
+from daig.graph import head_fix_name
 from daig.interproc import DaigForest
 from daig.lang.edits import InsertStmtAfter
 from daig.lang.parser import parse_program, parse_stmt_text
@@ -52,7 +52,7 @@ def assert_demanded_equals_batch(eng: Engine, domain, check_episodes=True) -> in
         assert got == want, f"l{loc}: demanded {got} != batch {want}"
     if check_episodes:
         for (head, ctx), iterations in res.episodes.items():
-            name = set_counts(head_fix_name(head, eng.loops), dict(ctx))
+            name = head_fix_name(head, eng.loops, dict(ctx))
             unrolls = eng.metrics.loop_episodes.get(name)
             assert unrolls == iterations - 1, (
                 f"loop l{head}@{dict(ctx)}: {unrolls} unrollings, "
@@ -112,7 +112,7 @@ def test_criterion_3_termination_and_unrolling_counts():
         for loc in sorted(cfg.locs):
             eng.query_loc(loc)
         for (head, ctx), iterations in res.episodes.items():
-            name = set_counts(head_fix_name(head, eng.loops), dict(ctx))
+            name = head_fix_name(head, eng.loops, dict(ctx))
             assert eng.metrics.loop_episodes.get(name) == iterations - 1
             loops_checked += 1
     assert loops_checked > 100

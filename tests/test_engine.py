@@ -15,7 +15,6 @@ from daig.graph import (
     Prod,
     check_wf,
     head_fix_name,
-    head_iter_name,
     loc_state_name,
     stmt_cell_locs,
 )
@@ -125,8 +124,8 @@ def test_unroll_adds_three_cells_and_never_copies_statements():
     eng.query(head_fix_name(head, loops))
     assert eng.metrics.unrollings == 1
     added = set(eng.daig.refs) - names_before
-    it1 = head_iter_name(head, 1, loops)
-    it2 = head_iter_name(head, 2, loops)
+    it1 = loc_state_name(head, loops).with_count(head, 1)
+    it2 = loc_state_name(head, loops).with_count(head, 2)
     assert added == {
         Iter(LocN(body_loc), ((head, 1),)),
         Prod(it1, it2),
@@ -150,7 +149,8 @@ def test_unroll_is_idempotent_after_rollback():
     eng.apply_program_edit(RelabelEdge(back.src, back.dst, back.stmt))
     eng.write_cell(Prod(LocN(back.src), LocN(back.dst)), parse_stmt_text("x = x + 1;"))
     fix = eng.daig.refs[head_fix_name(head, eng.loops)].comp
-    assert fix.srcs == (head_iter_name(head, 0, loops), head_iter_name(head, 1, loops))
+    it0 = loc_state_name(head, loops)
+    assert fix.srcs == (it0, it0.with_count(head, 1))
     eng.query(head_fix_name(head, loops))
     shape_after = (computations(eng.daig), sorted(map(repr, eng.daig.refs)))
     assert shape_before == shape_after
@@ -191,8 +191,8 @@ def test_editing_converged_loop_rolls_back_and_empties_iterates():
     eng.write_cell(Prod(LocN(back.src), LocN(back.dst)), parse_stmt_text("x = x + 2;"))
     fix_after = eng.daig.refs[head_fix_name(head, eng.loops)].comp
     assert fix_after.srcs == (
-        head_iter_name(head, 0, eng.loops),
-        head_iter_name(head, 1, eng.loops),
+        loc_state_name(head, eng.loops).with_count(head, 0),
+        loc_state_name(head, eng.loops).with_count(head, 1),
     )
     for name, cell in eng.daig.refs.items():
         if isinstance(name, Iter) and name.count_of(head) >= 1:

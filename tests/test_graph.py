@@ -21,12 +21,12 @@ from daig.graph import (
     check_cfg_consistency,
     check_wf,
     head_fix_name,
-    head_iter_name,
     incr_name,
     init_daig,
     loc_state_name,
     name_key,
     to_dot,
+    unroll,
 )
 from daig.engine import Engine, PreservationError
 from daig.lang.edits import apply_edit
@@ -34,7 +34,14 @@ from daig.lang.loops import analyze_loops
 from daig.lang.parser import parse_program
 from daig.workload import gen_edit, gen_program_source
 
-from helpers import APPEND_SRC, append_cfg, computations, ivl, while_cfg
+from helpers import (
+    APPEND_SRC,
+    append_cfg,
+    computations,
+    ivl,
+    no_reference_cycles,
+    while_cfg,
+)
 
 
 def build(src):
@@ -59,7 +66,8 @@ def test_append_daig_structure():
     # one fix edge from the two first iterates into the head's fixed point
     fix = d.refs[head_fix_name(head, loops)].comp
     assert fix.fn is FnSymbol.FIX
-    assert fix.srcs == (head_iter_name(head, 0, loops), head_iter_name(head, 1, loops))
+    it0 = loc_state_name(head, loops)
+    assert fix.srcs == (it0, it0.with_count(head, 1))
     # the return join has two ordered operands
     join = d.refs[LocN(cfg.exit)].comp
     assert join.fn is FnSymbol.JOIN
@@ -308,7 +316,7 @@ def test_cfg_consistency_catches_faults_in_unrolled_nested_loops():
     reasons: list[str] = []
     assert check_cfg_consistency(d, cfg, loops, reasons) and not reasons
 
-    (inner_body,) = loops.natural_loops[inner] - {inner}
+    (inner_body,) = loops.natural_loops[inner]
     after_inner = loops.back_edge_of(outer).src  # reads the inner fixed point
     exit_stmt = Prod(LocN(inner), LocN(after_inner))
     assert d.refs[exit_stmt].ty is CellType.STMT
@@ -354,6 +362,64 @@ def test_cfg_consistency_catches_faults_in_unrolled_nested_loops():
     assert at(inner, 1, 2) in d.refs
     reasons = []
     assert check_cfg_consistency(d, eng.cfg, eng.loops, reasons) and not reasons
+
+
+def test_unroll_of_an_outer_loop_adds_one_iterate_and_a_depth_one_inner_loop():
+    cfg = parse_program(NESTED_SRC).proc("main").cfg
+    loops = analyze_loops(cfg)
+    d = init_daig(cfg, loops, INTERVAL)
+    outer, inner = nested_heads(loops)
+    (body,) = loops.natural_loops[inner]  # j = j + 1
+    tail = loops.back_edge_of(outer).src  # i = i + 1
+    (start,) = loops.natural_loops[outer] - loops.natural_loops[inner] - {inner, tail}
+
+    def stmt(a, b):
+        return Prod(LocN(a), LocN(b))
+
+    def at(loc, o, i=None):
+        counts = ((outer, o),) if i is None else ((outer, o), (inner, i))
+        return Iter(LocN(loc), counts)
+
+    T, W, F = FnSymbol.TRANSFER, FnSymbol.WIDEN, FnSymbol.FIX
+    pre = Prod(at(outer, 1), at(outer, 2))
+    inner_pre = Prod(at(inner, 1, 0), at(inner, 1, 1))
+    added = [
+        Computation(at(outer, 2), W, (at(outer, 1), pre)),
+        Computation(pre, T, (stmt(tail, outer), at(tail, 1))),
+        Computation(at(start, 1), T, (stmt(outer, start), at(outer, 1))),
+        Computation(at(inner, 1, 0), T, (stmt(start, inner), at(start, 1))),
+        Computation(at(body, 1, 0), T, (stmt(inner, body), at(inner, 1, 0))),
+        Computation(inner_pre, T, (stmt(body, inner), at(body, 1, 0))),
+        Computation(at(inner, 1, 1), W, (at(inner, 1, 0), inner_pre)),
+        Computation(at(inner, 1), F, (at(inner, 1, 0), at(inner, 1, 1))),
+        Computation(at(tail, 1), T, (stmt(inner, tail), at(inner, 1))),
+    ]
+    slid = Computation(LocN(outer), F, (at(outer, 1), at(outer, 2)))
+
+    names_before, comps_before = set(d.refs), computations(d)
+    region = unroll(d, d.refs[LocN(outer)].comp, loops)
+    assert region == {
+        Prod(at(outer, 0), at(outer, 1)),
+        at(start, 0),
+        at(inner, 0, 0),
+        at(body, 0, 0),
+        Prod(at(inner, 0, 0), at(inner, 0, 1)),
+        at(inner, 0, 1),
+        at(inner, 0),
+        at(tail, 0),
+    }
+    assert set(d.refs) - names_before == {c.dest for c in added}
+    for c in added:
+        assert d.refs[c.dest].ty is CellType.STATE and d.refs[c.dest].is_empty()
+    changed = {n: c for n, c in computations(d).items() if comps_before.get(n) != c}
+    assert changed == {c.dest: c for c in added + [slid]}
+    assert check_wf(d) == []
+
+
+def test_consistency_check_leaves_no_reference_cycles():
+    eng = nested_engine()
+    with no_reference_cycles():
+        assert check_cfg_consistency(eng.daig, eng.cfg, eng.loops)
 
 
 def test_ai_consistency_vacuous_then_preserved_then_detects_corruption():
@@ -427,9 +493,10 @@ def test_incr_name_nested_counts():
     # bumped names and re-counted names are the interned objects themselves
     assert incr_name(name, inner, loops) is Iter(LocN(body_loc), ((outer, 1), (inner, 1)))
     assert incr_name(name, outer, loops) is Iter(LocN(body_loc), ((outer, 2), (inner, 0)))
-    pair = Prod(name, head_iter_name(inner, 0, loops))
+    inner0 = loc_state_name(inner, loops)
+    pair = Prod(name, inner0)
     assert incr_name(pair, inner, loops) is Prod(
-        Iter(LocN(body_loc), ((outer, 1), (inner, 1))), head_iter_name(inner, 1, loops)
+        Iter(LocN(body_loc), ((outer, 1), (inner, 1))), inner0.with_count(inner, 1)
     )
     assert name.with_count(inner, 4) is Iter(LocN(body_loc), ((inner, 4), (outer, 1)))
     assert name.with_count(outer, 0) is Iter(LocN(body_loc), ((outer, 0), (inner, 0)))
@@ -443,7 +510,8 @@ def test_pre_widen_and_fix_names():
     d = init_daig(cfg, loops, INTERVAL)
     (head,) = loops.natural_loops
     assert head_fix_name(head, loops) == LocN(head)
-    it0, it1 = head_iter_name(head, 0, loops), head_iter_name(head, 1, loops)
+    it0 = loc_state_name(head, loops)
+    it1 = it0.with_count(head, 1)
     pw = Prod(it0, it1)
     assert d.refs[pw].comp.fn is FnSymbol.TRANSFER
     assert d.refs[it1].comp == Computation(it1, FnSymbol.WIDEN, (it0, pw))
