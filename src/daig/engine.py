@@ -16,7 +16,6 @@ from typing import Callable, Optional
 from .graph import (
     FIX,
     JOIN,
-    STATE,
     STMT,
     TRANSFER,
     WIDEN,
@@ -108,12 +107,11 @@ class Engine:
     edit adopts its cells for the locations it touches, writing each
     computation through ``Daig.set_comp``.  ``unroll`` is the one code that
     extends a loop by an iterate.  Under ``debug`` the fresh graph and every
-    public operation are checked by ``assert_invariants``, which compares the
-    graph with a from-scratch reference: a fresh graph whose live loops
-    ``unroll`` takes to this graph's depths.  A
-    pickled or snapshot engine starts without cached sources and links them
-    again as it is queried, as do cells that unrolling or an edit gives a
-    new computation.
+    public operation are checked by ``assert_invariants``, which compares
+    the graph with a from-scratch reference: a fresh graph whose live loops
+    ``unroll`` takes to this graph's depths.  A pickled or snapshot engine
+    starts without cached sources and links them again as it is queried, as
+    do cells that unrolling or an edit gives a new computation.
 
     Mutating operations (query, write_cell, apply_program_edit) must be
     externally serialized; ``snapshot`` produces an independent copy that
