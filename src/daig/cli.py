@@ -11,6 +11,10 @@ command per line::
     dump dot <path>
     metrics
 
+A query's context lists its call sites as ``Context`` prints them
+(``@[main:l2,f:l5]``) or by bare location ids (``@[2,5]``); bare ids that
+match more than one live context are an error that lists them.
+
 Exit codes: 1 on parse or validation failure, 2 on an internal invariant
 violation (a preservation check or cross-configuration mismatch).
 """
@@ -18,6 +22,7 @@ violation (a preservation check or cross-configuration mismatch).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -98,19 +103,30 @@ class Session:
         raise SessionError(f"unknown command {cmd!r}")
 
     def _parse_ctx(self, proc: str, token: str) -> Context:
+        """The live context of ``proc`` that ``token`` names, each call site
+        written as ``Context`` prints it (``main:l2``) or as a bare
+        location id; an id that several live contexts share is an error."""
         if not (token.startswith("@[") and token.endswith("]")):
             raise SessionError(f"bad context {token!r}")
         inner = token[2:-1].strip()
         if not inner:
             return ENTRY_CONTEXT
-        try:
-            ids = [int(x) for x in inner.split(",")]
-        except ValueError:
-            raise SessionError(f"bad context {token!r}") from None
-        for (p, ctx) in self.forest.live_keys():
-            if p == proc and [l for (_cp, l) in ctx.sites] == ids:
-                return ctx
-        raise SessionError(f"no live context {token} for {proc!r}")
+        sites = [re.fullmatch(r"\s*(?:(\w+):l)?(\d+)\s*", part) for part in inner.split(",")]
+        if not all(sites):
+            raise SessionError(f"bad context {token!r}")
+        matches = [
+            ctx
+            for (p, ctx) in self.forest.live_keys()
+            if p == proc
+            and len(ctx) == len(sites)
+            and all(l == int(m[2]) and m[1] in (None, cp) for (cp, l), m in zip(ctx, sites))
+        ]
+        if not matches:
+            raise SessionError(f"no live context {token} for {proc!r}")
+        if len(matches) > 1:
+            listed = ", ".join(map(repr, matches))
+            raise SessionError(f"context {token} is ambiguous for {proc!r}: {listed}")
+        return matches[0]
 
     def _query(self, line: str, words: list[str]) -> str:
         if len(words) not in (3, 4):

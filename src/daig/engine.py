@@ -10,6 +10,7 @@ nothing until demanded again.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -31,7 +32,6 @@ from .graph import (
     fix_head,
     head_fix_name,
     init_daig,
-    name_key,
     stmt_cell_locs,
     unroll,
 )
@@ -149,15 +149,7 @@ class Engine:
     # -- plumbing -------------------------------------------------------------
 
     def snapshot(self) -> "Engine":
-        out = Engine.__new__(Engine)
-        out.cfg = self.cfg
-        out.domain = self.domain
-        out.loops = self.loops
-        out.mode = self.mode
-        out.memo = self.memo
-        out.enable_memo = self.enable_memo
-        out.debug = self.debug
-        out.call_handler = self.call_handler
+        out = copy.copy(self)
         out.metrics = Metrics(**self.metrics.snapshot())
         out.daig = self.daig.copy()
         return out
@@ -312,7 +304,7 @@ class Engine:
             if between != want:
                 raise PreservationError(
                     f"unrolling region of {fix_comp.dest!r} is "
-                    f"{sorted(between, key=name_key)}, wanted {sorted(want, key=name_key)}"
+                    f"{sorted(between)}, wanted {sorted(want)}"
                 )
 
     def query_loc(self, loc: Loc):
@@ -379,6 +371,8 @@ class Engine:
             self._dirty(name, include_self=value is None)
             if value is not None:
                 cell.contents = value
+                if name == self.daig.entry_name:
+                    self.daig.entry_state = value
         self._after_public_op()
 
     def _check_no_calls(self, stmts) -> None:
@@ -391,8 +385,9 @@ class Engine:
                     )
 
     def _dirty(self, start: Name, include_self: bool) -> None:
-        # The consumer sets are visited in an order that follows where names
-        # sit in memory; what this empties is a closure, the same in any order.
+        # The consumer sets are visited in the order of their names' hashes,
+        # the same in every process; what this empties is a closure, the same
+        # in any order.
         daig = self.daig
         refs = daig.refs
         index = daig.consumer_index

@@ -7,17 +7,17 @@ numbered abstract-iterate cells chained by widening, and a distinguished
 ``fix`` computation from the two greatest iterates to the head's
 fixed-point cell stands in for the cyclic dependency.
 
-Names are interned: each kind is built through a table of its live names,
-so equal names are the same object and compare by identity.  Unpickling and
-copying go through the constructors and re-intern.
+Names are values: tuples tagged with their kind, so equal names are equal
+tuples that hash and compare in C, hash alike in every process, and sort
+by kind, then by their parts.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Union
-from weakref import ref
 
 from .lang.cfg import Cfg, CfgError, Loc
 from .lang.loops import LoopInfo
@@ -25,165 +25,101 @@ from .lang.syntax import Call, stmt_text
 
 # --- names ----------------------------------------------------------------
 #
-# Identity is equality, and names hash by identity too, so dict and set
-# operations on names never call back into Python.  The tables hold weak
-# references: a name lives only as long as some graph or caller holds it.
-# An identity hash follows the name's address, so the iteration order of a
-# set of names can differ between runs: whatever such an order could reach
-# an output is sorted by ``name_key`` first, or does not depend on order.
+# Each name is a tuple whose first item is its kind's tag: ``(0, loc)``,
+# ``(1, index)``, ``(2, base, counts)`` and ``(3, left, right)``.  Its
+# hash follows its value alone, so a set of names iterates in the same
+# order in every process; its order is the tuple order, by kind first.
+# Pickling and copying go through the constructors.
 
 
-class _Entry(ref):
-    """A weak reference to an interned name, carrying its table and key."""
-
-    __slots__ = ("table", "key")
-
-
-def _forget(entry: _Entry) -> None:
-    """Drop a dead name's entry, unless a newer name has taken its key."""
-    if entry.table.get(entry.key) is entry:
-        del entry.table[entry.key]
-
-
-_LOCN: dict = {}
-_IDXN: dict = {}
-_PROD: dict = {}
-_ITER: dict = {}
-
-
-def _intern(table: dict, key, name: "Name") -> "Name":
-    entry = table[key] = _Entry(name, _forget)
-    entry.table = table
-    entry.key = key
-    return name
-
-
-class LocN:
-    __slots__ = ("loc", "__weakref__")
+class LocN(tuple):
+    __slots__ = ()
 
     def __new__(cls, loc: Loc) -> "LocN":
-        entry = _LOCN.get(loc)
-        if entry is not None:
-            self = entry()
-            if self is not None:
-                return self
-        self = object.__new__(cls)
-        self.loc = loc
-        return _intern(_LOCN, loc, self)
+        return tuple.__new__(cls, (0, loc))
 
-    def __reduce__(self):
-        return (LocN, (self.loc,))
+    loc = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return (self[1],)
 
     def __repr__(self):
-        return f"l{self.loc}"
+        return f"l{self[1]}"
 
 
-class IdxN:
-    __slots__ = ("index", "__weakref__")
+class IdxN(tuple):
+    __slots__ = ()
 
     def __new__(cls, index: int) -> "IdxN":
-        entry = _IDXN.get(index)
-        if entry is not None:
-            self = entry()
-            if self is not None:
-                return self
-        self = object.__new__(cls)
-        self.index = index
-        return _intern(_IDXN, index, self)
+        return tuple.__new__(cls, (1, index))
 
-    def __reduce__(self):
-        return (IdxN, (self.index,))
+    index = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return (self[1],)
 
     def __repr__(self):
-        return str(self.index)
+        return str(self[1])
 
 
-class Prod:
+class Prod(tuple):
     """Right-nested name product: the left part is never itself a product."""
 
-    __slots__ = ("left", "right", "__weakref__")
+    __slots__ = ()
 
     def __new__(cls, left: "Name", right: "Name") -> "Prod":
         assert not isinstance(left, Prod), "products are right-nested"
-        # The parts are interned and a product holds them, so their ids name
-        # them for as long as the product's entry lives.
-        key = (id(left), id(right))
-        entry = _PROD.get(key)
-        if entry is not None:
-            self = entry()
-            if self is not None:
-                return self
-        self = object.__new__(cls)
-        self.left = left
-        self.right = right
-        return _intern(_PROD, key, self)
+        return tuple.__new__(cls, (3, left, right))
 
-    def __reduce__(self):
-        return (Prod, (self.left, self.right))
+    left = property(itemgetter(1))
+    right = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        return self[1:]
 
     def __repr__(self):
-        return f"{self.left!r}.{self.right!r}"
+        return f"{self[1]!r}.{self[2]!r}"
 
 
-def _iter(base: LocN, counts: tuple[tuple[Loc, int], ...]) -> "Iter":
-    """The interned ``Iter`` for ``counts`` already sorted by head."""
-    key = (base.loc, counts)
-    entry = _ITER.get(key)
-    if entry is not None:
-        self = entry()
-        if self is not None:
-            return self
-    assert counts, "Iter requires at least one loop-head count"
-    self = object.__new__(Iter)
-    self.base = base
-    self.counts = counts
-    return _intern(_ITER, key, self)
-
-
-class Iter:
+class Iter(tuple):
     """A location name tagged with one iteration count per enclosing loop head."""
 
-    __slots__ = ("base", "counts", "__weakref__")
+    __slots__ = ()
 
     def __new__(cls, base: LocN, counts: Iterable[tuple[Loc, int]]) -> "Iter":
-        return _iter(base, tuple(sorted(counts)))
+        counts = tuple(sorted(counts))
+        assert counts, "Iter requires at least one loop-head count"
+        return tuple.__new__(cls, (2, base, counts))
+
+    base = property(itemgetter(1))
+    counts = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        return self[1:]
 
     def count_of(self, head: Loc) -> int:
-        for h, c in self.counts:
+        for h, c in self[2]:
             if h == head:
                 return c
         return 0
 
     def with_count(self, head: Loc, value: int) -> "Iter":
-        if any(h == head for h, _ in self.counts):
-            return _iter(
-                self.base, tuple((h, value if h == head else c) for h, c in self.counts)
-            )
-        return Iter(self.base, self.counts + ((head, value),))
-
-    def __reduce__(self):
-        return (Iter, (self.base, self.counts))
+        _, base, counts = self
+        if any(h == head for h, _ in counts):
+            # Replacing a count keeps the heads sorted.
+            counts = tuple((h, value if h == head else c) for h, c in counts)
+            return tuple.__new__(Iter, (2, base, counts))
+        return Iter(base, counts + ((head, value),))
 
     def __repr__(self):
-        if len(self.counts) == 1:
-            return f"{self.base!r}^({self.counts[0][1]})"
-        inner = ",".join(f"l{h}:{c}" for h, c in self.counts)
-        return f"{self.base!r}^({inner})"
+        _, base, counts = self
+        if len(counts) == 1:
+            return f"{base!r}^({counts[0][1]})"
+        inner = ",".join(f"l{h}:{c}" for h, c in counts)
+        return f"{base!r}^({inner})"
 
 
 Name = Union[LocN, IdxN, Prod, Iter]
-
-
-def name_key(n: Name) -> tuple:
-    if isinstance(n, LocN):
-        return (0, n.loc)
-    if isinstance(n, IdxN):
-        return (1, n.index)
-    if isinstance(n, Iter):
-        return (2, name_key(n.base), n.counts)
-    if isinstance(n, Prod):
-        return (3, name_key(n.left), name_key(n.right))
-    raise TypeError(n)
 
 
 # --- cells and computations -------------------------------------------------
@@ -385,7 +321,7 @@ class Daig:
         stack = [root.comp] if root is not None and root.comp is not None else []
         while stack:
             for s in stack.pop().srcs:
-                if s not in seen and s is not stop:
+                if s not in seen and s != stop:
                     cell = refs.get(s)
                     if cell is not None and cell.comp is not None:
                         seen.add(s)
@@ -626,7 +562,7 @@ def unroll(d: Daig, fix: Computation, loops: LoopInfo) -> set[Name]:
     first, final = fix.srcs
     head = fix_head(fix.dest)
     between = d.backward_set(final, stop=first)
-    region = sorted(between | {final}, key=name_key)
+    region = sorted(between | {final})
     bumped: dict[Name, Name] = {}
     for n in region:
         nn = bumped[n] = incr_name(n, head, loops)
@@ -690,7 +626,7 @@ def check_wf(d: Daig) -> list[Violation]:
             out.append(Violation("StaleLink", name, "cached sources are not its computation's"))
         if comp is None:
             continue
-        if comp.dest is not name:
+        if comp.dest != name:
             out.append(Violation("BadDest", name, "cell holds a computation into another cell"))
             continue
         for s in comp.srcs:
@@ -719,7 +655,7 @@ def check_wf(d: Daig) -> list[Violation]:
     indeg = {n: 0 for n in refs}
     for name, cell in refs.items():
         comp = cell.comp
-        if comp is not None and comp.dest is name and all(s in refs for s in comp.srcs):
+        if comp is not None and comp.dest == name and all(s in refs for s in comp.srcs):
             indeg[name] = len(set(comp.srcs))
     ready = [n for n, k in indeg.items() if k == 0]
     removed = 0
@@ -732,7 +668,7 @@ def check_wf(d: Daig) -> list[Violation]:
                 if indeg[dest] == 0:
                     ready.append(dest)
     if removed != len(indeg):
-        stuck = sorted((n for n, k in indeg.items() if k > 0), key=name_key)
+        stuck = sorted(n for n, k in indeg.items() if k > 0)
         for n in stuck[:1]:
             out.append(Violation("Acyclicity", n, "cell participates in a dependency cycle"))
 
@@ -746,10 +682,10 @@ def check_wf(d: Daig) -> list[Violation]:
             stale.append(Violation("StaleIndex", s, f"indexed consumer {u!r} does not read it"))
     for final in fixes.keys() | d.fix_by_final.keys():
         have, want = d.fix_by_final.get(final), fixes.get(final)
-        if have is not want:
+        if have != want:
             detail = f"fix index gives {have!r}, wanted {want!r}"
             stale.append(Violation("StaleIndex", final, detail))
-    out += sorted(stale, key=lambda v: (name_key(v.name), v.detail))
+    out += sorted(stale, key=lambda v: (v.name, v.detail))
 
     for name, cell in refs.items():
         if cell.is_empty() and cell.comp is None:
@@ -776,14 +712,14 @@ def check_cfg_consistency(
             reasons.append(msg)
         return False
 
-    if d.entry_name is not LocN(cfg.entry):
+    if d.entry_name != LocN(cfg.entry):
         return fail("entry cell name does not match the CFG entry")
     ref = init_daig(cfg, loops, None, d.entry_state)
     refs = d.refs
     heads = sorted(loops.natural_loops, key=lambda h: (len(loops.enclosing[h]), h))
     for h in heads:
         instances = [n for n in ref.fix_by_final.values() if fix_head(n) == h]
-        for name in sorted(instances, key=name_key):
+        for name in sorted(instances):
             cell = refs.get(name)
             comp = None if cell is None else cell.comp
             if comp is None:
@@ -878,7 +814,7 @@ def to_dot(d: Daig, domain=None) -> str:
         return s.replace("\\", "\\\\").replace('"', '\\"')
 
     lines = ["digraph daig {", "  rankdir=TB;", '  node [fontsize=10];']
-    for name, cell in sorted(d.refs.items(), key=lambda kv: name_key(kv[0])):
+    for name, cell in sorted(d.refs.items()):
         label = repr(name)
         if cell.ty is STMT:
             label += "\\n" + esc(stmt_text(cell.contents))
@@ -896,7 +832,7 @@ def to_dot(d: Daig, domain=None) -> str:
             f'  {nid(name)} [shape=box, style="{style}", fillcolor={fill}, label="{esc(label)}"];'
         )
     comps = [cell.comp for cell in d.refs.values() if cell.comp is not None]
-    for i, comp in enumerate(sorted(comps, key=lambda c: name_key(c.dest))):
+    for i, comp in enumerate(sorted(comps, key=lambda c: c.dest)):
         j = f"f{i}"
         lines.append(f'  {j} [shape=point, xlabel="{comp.fn.value}"];')
         for s in comp.srcs:

@@ -27,28 +27,18 @@ from .lang.syntax import Call
 CallSite = tuple[str, Loc]
 
 
-class Context:
-    """Call-string context: the most recent call sites, bounded by the policy."""
+class Context(tuple):
+    """Call-string context: the most recent call sites, bounded by the
+    policy; a tuple of its sites, so it hashes and orders as they do."""
 
-    __slots__ = ("sites", "_h")
+    __slots__ = ()
 
-    def __init__(self, sites: tuple[CallSite, ...] = ()):
-        self.sites = tuple(sites)
-        self._h = hash(self.sites)
+    def __new__(cls, sites: tuple[CallSite, ...] = ()) -> "Context":
+        return tuple.__new__(cls, sites)
 
-    def __eq__(self, other):
-        return isinstance(other, Context) and other.sites == self.sites
-
-    def __hash__(self):
-        return self._h
-
-    def __reduce__(self):
-        # Rebuild through the constructor: a pickled hash would be stale in
-        # a process with another string-hash seed.
-        return (Context, (self.sites,))
-
-    def __lt__(self, other):
-        return self.sites < other.sites
+    @property
+    def sites(self) -> tuple[CallSite, ...]:
+        return tuple(self)
 
     def __repr__(self):
         if not self.sites:
@@ -138,7 +128,6 @@ class DaigForest:
             return
         if self.domain.equal(merged, eng.daig.entry_state):
             return
-        eng.daig.entry_state = merged
         eng.write_cell(eng.daig.entry_name, merged)
         self._dirty_callers(proc, ctx)
 
@@ -239,9 +228,7 @@ class DaigForest:
         seen = set(work)
         while work:
             key = work.pop()
-            for caller, caller_ctx, cell in sorted(
-                self.call_deps.get(key, ()), key=lambda t: (t[0], t[1], repr(t[2]))
-            ):
+            for caller, caller_ctx, cell in sorted(self.call_deps.get(key, ())):
                 eng = self.engines.get((caller, caller_ctx))
                 if eng is not None and cell in eng.daig.refs:
                     eng.write_cell(cell, None)

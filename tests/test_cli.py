@@ -93,6 +93,48 @@ def test_repl_interprocedural_query_with_context():
     assert sorted(lines[1:]) == ["{p:[0,0], ret:[1,1]}", "{p:[5,5], ret:[6,6]}"]
 
 
+TWO_CALLERS_SRC = """
+fn main() {
+  a = 1;
+  b = 2;
+  c = g(a);
+  d = f(b);
+}
+fn f(q) {
+  x = 1;
+  y = 2;
+  ret = g(q);
+}
+fn g(p) {
+  ret = p + 1;
+}
+"""
+
+
+def test_repl_context_by_printed_sites_and_ambiguous_bare_ids(tmp_path):
+    # main and f each call g at their own l2, so a bare id names both contexts.
+    src = tmp_path / "two_callers.imp"
+    src.write_text(TWO_CALLERS_SRC, encoding="utf-8")
+    script = (
+        "query main exit\n"
+        "query g exit @[2]\n"
+        "query g exit @[main:l2]\n"
+        "query g exit @[f:l2]\n"
+        "query g exit @[f:l3]\n"
+        "query g exit @[main:2]\n"
+    )
+    code, out, err = run_cli(["repl", str(src), "--ctx", "1"], script)
+    assert code == 0, err
+    assert out.splitlines() == [
+        "{a:[1,1], b:[2,2], c:[2,2], d:[3,3]}",
+        "error: context @[2] is ambiguous for 'g': @[f:l2], @[main:l2]",
+        "{p:[1,1], ret:[2,2]}",
+        "{p:[2,2], ret:[3,3]}",
+        "error: no live context @[f:l3] for 'g'",
+        "error: bad context '@[main:2]'",
+    ]
+
+
 def test_repl_reports_session_errors_and_continues():
     script = "query main 99\nquery main exit\n"
     code, out, err = run_cli(["repl", str(SAMPLES / "while.imp")], script)

@@ -199,6 +199,18 @@ def test_editing_converged_loop_rolls_back_and_empties_iterates():
             assert cell.is_empty()
 
 
+def test_writing_the_entry_cell_sets_the_entry_state():
+    cfg = parse_program("fn main() { y = x + 1; }").proc("main").cfg
+    eng = Engine(cfg, INTERVAL, debug=True)
+    eng.query_loc(cfg.exit)
+    entry = INTERVAL.init().bind("x", (5, 5))
+    eng.write_cell(eng.daig.entry_name, entry)
+    assert eng.daig.entry_state == entry
+    want = batch_analyze(cfg, analyze_loops(cfg), INTERVAL, entry_state=entry)
+    assert eng.query_loc(cfg.exit) == want.invariants[cfg.exit]
+    assert eng.query_loc(cfg.exit).text() == "{x:[5,5], y:[6,6]}"
+
+
 def test_write_cell_errors():
     cfg = while_cfg()
     eng = Engine(cfg, INTERVAL)

@@ -1,11 +1,8 @@
-import copy
-import gc
 import pickle
 import random
 
 import pytest
 
-from daig import graph
 from daig.batch import batch_analyze
 from daig.domains import INTERVAL
 from daig.graph import (
@@ -24,7 +21,6 @@ from daig.graph import (
     incr_name,
     init_daig,
     loc_state_name,
-    name_key,
     to_dot,
     unroll,
 )
@@ -40,6 +36,7 @@ from helpers import (
     computations,
     ivl,
     no_reference_cycles,
+    run_under_hash_seed,
     while_cfg,
 )
 
@@ -232,7 +229,7 @@ def test_wf_detects_stale_cell_links():
     stmt, old_src = recorded.srcs
     cell.comp = Computation(recorded.dest, recorded.fn, (stmt, d.entry_name))
     assert [(v.kind, v.name) for v in check_wf(d)] == [("StaleLink", name)] + sorted(
-        [("StaleIndex", d.entry_name), ("StaleIndex", old_src)], key=lambda kv: name_key(kv[1])
+        [("StaleIndex", d.entry_name), ("StaleIndex", old_src)]
     )
     with pytest.raises(PreservationError, match="StaleLink"):
         eng.query_loc(eng.cfg.exit)
@@ -490,18 +487,18 @@ def test_incr_name_nested_counts():
     outer = max(loops.natural_loops, key=lambda h: len(loops.natural_loops[h]))
     body_loc = sorted(loops.natural_loops[inner])[0]
     name = Iter(LocN(body_loc), ((outer, 1), (inner, 0)))
-    # bumped names and re-counted names are the interned objects themselves
-    assert incr_name(name, inner, loops) is Iter(LocN(body_loc), ((outer, 1), (inner, 1)))
-    assert incr_name(name, outer, loops) is Iter(LocN(body_loc), ((outer, 2), (inner, 0)))
+    # bumped names and re-counted names equal the names built afresh
+    assert incr_name(name, inner, loops) == Iter(LocN(body_loc), ((outer, 1), (inner, 1)))
+    assert incr_name(name, outer, loops) == Iter(LocN(body_loc), ((outer, 2), (inner, 0)))
     inner0 = loc_state_name(inner, loops)
     pair = Prod(name, inner0)
-    assert incr_name(pair, inner, loops) is Prod(
+    assert incr_name(pair, inner, loops) == Prod(
         Iter(LocN(body_loc), ((outer, 1), (inner, 1))), inner0.with_count(inner, 1)
     )
-    assert name.with_count(inner, 4) is Iter(LocN(body_loc), ((inner, 4), (outer, 1)))
-    assert name.with_count(outer, 0) is Iter(LocN(body_loc), ((outer, 0), (inner, 0)))
+    assert name.with_count(inner, 4) == Iter(LocN(body_loc), ((inner, 4), (outer, 1)))
+    assert name.with_count(outer, 0) == Iter(LocN(body_loc), ((outer, 0), (inner, 0)))
     top = Iter(LocN(outer), ((outer, 0),))
-    assert top.with_count(inner, 1) is Iter(LocN(outer), ((inner, 1), (outer, 0)))
+    assert top.with_count(inner, 1) == Iter(LocN(outer), ((inner, 1), (outer, 0)))
 
 
 def test_pre_widen_and_fix_names():
@@ -536,15 +533,22 @@ def rebuilt(n):
     return Iter(rebuilt(n.base), n.counts)
 
 
-def test_equal_names_are_one_object():
-    assert LocN(3) is LocN(3)
-    assert IdxN(2) is IdxN(2)
-    assert Prod(LocN(1), LocN(2)) is Prod(LocN(1), LocN(2))
+def test_names_built_apart_are_equal_and_find_one_cell():
     a = Iter(LocN(5), ((3, 1), (7, 0), (9, 2)))
-    assert Iter(LocN(5), [(9, 2), (3, 1), (7, 0)]) is a
-    assert Iter(LocN(5), iter([(7, 0), (9, 2), (3, 1)])) is a
-    assert Iter(LocN(5), ((3, 1), (7, 0), (9, 3))) is not a
+    for b in (Iter(LocN(5), [(9, 2), (3, 1), (7, 0)]), Iter(LocN(5), iter([(7, 0), (9, 2), (3, 1)]))):
+        assert b == a and hash(b) == hash(a) and type(b) is Iter
+    assert Iter(LocN(5), ((3, 1), (7, 0), (9, 3))) != a
+    assert Prod(LocN(1), LocN(2)) == Prod(LocN(1), LocN(2))
     assert LocN(3) != IdxN(3)
+    eng = Engine(append_cfg(), INTERVAL)
+    eng.query_loc(eng.cfg.exit)
+    refs = eng.daig.refs
+    for n, cell in refs.items():
+        built = rebuilt(n)
+        assert built == n and hash(built) == hash(n)
+        assert refs[built] is cell
+        if cell.comp is not None:
+            assert [refs[rebuilt(s)] for s in cell.comp.srcs] == list(eng.daig.sources(cell))
 
 
 def _warm_engine(seed: int) -> Engine:
@@ -557,13 +561,14 @@ def _warm_engine(seed: int) -> Engine:
     return eng
 
 
-def test_pickled_and_copied_engines_share_interned_names():
+def test_pickled_and_snapshot_engines_have_equal_names():
     eng = _warm_engine(0)
-    for other in (pickle.loads(pickle.dumps(eng)), copy.copy(eng)):
+    for other in (pickle.loads(pickle.dumps(eng)), eng.snapshot()):
+        assert list(other.daig.refs) == list(eng.daig.refs)
+        assert other.daig.entry_name == eng.daig.entry_name
+        assert computations(other.daig) == computations(eng.daig)
         for n in other.daig.refs:
-            assert rebuilt(n) is n
-        for comp in computations(other.daig).values():
-            assert all(rebuilt(n) is n for n in (comp.dest,) + comp.srcs)
+            assert repr(n) == repr(rebuilt(n))
         rng = random.Random(11)
         other.apply_program_edit(gen_edit(rng, other.cfg))
         oracle = batch_analyze(other.cfg, analyze_loops(other.cfg), INTERVAL)
@@ -571,19 +576,42 @@ def test_pickled_and_copied_engines_share_interned_names():
             assert INTERVAL.equal(other.query_loc(loc), oracle.invariants[loc])
 
 
-def test_intern_tables_drop_the_names_of_a_discarded_engine():
-    def live_iters():
-        return {key for key, entry in graph._ITER.items() if entry() is not None}
+# One name of each kind and shape, in no particular order.
+MIXED_NAMES = [
+    Prod(Iter(LocN(4), ((5, 0),)), Iter(LocN(4), ((5, 1),))),
+    IdxN(2),
+    Iter(LocN(3), ((5, 1),)),
+    LocN(10),
+    Prod(IdxN(1), Prod(LocN(2), LocN(3))),
+    Iter(LocN(3), ((7, 2), (5, 0))),
+    Prod(LocN(2), Iter(LocN(3), ((5, 1),))),
+    LocN(3),
+    IdxN(1),
+    Iter(LocN(2), ((9, 4),)),
+    Prod(LocN(2), LocN(3)),
+]
 
-    gc.collect()
-    before = live_iters()
-    eng = _warm_engine(5)
-    fresh = live_iters() - before
-    assert fresh
-    blob = pickle.dumps(eng)
-    del eng
-    gc.collect()
-    assert not fresh & set(graph._ITER)
-    clone = pickle.loads(blob)
-    assert fresh <= set(graph._ITER)
-    assert all(rebuilt(n) is n for n in clone.daig.refs)
+
+def test_name_hashes_are_the_same_under_every_hash_seed():
+    code = "from test_graph import MIXED_NAMES\nprint([hash(n) for n in MIXED_NAMES])\n"
+    here = str([hash(n) for n in MIXED_NAMES])
+    assert run_under_hash_seed("1", code).strip() == here
+    assert run_under_hash_seed("2", code).strip() == here
+
+
+def test_names_sort_by_kind_then_by_their_parts():
+    # Locations, then indices, then iterates, then products; within a kind
+    # by location number (not by text: l3 before l10), counts, then parts.
+    assert [repr(n) for n in sorted(MIXED_NAMES)] == [
+        "l3",
+        "l10",
+        "1",
+        "2",
+        "l2^(4)",
+        "l3^(l5:0,l7:2)",
+        "l3^(1)",
+        "l2.l3",
+        "l2.l3^(1)",
+        "1.l2.l3",
+        "l4^(0).l4^(1)",
+    ]

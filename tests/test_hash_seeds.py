@@ -1,12 +1,12 @@
 """Pickles cross processes whose string hashes differ (``PYTHONHASHSEED``),
 and outputs do not depend on hashes or memory addresses.
 
-Syntax nodes, states and contexts keep their hash in a slot.  Pickling
-rebuilds them through their constructors, so an object loaded in another
-process hashes like a fresh equal one, and an engine loaded there still hits
-its memo.  Cell names hash by identity, so set orders follow where names sit
-in memory; a session must still give the same graph, cell order and
-counters in every process.
+Syntax nodes and states keep their hash in a slot, and contexts are tuples
+that hash afresh.  Pickling rebuilds them through their constructors, so an
+object loaded in another process hashes like a fresh equal one, and an
+engine loaded there still hits its memo.  Cell names are tuples of locations and counts, whose hashes no
+seed changes; a session gives the same graph, cell order and counters in
+every process.
 """
 
 import hashlib
