@@ -19,7 +19,7 @@ from daig.graph import (
     stmt_cell_locs,
 )
 from daig.lang.cfg import Edge
-from daig.lang.edits import InsertIf, InsertStmtAfter, InsertWhile, RelabelEdge
+from daig.lang.edits import InsertIf, InsertStmtAfter, InsertWhile, RelabelEdge, apply_edit
 from daig.lang.loops import analyze_loops
 from daig.lang.parser import parse_expr_text, parse_program, parse_stmt_text
 from daig.lang.syntax import Assume, Skip, stmt_text
@@ -600,6 +600,45 @@ def test_seeded_session_counters_are_pinned():
         "cells_dirtied": 1937,
     }
     assert len(eng.daig.refs) == 297
+
+
+# Per (seed, size): the counters of ``Metrics.snapshot()`` in field order,
+# then the number of cells, of consumer-index entries and of fix-index
+# entries after every location of the program was queried once.
+COLD_PINS = {
+    (0, 20): ((22, 0, 3, 2, 25, 1, 0), (51, 50, 2)),
+    (0, 100): ((118, 4, 6, 31, 128, 2, 0), (270, 269, 4)),
+    (0, 180): ((214, 6, 11, 59, 231, 2, 0), (498, 497, 13)),
+    (1, 20): ((20, 1, 1, 1, 22, 0, 0), (46, 45, 1)),
+    (1, 100): ((110, 7, 5, 5, 122, 1, 0), (242, 241, 4)),
+    (1, 180): ((230, 12, 20, 45, 262, 6, 0), (538, 535, 16)),
+    (2, 20): ((18, 1, 0, 2, 19, 0, 0), (42, 41, 0)),
+    (2, 100): ((104, 8, 4, 7, 116, 0, 0), (239, 238, 4)),
+    (2, 180): ((193, 14, 5, 17, 212, 0, 0), (442, 441, 8)),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cold_engine_counters_and_graph_sizes_are_pinned(seed):
+    # How a fresh graph is built, how a location resolves to its cell and
+    # how unrolling names its cells must not change what a cold engine
+    # computes or how many cells and index entries it holds.
+    rng = random.Random(seed)
+    cfg = parse_program(EMPTY_MAIN).proc("main").cfg
+    for size in (20, 100, 180):
+        while len(cfg.locs) < size:
+            cfg, _delta = apply_edit(cfg, gen_edit(rng, cfg))
+        loops = analyze_loops(cfg)
+        eng = Engine(cfg, INTERVAL, loops=loops)
+        order = sorted(cfg.locs)
+        rng.shuffle(order)
+        want = batch_analyze(cfg, loops, INTERVAL).invariants
+        for loc in order:
+            assert INTERVAL.equal(eng.query_loc(loc), want[loc])
+        d = eng.daig
+        counters, sizes = COLD_PINS[seed, size]
+        assert eng.metrics.snapshot() == dict(zip(eng.metrics.COUNTER_FIELDS, counters))
+        assert (len(d.refs), len(d.consumer_index), len(d.fix_by_final)) == sizes
 
 
 @pytest.mark.parametrize("seed", [0, 7, 9])  # seeds whose sessions unroll loops
