@@ -29,7 +29,9 @@ from pathlib import Path
 
 from .batch import batch_analyze
 from .domains import domain_by_name
-from .graph import check_ai_consistency, check_cfg_consistency, check_wf, init_daig, to_dot
+from .graph import (
+    LocNames, check_ai_consistency, check_cfg_consistency, check_wf, init_daig, to_dot
+)
 from .interproc import Context, DaigForest, ENTRY_CONTEXT
 from .lang.cfg import CfgError, Loc, Program
 from .lang.edits import InsertIf, InsertStmtAfter, InsertWhile, RelabelEdge
@@ -269,7 +271,7 @@ def cmd_check(args) -> int:
     for name in sorted(program.procedures):
         cfg = program.proc(name).cfg
         loops = analyze_loops(cfg)
-        d = init_daig(cfg, loops, domain)
+        d = init_daig(cfg, LocNames(loops), domain)
         wf = check_wf(d)
         if wf:
             print(f"error: {name}: {wf[0]}", file=sys.stderr)

@@ -22,15 +22,14 @@ from .graph import (
     WIDEN,
     Computation,
     Iter,
-    LocN,
     LocNames,
     Name,
+    RefCell,
     check_ai_consistency,
     check_cfg_consistency,
     check_wf,
     dest_structures,
     fix_head,
-    head_fix_name,
     init_daig,
     stmt_cell_locs,
     unroll,
@@ -100,18 +99,23 @@ class Engine:
     still hits its memo in a process with another string-hash seed.
 
     Demand walks linked cells: each cell holds the computation into it (the
-    only place it is kept) and caches its source cells, so a query looks up
+    only place it is kept) and caches its source cells, so a walk looks up
     no names.  Links point upstream only, so the graph has no reference
-    cycles.  ``dest_structures`` is the one builder of a location's cells:
-    a fresh graph (``init_daig``) is its cells over every location, and an
-    edit adopts its cells for the locations it touches, writing each
-    computation through ``Daig.set_comp``.  ``unroll`` is the one code that
-    extends a loop by an iterate.  Under ``debug`` the fresh graph and every
-    public operation are checked by ``assert_invariants``, which compares
-    the graph with a from-scratch reference: a fresh graph whose live loops
-    ``unroll`` takes to this graph's depths.  A pickled or snapshot engine
-    starts without cached sources and links them again as it is queried, as
-    do cells that unrolling or an edit gives a new computation.
+    cycles.  ``names`` is the name table of the loop structure, replaced
+    with it: ``query_loc`` resolves a location through it to one cell per
+    enclosing loop level, each named by the table's ``LocN`` and the counts
+    of the level above's converged first iterate, read from the graph.
+    ``dest_structures`` is the one builder of a location's cells, named
+    through the table: a fresh graph (``init_daig``) is its cells over every
+    location, and an edit adopts its cells for the locations it touches,
+    writing each computation through ``Daig.set_comp``.  ``unroll`` is the
+    one code that extends a loop by an iterate.  Under ``debug`` the fresh
+    graph and every public operation are checked by ``assert_invariants``,
+    which compares the graph with a from-scratch reference: a fresh graph
+    whose live loops ``unroll`` takes to this graph's depths.  A pickled or
+    snapshot engine starts without cached sources and links them again as
+    it is queried, as do cells that unrolling or an edit gives a new
+    computation.
 
     Mutating operations (query, write_cell, apply_program_edit) must be
     externally serialized; ``snapshot`` produces an independent copy that
@@ -135,18 +139,23 @@ class Engine:
             raise ValueError(f"unknown convergence mode {mode!r}")
         self.cfg = cfg
         self.domain = domain
-        self.loops = loops if loops is not None else analyze_loops(cfg)
+        self.names = LocNames(loops if loops is not None else analyze_loops(cfg))
         self.mode = mode
         self.memo = memo if memo is not None else {}
         self.enable_memo = enable_memo
         self.debug = debug
         self.call_handler = call_handler
         self.metrics = Metrics()
-        self.daig = init_daig(cfg, self.loops, domain, entry_state)
+        self.daig = init_daig(cfg, self.names, domain, entry_state)
         if debug:
             self.assert_invariants()
 
     # -- plumbing -------------------------------------------------------------
+
+    @property
+    def loops(self) -> LoopInfo:
+        """The loop structure of ``cfg``, kept with its name table."""
+        return self.names.loops
 
     def snapshot(self) -> "Engine":
         out = copy.copy(self)
@@ -187,14 +196,15 @@ class Engine:
         call handlers may replace computations, so after either the loop
         reads the cell's computation and sources afresh.
         """
-        daig = self.daig
-        root = daig.refs.get(name)
-        if root is None:
-            root = daig.cell(name)  # raises GraphError
+        return self._demand(self.daig.cell(name))
+
+    def _demand(self, root: RefCell):
+        """The value of the cell ``root``, computed as :meth:`query` says."""
         if root.contents is not None:
             if self.debug:
                 self.assert_invariants()
             return root.contents
+        daig = self.daig
         sources = daig.sources
         domain = self.domain
         dname = domain.name
@@ -234,33 +244,37 @@ class Engine:
                 else:
                     self._unroll(comp)
                 continue
-            # Empty sources go on the stack so that the first is demanded first.
-            ready = True
-            for s in reversed(srcs):
-                if s.contents is None:
-                    stack.append(s)
-                    ready = False
-            if not ready:
-                continue
-            vals = tuple([s.contents for s in srcs])
-            if fn is TRANSFER and isinstance(vals[0], Call):
-                # Not memoized: the result depends on the callee's current code.
-                if self.call_handler is None:
-                    raise ContractViolation(
-                        f"call statement {stmt_text(vals[0])!r} reached an "
-                        "engine without an interprocedural handler"
-                    )
-                out = self.call_handler(vals[0], vals[1], comp)
-                # A shared callee entry may have widened during the call,
-                # dirtying this cell's inputs; recompute from fresh ones.
-                if any(s.contents is None for s in srcs):
+            if fn is TRANSFER:
+                stmt, state = srcs[0].contents, srcs[1].contents  # a statement is never empty
+                if state is None:
+                    stack.append(srcs[1])
                     continue
-                cell.contents = out
-                stack.pop()
-                continue
-            # ``_value_`` is the symbol's string, read without the Python-level
-            # ``value`` property; a string hashes in C, an enum member does not.
-            key = (fn._value_, dname) + vals
+                if isinstance(stmt, Call):
+                    # Not memoized: the result depends on the callee's current code.
+                    if self.call_handler is None:
+                        raise ContractViolation(
+                            f"call statement {stmt_text(stmt)!r} reached an "
+                            "engine without an interprocedural handler"
+                        )
+                    out = self.call_handler(stmt, state, comp)
+                    # A shared callee entry may have widened during the call,
+                    # dirtying this cell's inputs; recompute from fresh ones.
+                    if any(s.contents is None for s in srcs):
+                        continue
+                    cell.contents = out
+                    stack.pop()
+                    continue
+                # ``_value_`` is the symbol's string, read without the Python-level
+                # ``value`` property; a string hashes in C, an enum member does not.
+                key = (fn._value_, dname, stmt, state)
+            else:
+                # Empty sources go on the stack so that the first is demanded first.
+                empty = [s for s in srcs if s.contents is None]
+                if empty:
+                    stack.extend(reversed(empty))
+                    continue
+                vals = [s.contents for s in srcs]
+                key = (fn._value_, dname, *vals)
             if memo is not None:
                 out = memo.get(key)
                 if out is not None:
@@ -270,7 +284,7 @@ class Engine:
                     continue
             metrics.memo_misses += 1
             if fn is TRANSFER:
-                out = domain.transfer(vals[0], vals[1])
+                out = domain.transfer(stmt, state)
                 metrics.transfer_evals += 1
             elif fn is JOIN:
                 out = vals[0]
@@ -297,7 +311,7 @@ class Engine:
         upstream of the final one."""
         self.metrics.unrollings += 1
         daig = self.daig
-        between = unroll(daig, fix_comp, self.loops)
+        between = unroll(daig, fix_comp)
         if self.debug:
             first, final = fix_comp.srcs
             want = daig.forward_set(first) & daig.backward_set(final)
@@ -310,26 +324,28 @@ class Engine:
     def query_loc(self, loc: Loc):
         """Abstract state at a program location.
 
-        Locations inside loops resolve to their cell at the final abstract
-        iterate of every enclosing loop, after demanding each enclosing
-        fixed point outermost-first.
+        A location resolves to its cell at the final abstract iterate of
+        every enclosing loop, outermost first: each loop's fixed point is
+        demanded, and the counts of the first iterate it converged at, which
+        that loop's final iteration carries, name the next inner fix cell
+        and at last the location's cell, with the name table's ``LocN``.
         """
         if loc not in self.cfg.locs:
             raise EngineError(f"unknown location l{loc}")
-        loops = self.loops
-        enc = loops.enclosing[loc]
-        is_head = loc in loops.natural_loops
-        if not (enc or is_head):
-            return self.query(LocN(loc))
+        names = self.names
+        ln, _state, fix = names[loc]
+        enc = names.loops.enclosing[loc]
         refs = self.daig.refs
-        counts: dict[Loc, int] = {}
-        for h in (enc + (loc,)) if is_head else enc:
-            fix_name = head_fix_name(h, loops, counts)
-            value = self.query(fix_name)
-            counts[h] = refs[fix_name].comp.srcs[0].count_of(h)
-        if is_head:
-            return value  # the fixed point from the final query above
-        value = self.daig.value(Iter(LocN(loc), [(h, counts[h]) for h in enc]))
+        if not enc:  # an outermost head's fixed-point cell is its LocN too
+            return self._demand(refs[ln])
+        cell = refs[names[enc[0]][0]]
+        value = self._demand(cell)
+        for h in enc[1:] + ((loc,) if fix is not None else ()):
+            cell = refs[Iter(names[h][0], cell.comp.srcs[0][2])]
+            value = self._demand(cell)
+        if fix is not None:
+            return value  # the fixed point from the final demand above
+        value = refs[Iter(ln, cell.comp.srcs[0][2])].contents
         if value is None:
             raise EngineError(f"final iterate of l{loc} was not computed")
         return value
@@ -437,34 +453,33 @@ class Engine:
         One derived edit may be spliced into every engine analyzing the
         edited procedure."""
         ji = stable_join_indices(self.loops.join_indices, delta, loops)
-        new_loops = replace(loops, join_indices=ji)
-        targets = sorted(delta.touched_dsts() | set(delta.added_locs))
+        names = LocNames(replace(loops, join_indices=ji))
+        made: dict[Name, RefCell] = {}
+        dest_structures(new_cfg, names, sorted(delta.touched_dsts() | set(delta.added_locs)), made)
         daig = self.daig
         refs = daig.refs
-        names = LocNames(new_loops)
         content_writes: list[tuple[Name, Stmt]] = []
         dirties: list[Name] = []
-        for d_loc in targets:
-            for name, cell in dest_structures(new_cfg, names, d_loc).items():
-                comp = cell.comp
-                cur = refs.get(name)
-                if cur is None:
-                    cell.comp = None
-                    refs[name] = cell
-                    if comp is not None:
-                        daig.set_comp(comp)
-                elif cell.ty is STMT:
-                    if cur.contents != cell.contents:
-                        content_writes.append((name, cell.contents))
-                elif comp is None or cur.comp == comp:
-                    continue
-                elif cur.comp is None:
+        for name, cell in made.items():
+            comp = cell.comp
+            cur = refs.get(name)
+            if cur is None:
+                cell.comp = None
+                refs[name] = cell
+                if comp is not None:
                     daig.set_comp(comp)
-                elif comp.fn is not FIX:  # any existing unrolling depth is acceptable
-                    daig.set_comp(comp)
-                    dirties.append(name)
+            elif cell.ty is STMT:
+                if cur.contents != cell.contents:
+                    content_writes.append((name, cell.contents))
+            elif comp is None or cur.comp == comp:
+                continue
+            elif cur.comp is None:
+                daig.set_comp(comp)
+            elif comp.fn is not FIX:  # any existing unrolling depth is acceptable
+                daig.set_comp(comp)
+                dirties.append(name)
         self.cfg = new_cfg
-        self.loops = new_loops
+        self.names = names
         for name, stmt in content_writes:
             self._dirty(name, include_self=False)
             daig.refs[name].contents = stmt

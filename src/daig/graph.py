@@ -105,10 +105,11 @@ class Iter(tuple):
 
     def with_count(self, head: Loc, value: int) -> "Iter":
         _, base, counts = self
-        if any(h == head for h, _ in counts):
-            # Replacing a count keeps the heads sorted.
-            counts = tuple((h, value if h == head else c) for h, c in counts)
-            return tuple.__new__(Iter, (2, base, counts))
+        for i, (h, _c) in enumerate(counts):
+            if h == head:
+                # Replacing a count keeps the heads sorted.
+                counts = counts[:i] + ((head, value),) + counts[i + 1:]
+                return tuple.__new__(Iter, (2, base, counts))
         return Iter(base, counts + ((head, value),))
 
     def __repr__(self):
@@ -235,13 +236,6 @@ class Daig:
 
     # -- construction and mutation ------------------------------------------
 
-    def add_cell(self, name: Name, ty: CellType, contents=None) -> RefCell:
-        if name in self.refs:
-            raise GraphError(f"duplicate cell name {name!r}")
-        cell = RefCell(name, ty, contents)
-        self.refs[name] = cell
-        return cell
-
     def set_comp(self, comp: Computation) -> None:
         """Make ``comp`` the computation into its (existing) destination
         cell, replacing any previous one and its source links."""
@@ -282,9 +276,6 @@ class Daig:
             return self.refs[name]
         except KeyError:
             raise GraphError(f"unknown cell name {name!r}") from None
-
-    def value(self, name: Name):
-        return self.cell(name).contents
 
     def copy(self) -> "Daig":
         """An independent graph: new cells (with no cached sources) over the
@@ -336,20 +327,6 @@ def _zero_counts(heads: tuple[Loc, ...]) -> tuple[tuple[Loc, int], ...]:
     return tuple((h, 0) for h in heads)
 
 
-def loc_state_name(loc: Loc, loops: LoopInfo) -> Name:
-    """Initial abstract-state cell name: iterate-0 inside loops, plain outside.
-
-    A loop head's own initial name is its 0th iterate; its fixed point lives
-    in the separate cell named by :func:`head_fix_name`.
-    """
-    heads = loops.enclosing_heads(loc)
-    if loc in loops.natural_loops:
-        heads = heads + (loc,)
-    if not heads:
-        return LocN(loc)
-    return Iter(LocN(loc), _zero_counts(heads))
-
-
 def head_fix_name(head: Loc, loops: LoopInfo, counts: Optional[dict[Loc, int]] = None) -> Name:
     """Fixed-point cell name of the loop at ``head``: plain for an outermost
     loop, else tagged with each enclosing head's count in ``counts`` (all
@@ -357,29 +334,62 @@ def head_fix_name(head: Loc, loops: LoopInfo, counts: Optional[dict[Loc, int]] =
     heads = loops.enclosing[head]
     if not heads:
         return LocN(head)
-    if counts is None:
-        return Iter(LocN(head), _zero_counts(heads))
-    return Iter(LocN(head), [(h, counts[h]) for h in heads])
+    return Iter(LocN(head), [(h, 0 if counts is None else counts[h]) for h in heads])
 
 
-def incr_name(n: Name, head: Loc, loops: LoopInfo) -> Name:
-    """Bump the ``head`` iteration count in names rooted in that loop.
+class LocNames(dict):
+    """The cell names of one loop structure (``loops``): each location's
+    ``LocN``, state cell name (its enclosing heads', and a head's own,
+    counts at zero) and fix cell name (``None`` off loop heads), made once,
+    on first use.  Entries follow from ``loops`` alone, so engine copies may
+    share a table; whoever replaces ``loops`` replaces the table."""
 
-    Identity on everything else; distributes over products, so statement
-    cell names (bare location products) never change.
-    """
-    if isinstance(n, Prod):
-        left = incr_name(n.left, head, loops)
-        right = incr_name(n.right, head, loops)
-        if left is n.left and right is n.right:
-            return n
-        return Prod(left, right)
-    if isinstance(n, Iter):
-        base = n.base.loc
-        if base == head or base in loops.natural_loops.get(head, frozenset()):
-            return n.with_count(head, n.count_of(head) + 1)
+    __slots__ = ("loops",)
+
+    def __init__(self, loops: LoopInfo):
+        self.loops = loops
+
+    def __missing__(self, loc: Loc) -> tuple[LocN, Name, Optional[Name]]:
+        loops = self.loops
+        ln = LocN(loc)
+        heads = loops.enclosing[loc]
+        if loc in loops.natural_loops:
+            out = (ln, Iter(ln, _zero_counts(heads + (loc,))), head_fix_name(loc, loops))
+        else:
+            out = (ln, Iter(ln, _zero_counts(heads)) if heads else ln, None)
+        self[loc] = out
+        return out
+
+
+class Bumps(dict):
+    """The loop at ``head``'s table from a name to the same cell's name one
+    iteration of the loop later, each made on first use.  Only the count of
+    ``head`` is bumped, which the name of every state cell inside the loop
+    carries and no other name does; a product's parts are bumped in place,
+    and are never products that carry it (the only nested product names a
+    statement), so statement names and names outside the loop map to
+    themselves."""
+
+    __slots__ = ("head",)
+
+    def __init__(self, head: Loc):
+        self.head = head
+
+    def __missing__(self, n: Name) -> Name:
+        if n[0] != 3:
+            out = self._part(n)
+        else:
+            left, right = self._part(n[1]), self._part(n[2])
+            out = n if left is n[1] and right is n[2] else Prod(left, right)
+        self[n] = out
+        return out
+
+    def _part(self, n: Name) -> Name:
+        if n[0] == 2:
+            for h, c in n[2]:
+                if h == self.head:
+                    return n.with_count(h, c + 1)
         return n
-    return n
 
 
 def stmt_cell_locs(name: Name) -> tuple[Loc, Loc]:
@@ -402,81 +412,64 @@ class UnsupportedCfg(CfgError):
     pass
 
 
-class LocNames(dict):
-    """Each location's ``LocN``, state cell name and fix cell name (``None``
-    off loop heads), made once on first use by :func:`loc_state_name` and
-    :func:`head_fix_name`, for one loop structure (``loops``)."""
-
-    __slots__ = ("loops",)
-
-    def __init__(self, loops: LoopInfo):
-        self.loops = loops
-
-    def __missing__(self, loc: Loc) -> tuple[LocN, Name, Optional[Name]]:
-        loops = self.loops
-        state = loc_state_name(loc, loops)
-        fix = head_fix_name(loc, loops) if loc in loops.natural_loops else None
-        out = self[loc] = (state if isinstance(state, LocN) else state.base, state, fix)
-        return out
-
-    def read(self, src: Loc, dst: Loc) -> Name:
-        """State cell read by the flow ``src -> dst``: the fixed point when
-        the flow leaves a loop at its head, the current iterate otherwise."""
-        _, state, fix = self[src]
-        if fix is not None and dst != src and dst not in self.loops.natural_loops[src]:
-            return fix
-        return state
-
-
-def dest_structures(cfg: Cfg, names: LocNames, d: Loc) -> dict[Name, RefCell]:
-    """The cells encoding all flow into location ``d``, by name, each state
-    cell with the computation into it in place, named through ``names``.
+def dest_structures(
+    cfg: Cfg, names: LocNames, locs: Iterable[Loc], refs: dict[Name, RefCell]
+) -> None:
+    """Add to ``refs`` the cells encoding all flow into each location of
+    ``locs``, in order, each state cell with the computation into it in
+    place, named through ``names``.
 
     This is the one place a location's cells are made: a fresh graph
     (:func:`init_daig`) is these cells over every location plus the
     pre-filled entry, which is not among them; edit surgery
-    (``Engine.splice``) adopts them for the locations an edit touches.
+    (``Engine.splice``) adopts them for the locations an edit touches.  A
+    flow leaving a loop at its head reads the fixed point, not the iterate.
     """
     loops = names.loops
-    ln, n_d, fix = names[d]
-    out: dict[Name, RefCell] = {}
-    indexed = loops.join_indices.get(d)
-    if indexed is not None:
+    natural, join_indices, fwd_in = loops.natural_loops, loops.join_indices, loops.fwd_in
+    for d in locs:
+        ln, n_d, fix = names[d]
+        indexed = join_indices.get(d)
         pres = []
-        for i, e in enumerate(indexed, 1):
-            idx = IdxN(i)
-            sname = Prod(idx, Prod(names[e.src][0], ln))
-            pre = Prod(idx, n_d)
-            out[sname] = RefCell(sname, STMT, e.stmt)
-            read = names.read(e.src, d)
-            out[pre] = RefCell(pre, STATE, None, Computation(pre, TRANSFER, (sname, read)))
-            pres.append(pre)
-        into = Computation(n_d, JOIN, tuple(pres))
-    else:
         into = None
         # Outside join_indices a location has at most one forward edge in.
-        for e in loops.fwd_in[d]:
-            sname = Prod(names[e.src][0], ln)
-            out[sname] = RefCell(sname, STMT, e.stmt)
-            into = Computation(n_d, TRANSFER, (sname, names.read(e.src, d)))
-    if d != cfg.entry:
-        out[n_d] = RefCell(n_d, STATE, None, into)
-    if fix is not None:
-        back = loops.back_edge_of(d)
-        iter1 = n_d.with_count(d, 1)
-        pre_w = Prod(n_d, iter1)
-        sname = Prod(names[back.src][0], ln)
-        out[sname] = RefCell(sname, STMT, back.stmt)
-        read = names.read(back.src, d)
-        out[pre_w] = RefCell(pre_w, STATE, None, Computation(pre_w, TRANSFER, (sname, read)))
-        out[iter1] = RefCell(iter1, STATE, None, Computation(iter1, WIDEN, (n_d, pre_w)))
-        out[fix] = RefCell(fix, STATE, None, Computation(fix, FIX, (n_d, iter1)))
-    return out
+        for i, e in enumerate(fwd_in[d] if indexed is None else indexed, 1):
+            src = e.src
+            s_ln, read, s_fix = names[src]
+            if s_fix is not None and d not in natural[src]:
+                read = s_fix
+            sname = Prod(s_ln, ln)
+            if indexed is None:
+                refs[sname] = RefCell(sname, STMT, e.stmt)
+                into = Computation(n_d, TRANSFER, (sname, read))
+            else:
+                idx = IdxN(i)
+                sname = Prod(idx, sname)
+                pre = Prod(idx, n_d)
+                refs[sname] = RefCell(sname, STMT, e.stmt)
+                refs[pre] = RefCell(pre, STATE, None, Computation(pre, TRANSFER, (sname, read)))
+                pres.append(pre)
+        if indexed is not None:
+            into = Computation(n_d, JOIN, tuple(pres))
+        if d != cfg.entry:
+            refs[n_d] = RefCell(n_d, STATE, None, into)
+        if fix is not None:
+            back = loops.back_edge_of(d)
+            iter1 = n_d.with_count(d, 1)
+            pre_w = Prod(n_d, iter1)
+            s_ln, read, s_fix = names[back.src]
+            if s_fix is not None and back.src != d:  # the body ends in an inner loop
+                read = s_fix
+            sname = Prod(s_ln, ln)
+            refs[sname] = RefCell(sname, STMT, back.stmt)
+            refs[pre_w] = RefCell(pre_w, STATE, None, Computation(pre_w, TRANSFER, (sname, read)))
+            refs[iter1] = RefCell(iter1, STATE, None, Computation(iter1, WIDEN, (n_d, pre_w)))
+            refs[fix] = RefCell(fix, STATE, None, Computation(fix, FIX, (n_d, iter1)))
 
 
 def _check_structured_loops(cfg: Cfg, loops: LoopInfo) -> None:
     for e in loops.fwd_edges:
-        for h in loops.enclosing_heads(e.src):
+        for h in loops.enclosing[e.src]:
             if e.dst not in loops.natural_loops[h]:
                 raise UnsupportedCfg(
                     f"forward edge l{e.src} -> l{e.dst} leaves the loop headed "
@@ -485,42 +478,39 @@ def _check_structured_loops(cfg: Cfg, loops: LoopInfo) -> None:
                 )
 
 
-def init_daig(cfg: Cfg, loops: LoopInfo, domain, entry_state=None) -> Daig:
+def init_daig(cfg: Cfg, names: LocNames, domain, entry_state=None) -> Daig:
     """Fresh graph for a CFG: statement cells filled, the entry state cell
     pre-filled, every other abstract-state cell empty, loops encoded at
     unrolling depth one.
 
-    The cells are :func:`dest_structures` over every location, each name
-    made once; a final pass links each computed cell's sources, so a first
-    demand looks up no names, and fills the consumer and fix indexes.
+    The cells are :func:`dest_structures` over every location, named
+    through the table ``names`` of the CFG's loop structure; a final pass
+    links each computed cell's sources, so a first demand looks up no
+    names, and fills the consumer and fix indexes.
     """
+    loops = names.loops
     _check_structured_loops(cfg, loops)
     entry = cfg.entry
     if entry in loops.natural_loops or loops.enclosing[entry]:
         raise UnsupportedCfg("the entry location may not participate in a loop")
     if entry_state is None:
         entry_state = domain.init()
-    names = LocNames(loops)
     entry_name = names[entry][0]
     d = Daig(entry_name=entry_name, entry_state=entry_state)
     refs = d.refs
     refs[entry_name] = RefCell(entry_name, STATE, entry_state)
-    for loc in sorted(cfg.locs):
-        refs.update(dest_structures(cfg, names, loc))
+    dest_structures(cfg, names, sorted(cfg.locs), refs)
 
-    index, fix_by_final = d.consumer_index, d.fix_by_final
+    users_of, cell_of = d.consumer_index.setdefault, refs.__getitem__
+    fix_by_final = d.fix_by_final
     for name, cell in refs.items():
         comp = cell.comp
         if comp is not None:
-            srcs = comp.srcs
-            cell.srcs = tuple([refs[s] for s in srcs])
+            _, fn, srcs = comp
+            cell.srcs = tuple(map(cell_of, srcs))
             for s in srcs:
-                users = index.get(s)
-                if users is None:
-                    index[s] = {name}
-                else:
-                    users.add(name)
-            if comp.fn is FIX:
+                users_of(s, set()).add(name)
+            if fn is FIX:
                 fix_by_final[srcs[1]] = name
     return d
 
@@ -537,7 +527,7 @@ def fix_head(fix_dest: Name) -> Loc:
     raise GraphError(f"not a fix cell name: {fix_dest!r}")
 
 
-def unroll(d: Daig, fix: Computation, loops: LoopInfo) -> set[Name]:
+def unroll(d: Daig, fix: Computation) -> set[Name]:
     """Extend the loop of ``fix`` by one abstract iteration: the only code
     that makes a loop's iterates beyond the first.
 
@@ -546,8 +536,9 @@ def unroll(d: Daig, fix: Computation, loops: LoopInfo) -> set[Name]:
     slides forward.  Unrolling rewrites only what is missing: a cell left
     by an earlier roll-back is reused, and a copied computation equal to
     the one in place is skipped, keeping its cell's source links.  Each
-    name is bumped once per call.  Statement cells carry no iteration
-    counts, so program syntax is never duplicated.
+    name is bumped once per call, through the loop's :class:`Bumps` table.
+    Statement cells carry no iteration counts, so program syntax is never
+    duplicated.
 
     The region is found by walking back from the final iterate through
     computations, never past the first: a natural loop is entered only
@@ -560,24 +551,18 @@ def unroll(d: Daig, fix: Computation, loops: LoopInfo) -> set[Name]:
     """
     refs = d.refs
     first, final = fix.srcs
-    head = fix_head(fix.dest)
     between = d.backward_set(final, stop=first)
     region = sorted(between | {final})
-    bumped: dict[Name, Name] = {}
+    bumped = Bumps(fix_head(fix.dest))
     for n in region:
-        nn = bumped[n] = incr_name(n, head, loops)
+        nn = bumped[n]
         if nn not in refs:
-            d.add_cell(nn, STATE, None)
+            refs[nn] = RefCell(nn, STATE)
     for n in region:
         comp = refs[n].comp
         if comp is None:
             raise GraphError(f"loop region cell {n!r} has no computation")
-        srcs = []
-        for s in comp.srcs:
-            b = bumped.get(s)
-            if b is None:
-                b = bumped[s] = incr_name(s, head, loops)
-            srcs.append(b)
+        srcs = tuple([bumped[s] for s in comp.srcs])
         dest = bumped[n]
         if comp.fn is FIX:
             # A nested loop starts a fresh convergence in the new outer
@@ -587,8 +572,6 @@ def unroll(d: Daig, fix: Computation, loops: LoopInfo) -> set[Name]:
             final_src = srcs[1]
             assert isinstance(final_src, Iter)
             srcs = (final_src.with_count(inner, 0), final_src.with_count(inner, 1))
-        else:
-            srcs = tuple(srcs)
         cur = refs[dest].comp
         if cur is not None and cur.fn is comp.fn and cur.srcs == srcs:
             continue
@@ -714,7 +697,7 @@ def check_cfg_consistency(
 
     if d.entry_name != LocN(cfg.entry):
         return fail("entry cell name does not match the CFG entry")
-    ref = init_daig(cfg, loops, None, d.entry_state)
+    ref = init_daig(cfg, LocNames(loops), None, d.entry_state)
     refs = d.refs
     heads = sorted(loops.natural_loops, key=lambda h: (len(loops.enclosing[h]), h))
     for h in heads:
@@ -731,7 +714,7 @@ def check_cfg_consistency(
             if not 1 <= k <= len(refs):
                 return fail(f"fix computation at {name!r} is malformed: {comp!r}")
             for _ in range(k - 1):
-                unroll(ref, ref.refs[name].comp, loops)
+                unroll(ref, ref.refs[name].comp)
 
     for name, want in ref.refs.items():
         cell = refs.get(name)

@@ -12,10 +12,10 @@ from daig.graph import (
     IdxN,
     Iter,
     LocN,
+    LocNames,
     Prod,
     check_wf,
     head_fix_name,
-    loc_state_name,
     stmt_cell_locs,
 )
 from daig.lang.cfg import Edge
@@ -64,7 +64,7 @@ def test_demand_chain_computes_exactly_two_transfers():
         for n, c in eng.daig.refs.items()
         if c.ty is CellType.STATE and not c.is_empty() and n != eng.daig.entry_name
     }
-    assert filled == {loc_state_name(2, eng.loops), pre_join}
+    assert filled == {LocNames(eng.loops)[2][1], pre_join}
 
 
 def test_shared_memo_match_costs_no_evaluation():
@@ -78,7 +78,7 @@ def test_shared_memo_match_costs_no_evaluation():
     assert second.metrics.transfer_evals == 0
     assert second.metrics.memo_hits == 1
     assert INTERVAL.equal(
-        second.daig.value(LocN(cfg.exit)), first.daig.value(LocN(cfg.exit))
+        second.daig.cell(LocN(cfg.exit)).contents, first.daig.cell(LocN(cfg.exit)).contents
     )
 
 
@@ -92,10 +92,10 @@ def test_while_loop_converges_after_one_unrolling():
     assert eng.metrics.unrollings == 1
     # the two greatest iterates hold equal values and the fix cell matches
     fix = eng.daig.refs[head_fix_name(head, eng.loops)].comp
-    v1 = eng.daig.value(fix.srcs[0])
-    v2 = eng.daig.value(fix.srcs[1])
+    v1 = eng.daig.cell(fix.srcs[0]).contents
+    v2 = eng.daig.cell(fix.srcs[1]).contents
     assert INTERVAL.equal(v1, v2)
-    assert INTERVAL.equal(eng.daig.value(head_fix_name(head, eng.loops)), v1)
+    assert INTERVAL.equal(eng.daig.cell(head_fix_name(head, eng.loops)).contents, v1)
 
 
 def test_unreachable_loop_converges_without_unrolling():
@@ -124,8 +124,8 @@ def test_unroll_adds_three_cells_and_never_copies_statements():
     eng.query(head_fix_name(head, loops))
     assert eng.metrics.unrollings == 1
     added = set(eng.daig.refs) - names_before
-    it1 = loc_state_name(head, loops).with_count(head, 1)
-    it2 = loc_state_name(head, loops).with_count(head, 2)
+    it1 = LocNames(loops)[head][1].with_count(head, 1)
+    it2 = LocNames(loops)[head][1].with_count(head, 2)
     assert added == {
         Iter(LocN(body_loc), ((head, 1),)),
         Prod(it1, it2),
@@ -149,7 +149,7 @@ def test_unroll_is_idempotent_after_rollback():
     eng.apply_program_edit(RelabelEdge(back.src, back.dst, back.stmt))
     eng.write_cell(Prod(LocN(back.src), LocN(back.dst)), parse_stmt_text("x = x + 1;"))
     fix = eng.daig.refs[head_fix_name(head, eng.loops)].comp
-    it0 = loc_state_name(head, loops)
+    it0 = LocNames(loops)[head][1]
     assert fix.srcs == (it0, it0.with_count(head, 1))
     eng.query(head_fix_name(head, loops))
     shape_after = (computations(eng.daig), sorted(map(repr, eng.daig.refs)))
@@ -163,7 +163,7 @@ def test_write_cell_commit_only_touches_target_when_downstream_empty():
     name = Prod(LocN(edge.src), LocN(edge.dst))
     eng.write_cell(name, parse_stmt_text("x = 2;"))
     assert eng.metrics.cells_dirtied == 0
-    assert eng.daig.value(name) == parse_stmt_text("x = 2;")
+    assert eng.daig.cell(name).contents == parse_stmt_text("x = 2;")
 
 
 def test_write_cell_dirty_set_is_exact_on_branch_edit():
@@ -191,8 +191,8 @@ def test_editing_converged_loop_rolls_back_and_empties_iterates():
     eng.write_cell(Prod(LocN(back.src), LocN(back.dst)), parse_stmt_text("x = x + 2;"))
     fix_after = eng.daig.refs[head_fix_name(head, eng.loops)].comp
     assert fix_after.srcs == (
-        loc_state_name(head, eng.loops).with_count(head, 0),
-        loc_state_name(head, eng.loops).with_count(head, 1),
+        LocNames(eng.loops)[head][1].with_count(head, 0),
+        LocNames(eng.loops)[head][1].with_count(head, 1),
     )
     for name, cell in eng.daig.refs.items():
         if isinstance(name, Iter) and name.count_of(head) >= 1:
@@ -461,6 +461,50 @@ def test_long_session_pickles_without_walking_its_cell_links():
     for loc in (clone.cfg.exit, *sorted(clone.cfg.locs)[::97]):
         assert INTERVAL.equal(clone.query_loc(loc), oracle.invariants[loc])
     assert check_wf(clone.daig) == []
+
+
+DEEPENING_SRC = """
+fn main() {
+  i = 0;
+  while (i < 10) {
+    j = 0;
+    while (j < i) { j = j + 1; }
+    i = i + 1;
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_location_resolution_survives_rollbacks_and_copies(debug):
+    # An edit inside the inner body rolls both loops back; each engine,
+    # copy or not, must then resolve every location through the deepened
+    # loops again, with the name table the edit left.
+    eng = Engine(parse_program(DEEPENING_SRC).proc("main").cfg, INTERVAL, debug=debug)
+    loops = eng.loops
+    outer = max(loops.natural_loops, key=lambda h: len(loops.natural_loops[h]))
+    (inner,) = set(loops.natural_loops) - {outer}
+    inner_fix = Iter(LocN(inner), ((outer, 1),))  # the instance the final outer iterate runs
+
+    def depths(e):
+        fixes = ((LocN(outer), outer), (inner_fix, inner))
+        return tuple(e.daig.refs[f].comp.srcs[1].count_of(h) for f, h in fixes)
+
+    def assert_matches_batch(e):
+        oracle = batch_analyze(e.cfg, analyze_loops(e.cfg), INTERVAL)
+        for loc in sorted(e.cfg.locs):
+            assert INTERVAL.equal(e.query_loc(loc), oracle.invariants[loc])
+
+    assert_matches_batch(eng)
+    assert depths(eng) == (2, 2)
+    (body,) = loops.natural_loops[inner]
+    eng.apply_program_edit(InsertStmtAfter(body, parse_stmt_text("k = j;")))
+    assert depths(eng) == (1, 1)
+    for e in (eng, eng.snapshot(), pickle.loads(pickle.dumps(eng))):
+        assert_matches_batch(e)
+        assert depths(e) == (2, 2)
+    for e in (eng.snapshot(), pickle.loads(pickle.dumps(eng))):
+        assert_matches_batch(e)
 
 
 def test_unroll_region_skips_stale_iterates_of_a_rolled_back_inner_loop(monkeypatch):

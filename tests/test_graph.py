@@ -6,21 +6,21 @@ import pytest
 from daig.batch import batch_analyze
 from daig.domains import INTERVAL
 from daig.graph import (
+    Bumps,
     CellType,
     Computation,
     FnSymbol,
     IdxN,
     Iter,
     LocN,
+    LocNames,
     Prod,
     RefCell,
     check_ai_consistency,
     check_cfg_consistency,
     check_wf,
     head_fix_name,
-    incr_name,
     init_daig,
-    loc_state_name,
     to_dot,
     unroll,
 )
@@ -44,7 +44,7 @@ from helpers import (
 def build(src):
     cfg = parse_program(src).proc("main").cfg
     loops = analyze_loops(cfg)
-    return cfg, loops, init_daig(cfg, loops, INTERVAL)
+    return cfg, loops, init_daig(cfg, LocNames(loops), INTERVAL)
 
 
 def test_single_edge_daig():
@@ -52,7 +52,7 @@ def test_single_edge_daig():
     assert len(d.refs) == 3  # statement, filled entry, empty exit
     (comp,) = computations(d).values()
     assert comp.fn is FnSymbol.TRANSFER
-    assert d.value(LocN(cfg.entry)) == INTERVAL.init()
+    assert d.cell(LocN(cfg.entry)).contents == INTERVAL.init()
     assert d.cell(LocN(cfg.exit)).is_empty()
 
 
@@ -63,7 +63,7 @@ def test_append_daig_structure():
     # one fix edge from the two first iterates into the head's fixed point
     fix = d.refs[head_fix_name(head, loops)].comp
     assert fix.fn is FnSymbol.FIX
-    it0 = loc_state_name(head, loops)
+    it0 = LocNames(loops)[head][1]
     assert fix.srcs == (it0, it0.with_count(head, 1))
     # the return join has two ordered operands
     join = d.refs[LocN(cfg.exit)].comp
@@ -96,8 +96,8 @@ def test_cell_count_formula():
 def test_init_daig_is_deterministic():
     cfg = append_cfg()
     loops = analyze_loops(cfg)
-    a = init_daig(cfg, loops, INTERVAL)
-    b = init_daig(cfg, loops, INTERVAL)
+    a = init_daig(cfg, LocNames(loops), INTERVAL)
+    b = init_daig(cfg, LocNames(loops), INTERVAL)
     assert list(a.refs) == list(b.refs)
     assert computations(a) == computations(b)
 
@@ -127,7 +127,7 @@ def test_fresh_graphs_are_well_formed_and_answer_like_batch(seed):
             nested += any(loops.enclosing[h] for h in loops.natural_loops)
             joined_heads += any(h in loops.join_indices for h in loops.natural_loops)
             for entry_state in entry_states:
-                d = init_daig(cfg, loops, INTERVAL, entry_state)
+                d = init_daig(cfg, LocNames(loops), INTERVAL, entry_state)
                 assert check_wf(d) == []
                 assert check_cfg_consistency(d, cfg, loops)
                 # a debug engine checks its fresh graph with assert_invariants
@@ -144,7 +144,7 @@ def test_fresh_graphs_are_well_formed_and_answer_like_batch(seed):
 def test_wf_and_debug_engine_catch_a_stale_index(monkeypatch):
     cfg = parse_program(JOINED_LOOPS_SRC).proc("main").cfg
     loops = analyze_loops(cfg)
-    final, fix = next(iter(init_daig(cfg, loops, INTERVAL).fix_by_final.items()))
+    final, fix = next(iter(init_daig(cfg, LocNames(loops), INTERVAL).fix_by_final.items()))
     exit_name = LocN(cfg.exit)  # read by no computation
     cases = [
         (
@@ -161,7 +161,7 @@ def test_wf_and_debug_engine_catch_a_stale_index(monkeypatch):
         ),
     ]
     for corrupt, want in cases:
-        d = init_daig(cfg, loops, INTERVAL)
+        d = init_daig(cfg, LocNames(loops), INTERVAL)
         assert check_wf(d) == []
         corrupt(d)
         assert [(v.kind, v.name, v.detail) for v in check_wf(d)] == [want]
@@ -187,7 +187,7 @@ def test_wf_detects_self_dependency():
 
 def test_wf_detects_empty_without_dependency():
     cfg, loops, d = build("fn main() { x = 1; }")
-    d.add_cell(LocN(77), CellType.STATE, None)
+    d.refs[LocN(77)] = RefCell(LocN(77), CellType.STATE)
     violations = check_wf(d)
     assert any(v.kind == "EmptyNeedsDep" and v.name == LocN(77) for v in violations)
 
@@ -299,7 +299,7 @@ def test_cfg_consistency_catches_faults_in_unrolled_nested_loops():
 
     def at(loc, o, i=None):
         """State cell of ``loc`` at outer count ``o`` (and inner count ``i``)."""
-        name = loc_state_name(loc, loops).with_count(outer, o)
+        name = LocNames(loops)[loc][1].with_count(outer, o)
         return name if i is None else name.with_count(inner, i)
 
     def inner_fix(o):
@@ -364,7 +364,7 @@ def test_cfg_consistency_catches_faults_in_unrolled_nested_loops():
 def test_unroll_of_an_outer_loop_adds_one_iterate_and_a_depth_one_inner_loop():
     cfg = parse_program(NESTED_SRC).proc("main").cfg
     loops = analyze_loops(cfg)
-    d = init_daig(cfg, loops, INTERVAL)
+    d = init_daig(cfg, LocNames(loops), INTERVAL)
     outer, inner = nested_heads(loops)
     (body,) = loops.natural_loops[inner]  # j = j + 1
     tail = loops.back_edge_of(outer).src  # i = i + 1
@@ -394,7 +394,7 @@ def test_unroll_of_an_outer_loop_adds_one_iterate_and_a_depth_one_inner_loop():
     slid = Computation(LocN(outer), F, (at(outer, 1), at(outer, 2)))
 
     names_before, comps_before = set(d.refs), computations(d)
-    region = unroll(d, d.refs[LocN(outer)].comp, loops)
+    region = unroll(d, d.refs[LocN(outer)].comp)
     assert region == {
         Prod(at(outer, 0), at(outer, 1)),
         at(start, 0),
@@ -422,7 +422,7 @@ def test_consistency_check_leaves_no_reference_cycles():
 def test_ai_consistency_vacuous_then_preserved_then_detects_corruption():
     cfg = while_cfg()
     loops = analyze_loops(cfg)
-    d = init_daig(cfg, loops, INTERVAL)
+    d = init_daig(cfg, LocNames(loops), INTERVAL)
     assert check_ai_consistency(d, INTERVAL)  # only the entry is filled
     eng = Engine(cfg, INTERVAL)
     eng.query_loc(cfg.exit)
@@ -448,7 +448,7 @@ def reaches(d, n, target) -> bool:
 
 def test_reaches():
     cfg, loops, d = build(APPEND_SRC)
-    (comp,) = [c for c in computations(d).values() if c.dest == loc_state_name(2, loops)]
+    (comp,) = [c for c in computations(d).values() if c.dest == LocNames(loops)[2][1]]
     assert reaches(d, comp.srcs[0], comp.dest)
     assert not reaches(d, comp.dest, comp.dest)  # irreflexive on acyclic graphs
     assert reaches(d, LocN(cfg.entry), LocN(cfg.exit))
@@ -456,21 +456,21 @@ def test_reaches():
         reaches(d, LocN(123), LocN(cfg.exit))
 
 
-def test_incr_name_examples():
+def test_bump_examples():
     cfg = append_cfg()
     loops = analyze_loops(cfg)
     (back,) = loops.back_edges
     head, tail = back.dst, back.src
-    tail0 = loc_state_name(tail, loops)
-    assert incr_name(tail0, head, loops) == Iter(LocN(tail), ((head, 1),))
+    tail0 = LocNames(loops)[tail][1]
+    assert Bumps(head)[tail0] == Iter(LocN(tail), ((head, 1),))
     # statement cell names never change
     stmt_name = Prod(LocN(tail), LocN(head))
-    assert incr_name(stmt_name, head, loops) is stmt_name
+    assert Bumps(head)[stmt_name] is stmt_name
     # unrelated locations unchanged
-    assert incr_name(LocN(cfg.exit), head, loops) == LocN(cfg.exit)
+    assert Bumps(head)[LocN(cfg.exit)] == LocN(cfg.exit)
 
 
-def test_incr_name_nested_counts():
+def test_bump_nested_counts():
     src = """
     fn main() {
       i = 0;
@@ -488,11 +488,11 @@ def test_incr_name_nested_counts():
     body_loc = sorted(loops.natural_loops[inner])[0]
     name = Iter(LocN(body_loc), ((outer, 1), (inner, 0)))
     # bumped names and re-counted names equal the names built afresh
-    assert incr_name(name, inner, loops) == Iter(LocN(body_loc), ((outer, 1), (inner, 1)))
-    assert incr_name(name, outer, loops) == Iter(LocN(body_loc), ((outer, 2), (inner, 0)))
-    inner0 = loc_state_name(inner, loops)
+    assert Bumps(inner)[name] == Iter(LocN(body_loc), ((outer, 1), (inner, 1)))
+    assert Bumps(outer)[name] == Iter(LocN(body_loc), ((outer, 2), (inner, 0)))
+    inner0 = LocNames(loops)[inner][1]
     pair = Prod(name, inner0)
-    assert incr_name(pair, inner, loops) == Prod(
+    assert Bumps(inner)[pair] == Prod(
         Iter(LocN(body_loc), ((outer, 1), (inner, 1))), inner0.with_count(inner, 1)
     )
     assert name.with_count(inner, 4) == Iter(LocN(body_loc), ((inner, 4), (outer, 1)))
@@ -504,10 +504,10 @@ def test_incr_name_nested_counts():
 def test_pre_widen_and_fix_names():
     cfg = while_cfg()
     loops = analyze_loops(cfg)
-    d = init_daig(cfg, loops, INTERVAL)
+    d = init_daig(cfg, LocNames(loops), INTERVAL)
     (head,) = loops.natural_loops
     assert head_fix_name(head, loops) == LocN(head)
-    it0 = loc_state_name(head, loops)
+    it0 = LocNames(loops)[head][1]
     it1 = it0.with_count(head, 1)
     pw = Prod(it0, it1)
     assert d.refs[pw].comp.fn is FnSymbol.TRANSFER
