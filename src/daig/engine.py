@@ -3,9 +3,13 @@
 Queries walk dependencies backwards, reusing filled cells and the
 location-independent memo table; loop fixed points are computed by
 demanded unrolling, which extends the graph one abstract iteration at a
-time until two consecutive iterates agree.  Edits empty dependents
-eagerly (rolling fix edges back to their first iterates) and recompute
-nothing until demanded again.
+time until two consecutive iterates agree.  With the memo on, an
+insertion recomputes at once each state cell outside every loop whose
+computation it replaced, and empties what reads such a cell only if its
+value changed: O(touched) eager work at the edit.  Every other change (a
+statement write, a cell inside a loop body) empties its dependents,
+rolling fix edges back to their first iterates, and they are recomputed
+when demanded again.
 """
 
 from __future__ import annotations
@@ -22,8 +26,10 @@ from .graph import (
     WIDEN,
     Computation,
     Iter,
+    LocN,
     LocNames,
     Name,
+    Prod,
     RefCell,
     check_ai_consistency,
     check_cfg_consistency,
@@ -117,6 +123,11 @@ class Engine:
     it is queried, as do cells that unrolling or an edit gives a new
     computation.
 
+    With the memo on, an insertion does O(touched) eager work outside
+    loops (see :meth:`splice`): it recomputes the cells whose computation
+    it replaced and empties what reads them only where a value changed,
+    skipping exactly the recomputations that would have been memo hits.
+
     Mutating operations (query, write_cell, apply_program_edit) must be
     externally serialized; ``snapshot`` produces an independent copy that
     shares no cell with this engine.
@@ -196,13 +207,15 @@ class Engine:
         call handlers may replace computations, so after either the loop
         reads the cell's computation and sources afresh.
         """
-        return self._demand(self.daig.cell(name))
+        value = self._demand(self.daig.cell(name))
+        self._after_public_op()
+        return value
 
     def _demand(self, root: RefCell):
-        """The value of the cell ``root``, computed as :meth:`query` says."""
+        """The value of the cell ``root``, computed as :meth:`query` says.
+        Unlike the public operations it checks no invariants, so an edit
+        may demand cells before its graph is whole again."""
         if root.contents is not None:
-            if self.debug:
-                self.assert_invariants()
             return root.contents
         daig = self.daig
         sources = daig.sources
@@ -300,9 +313,7 @@ class Engine:
                 memo[key] = out
             cell.contents = out
             stack.pop()
-        result = root.contents
-        self._after_public_op()
-        return result
+        return root.contents
 
     def _unroll(self, fix_comp: Computation) -> None:
         """Extend the loop of ``fix_comp`` by one abstract iteration with
@@ -337,17 +348,19 @@ class Engine:
         enc = names.loops.enclosing[loc]
         refs = self.daig.refs
         if not enc:  # an outermost head's fixed-point cell is its LocN too
-            return self._demand(refs[ln])
-        cell = refs[names[enc[0]][0]]
-        value = self._demand(cell)
-        for h in enc[1:] + ((loc,) if fix is not None else ()):
-            cell = refs[Iter(names[h][0], cell.comp.srcs[0][2])]
+            value = self._demand(refs[ln])
+        else:
+            cell = refs[names[enc[0]][0]]
             value = self._demand(cell)
-        if fix is not None:
-            return value  # the fixed point from the final demand above
-        value = refs[Iter(ln, cell.comp.srcs[0][2])].contents
-        if value is None:
-            raise EngineError(f"final iterate of l{loc} was not computed")
+            for h in enc[1:] + ((loc,) if fix is not None else ()):
+                cell = refs[Iter(names[h][0], cell.comp.srcs[0][2])]
+                value = self._demand(cell)
+            # At a head, the value is the fixed point from the final demand.
+            if fix is None:
+                value = refs[Iter(ln, cell.comp.srcs[0][2])].contents
+                if value is None:
+                    raise EngineError(f"final iterate of l{loc} was not computed")
+        self._after_public_op()
         return value
 
     # -- edits ----------------------------------------------------------------
@@ -451,9 +464,22 @@ class Engine:
         cells the graph lacks, and dirty whatever reads a changed statement
         or computation.  Every computation goes in through ``set_comp``.
         One derived edit may be spliced into every engine analyzing the
-        edited procedure."""
+        edited procedure.
+
+        A changed statement empties what reads it, and a replaced
+        computation inside a loop body empties its cell and what reads it.
+        With the memo on, a filled state cell outside every loop whose
+        computation was replaced is instead recomputed once every new
+        computation is in place (O(touched) eager work, a memo lookup in the
+        common case), and what reads it is emptied only if its value
+        changed; a changed cell keeps its new value.  That emptying also
+        reaches any touched cell downstream, whose value was recomputed from
+        stale sources.  An edit that adds an edge carrying a call recomputes
+        nothing here, so no call handler runs before a forest has replaced
+        the procedure's CFG."""
         ji = stable_join_indices(self.loops.join_indices, delta, loops)
         names = LocNames(replace(loops, join_indices=ji))
+        names.update(self.names)  # no entry changes (see ``LocNames``)
         made: dict[Name, RefCell] = {}
         dest_structures(new_cfg, names, sorted(delta.touched_dsts() | set(delta.added_locs)), made)
         daig = self.daig
@@ -482,7 +508,31 @@ class Engine:
         self.names = names
         for name, stmt in content_writes:
             self._dirty(name, include_self=False)
-            daig.refs[name].contents = stmt
+            refs[name].contents = stmt
+        cut_off = self.enable_memo and not any(isinstance(e.stmt, Call) for e in delta.added_edges)
+        eager: list[Name] = []
         for dest in dirties:
-            self._dirty(dest, include_self=True)
+            if cut_off and _outside_loops(dest):
+                eager.append(dest)
+            else:
+                self._dirty(dest, include_self=True)
+        changed: list[Name] = []
+        for dest in eager:
+            cell = refs[dest]
+            old = cell.contents
+            if old is None:  # empty before the edit, or emptied just above
+                continue
+            cell.contents = None
+            if self.domain.equal(self._demand(cell), old):
+                cell.contents = old
+            else:
+                changed.append(dest)
+        for dest in changed:
+            self._dirty(dest, include_self=False)
         self._after_public_op()
+
+
+def _outside_loops(name: Name) -> bool:
+    """Whether the state cell ``name`` lies outside every loop: its own
+    name, or a pre-join cell's location part, carries no iteration count."""
+    return isinstance(name, LocN) or (isinstance(name, Prod) and isinstance(name.right, LocN))

@@ -342,7 +342,13 @@ class LocNames(dict):
     ``LocN``, state cell name (its enclosing heads', and a head's own,
     counts at zero) and fix cell name (``None`` off loop heads), made once,
     on first use.  Entries follow from ``loops`` alone, so engine copies may
-    share a table; whoever replaces ``loops`` replaces the table."""
+    share a table; whoever replaces ``loops`` replaces the table.
+
+    An edit's table starts with every entry of the table before it
+    (``Engine.splice``): an entry follows from the location's enclosing
+    heads and whether it is a head, and no edit form changes either for an
+    existing location, since edits only add locations and relabel edges.
+    A deletion edit that removes locations or loops must revisit this."""
 
     __slots__ = ("loops",)
 

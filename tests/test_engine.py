@@ -8,6 +8,8 @@ from daig.batch import batch_analyze
 from daig.domains import INTERVAL
 from daig.engine import Engine, EngineError
 from daig.graph import (
+    FIX,
+    STATE,
     CellType,
     IdxN,
     Iter,
@@ -560,7 +562,7 @@ def test_unroll_region_along_seeded_edit_streams():
     # debug=True checks every unrolling's region against the reachability
     # intersection, besides the graph invariants after every operation.
     unrollings = 0
-    for seed in range(12):
+    for seed in range(16):
         rng = random.Random(700 + seed)
         eng = Engine(parse_program(EMPTY_MAIN).proc("main").cfg, INTERVAL, debug=True)
         for _ in range(120):
@@ -638,13 +640,145 @@ def test_seeded_session_counters_are_pinned():
         "transfer_evals": 193,
         "join_evals": 17,
         "widen_evals": 14,
-        "memo_hits": 1720,
+        "memo_hits": 840,
         "memo_misses": 224,
-        "unrollings": 19,
-        "cells_dirtied": 1937,
+        "unrollings": 12,
+        "cells_dirtied": 964,
     }
     assert len(eng.daig.refs) == 297
 
+
+
+def edit_and_compare(eng, edit):
+    """Apply ``edit``; return the state cells that lost the value they held
+    before it (emptied, or given another value), and the cells that
+    dirtying without a cut-off would have emptied: every filled cell that
+    is, or is downstream of, a state cell whose computation the edit
+    replaced."""
+    refs = eng.daig.refs
+    comps = {n: c.comp for n, c in refs.items()}
+    filled = {n: c.contents for n, c in refs.items() if c.ty is STATE and c.contents is not None}
+    eng.apply_program_edit(edit)
+    replaced = {
+        n for n, comp in comps.items()
+        if comp is not None and comp.fn is not FIX and refs[n].comp != comp
+    }
+    reach = set(replaced)
+    for n in replaced:
+        reach |= eng.daig.forward_set(n)
+    lost = {n for n, v in filled.items() if refs[n].contents is None or refs[n].contents != v}
+    return lost, reach & filled.keys()
+
+
+def assert_matches_batch(eng):
+    want = batch_analyze(eng.cfg, analyze_loops(eng.cfg), INTERVAL).invariants
+    for loc in sorted(eng.cfg.locs):
+        assert INTERVAL.equal(eng.query_loc(loc), want[loc]), loc
+
+
+def test_cut_off_after_an_if_with_an_empty_else_matches_batch():
+    # Inserting before the ``if`` moves both of its edges: the then branch's
+    # first cell, whose value changes, and the join's else input, which lies
+    # downstream of the then branch's cells through the join.
+    src = "fn main() { x = 0; if (x > 3) { y = x; } z = x + 1; }"
+    cfg = parse_program(src).proc("main").cfg
+    eng = Engine(cfg, INTERVAL, debug=True)
+    for loc in sorted(cfg.locs):
+        eng.query_loc(loc)
+    (branch,) = [loc for loc in cfg.locs if len(cfg.out_edges(loc)) == 2]
+    then_loc = next(e.dst for e in cfg.out_edges(branch) if stmt_text(e.stmt) == "assume((x > 3));")
+    assert INTERVAL.is_bot(eng.query_loc(then_loc))
+    lost, parent = edit_and_compare(eng, InsertStmtAfter(branch, parse_stmt_text("x = 5;")))
+    assert lost == parent
+    assert eng.query_loc(then_loc) == ivl(x=(5, 5))
+    assert_matches_batch(eng)
+
+
+def test_cut_off_empties_nothing_when_no_value_changes():
+    src = "fn main() { x = 1; y = 2; z = x + y; }"
+    cfg = parse_program(src).proc("main").cfg
+    eng = Engine(cfg, INTERVAL, debug=True)
+    for loc in sorted(cfg.locs):
+        eng.query_loc(loc)
+    at = next(e.dst for e in cfg.edges if stmt_text(e.stmt) == "x = 1;")
+    lost, parent = edit_and_compare(eng, InsertStmtAfter(at, parse_stmt_text("x = 1;")))
+    assert lost == set() and eng.metrics.cells_dirtied == 0
+    assert parent  # without the cut-off, the rest of the program is emptied
+    assert_matches_batch(eng)
+
+    # A changed value empties what dirtying without the cut-off empties; the
+    # touched cell itself keeps its new value.
+    (first,) = eng.cfg.out_edges(eng.cfg.entry)
+    touched = LocN(first.dst)
+    lost, parent = edit_and_compare(eng, InsertStmtAfter(eng.cfg.entry, parse_stmt_text("y = 5;")))
+    assert lost == parent and len(lost) > 1 and touched in lost
+    assert eng.daig.refs[touched].contents == ivl(x=(1, 1), y=(5, 5))
+    assert_matches_batch(eng)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 5])
+def test_cut_off_empties_at_most_what_dirtying_empties(seed):
+    # With the memo off the cut-off is off, and an insertion empties exactly
+    # the filled cells at or downstream of a replaced computation; with it
+    # on, an insertion empties a subset of them.
+    rng = random.Random(seed)
+    cfg = parse_program(gen_program_source(rng)).proc("main").cfg
+    lazy = Engine(cfg, INTERVAL, enable_memo=False)
+    eager = Engine(cfg, INTERVAL)
+    smaller = 0
+    for _ in range(40):
+        edit = gen_edit(rng, eager.cfg)
+        lost, parent = edit_and_compare(lazy, edit)
+        assert lost == parent
+        lost, parent = edit_and_compare(eager, edit)
+        assert lost <= parent
+        smaller += lost < parent
+        locs = sorted(eager.cfg.locs)
+        for loc in (rng.choice(locs) for _ in range(4)):
+            assert INTERVAL.equal(eager.query_loc(loc), lazy.query_loc(loc))
+    assert smaller > 0
+    eager.assert_invariants()
+    assert_matches_batch(eager)
+
+
+def test_debug_check_runs_once_per_query_loc(monkeypatch):
+    src = """fn main() { x = 0; while (x < 2) { y = 0; while (y < 2) {
+        z = 0; while (z < 2) { z = z + 1; } y = y + 1; } x = x + 1; } }"""
+    cfg = parse_program(src).proc("main").cfg
+    eng = Engine(cfg, INTERVAL, debug=True)
+    loops = eng.loops
+    inner = next(loc for loc in cfg.locs if len(loops.enclosing[loc]) == 3)
+    head = next(h for h in loops.natural_loops if len(loops.enclosing[h]) == 2)
+    checks = []
+    check = Engine.assert_invariants
+    monkeypatch.setattr(Engine, "assert_invariants", lambda self: (checks.append(self), check(self)))
+    for loc in (inner, head, inner):
+        del checks[:]
+        eng.query_loc(loc)
+        assert len(checks) == 1
+    assert eng.metrics.unrollings > 0
+
+
+@pytest.mark.parametrize("seed", [900, 901, 902])
+def test_name_table_carries_across_edits(seed):
+    # An edit's name table starts with the old table's entries; none of them
+    # may differ from the entry a fresh table makes for the new structure.
+    rng = random.Random(seed)
+    eng = Engine(parse_program(gen_program_source(rng)).proc("main").cfg, INTERVAL)
+    kinds = set()
+    for _ in range(60):
+        old = dict(eng.names)
+        kind, edit = mixed_edit(rng, eng.cfg, eng.loops)
+        kinds.add(kind)
+        eng.apply_program_edit(edit)
+        assert old.items() <= eng.names.items()
+        fresh = LocNames(eng.loops)
+        assert all(fresh[loc] == entry for loc, entry in eng.names.items())
+        locs = sorted(eng.cfg.locs)
+        for _ in range(3):
+            eng.query_loc(rng.choice(locs))
+    assert kinds == {"insert", "skip", "stmt", "guard", "back"}
+    assert_matches_batch(eng)
 
 # Per (seed, size): the counters of ``Metrics.snapshot()`` in field order,
 # then the number of cells, of consumer-index entries and of fix-index

@@ -6,7 +6,7 @@ import pytest
 from daig.batch import batch_analyze
 from daig.domains import INTERVAL
 from daig.domains.interval import IntervalState
-from daig.engine import EngineError
+from daig.engine import Engine, EngineError
 from daig.interproc import Context, DaigForest, ENTRY_CONTEXT, callee_context
 from daig.lang.cfg import CfgError
 from daig.lang.edits import InsertStmtAfter, RelabelEdge
@@ -242,6 +242,41 @@ def test_callee_edit_is_derived_once_for_all_live_contexts(monkeypatch):
     assert_matches_inline_oracle(program, policy_k=1)
     assert len([ctx for p, ctx in forest.live_keys() if p == "f"]) == 2
 
+
+
+@pytest.mark.parametrize("stmt", ["x = f(y);", "w = 2;"])
+def test_a_forest_edit_adding_a_call_edge_runs_no_call_inside_splice(monkeypatch, stmt):
+    # Inserting ``x = f(y);`` adds a call edge; inserting ``w = 2;`` before
+    # the existing call moves the call edge onto the new location.  Either
+    # way no call handler may run before the forest replaces main's CFG.
+    src = """
+    fn main() { y = 1; x = f(y); z = x + y; }
+    fn f(p) { ret = p + 1; }
+    """
+    program = parse_program(src)
+    forest = DaigForest(program, INTERVAL, policy_k=0, debug=True)
+    assert_forest_matches_inline_oracle(forest, program)
+    splicing, calls_inside = [], []
+    splice, call = Engine.splice, DaigForest._call
+
+    def traced_splice(self, *args):
+        splicing.append(self)
+        try:
+            return splice(self, *args)
+        finally:
+            splicing.pop()
+
+    def traced_call(self, *args):
+        calls_inside.extend(splicing)
+        return call(self, *args)
+
+    monkeypatch.setattr(Engine, "splice", traced_splice)
+    monkeypatch.setattr(DaigForest, "_call", traced_call)
+    cfg = program.proc("main").cfg
+    at = next(e.dst for e in cfg.edges if stmt_text(e.stmt) == "y = 1;")
+    forest.apply_program_edit("main", InsertStmtAfter(at, parse_stmt_text(stmt)))
+    assert calls_inside == []
+    assert_forest_matches_inline_oracle(forest, program)
 
 def test_post_edit_consistency_with_argument_change():
     src = """
