@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import Iterable, Optional
 
 from .syntax import Call, Stmt, stmt_text
 
@@ -41,16 +42,106 @@ class Edge:
 
 @dataclass(frozen=True)
 class Cfg:
+    """A procedure's flow graph: locations, edges, entry and exit.
+
+    ``adjacency`` is the pair ``(outs, ins)`` of lists indexed by location
+    id: ``outs[l]`` and ``ins[l]`` are the edges leaving and entering ``l``,
+    each a tuple in ``Edge.sort_key`` order, and ``()`` at an id that is no
+    location.  Location ids come from counters, so the lists are about as
+    long as ``locs`` is large; a negative id is rejected, as it would index
+    from the end.  The adjacency is built from ``edges`` on first use and
+    kept; ``with_edges``, through which every edit goes, derives the new
+    Cfg's adjacency from this one's in O(change).  It is a cache: equality
+    and hashing ignore it, and pickling and copying drop it, so a loaded
+    Cfg builds it afresh.
+    """
+
     locs: frozenset[Loc]
     edges: frozenset[Edge]
     entry: Loc
     exit: Loc
 
-    def out_edges(self, loc: Loc) -> list[Edge]:
-        return sorted((e for e in self.edges if e.src == loc), key=Edge.sort_key)
+    @cached_property
+    def adjacency(self) -> tuple[list[tuple[Edge, ...]], list[tuple[Edge, ...]]]:
+        """Raises CfgError for a negative location id and for an edge whose
+        endpoint is not in ``locs`` (naming the least such edge by
+        ``Edge.sort_key``)."""
+        locs = self.locs
+        if locs and min(locs) < 0:
+            raise CfgError(f"negative location id l{min(locs)}")
+        size = max(locs) + 1 if locs else 0
+        outs: list[tuple[Edge, ...]] = [()] * size
+        ins: list[tuple[Edge, ...]] = [()] * size
+        # In sort_key order, each location's edges arrive in that order too.
+        for e in sorted(self.edges, key=Edge.sort_key):
+            if e.src not in locs or e.dst not in locs:
+                raise CfgError(f"edge endpoint missing from locs: {e}")
+            outs[e.src] += (e,)
+            ins[e.dst] += (e,)
+        return outs, ins
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("adjacency", None)
+        return state
+
+    def out_edges(self, loc: Loc) -> tuple[Edge, ...]:
+        """The edges leaving ``loc`` in ``Edge.sort_key`` order (none when
+        ``loc`` is not a location)."""
+        return self.adjacency[0][loc] if loc in self.locs else ()
+
+    def with_edges(
+        self,
+        removed: Iterable[Edge],
+        added: Iterable[Edge],
+        new_locs: Iterable[Loc] = (),
+        exit: Optional[Loc] = None,
+    ) -> Cfg:
+        """This Cfg with the ``removed`` edges (edges of this Cfg) taken out,
+        the ``new_locs`` and ``added`` edges put in, and ``exit`` as its exit
+        if one is given.  Only the adjacency entries of the changed edges'
+        endpoints are rebuilt; the rest are shared.
+
+        Raises CfgError for a negative new location id and for an added edge
+        whose endpoint is not a location of the result."""
+        removed, added, new_locs = tuple(removed), tuple(added), frozenset(new_locs)
+        outs, ins = self.adjacency
+        if new_locs and min(new_locs) < 0:
+            raise CfgError(f"negative location id l{min(new_locs)}")
+        locs = self.locs | new_locs
+        for e in added:
+            if e.src not in locs or e.dst not in locs:
+                raise CfgError(f"edge endpoint missing from locs: {e}")
+        new = Cfg(
+            locs,
+            (self.edges - frozenset(removed)) | frozenset(added),
+            self.entry,
+            self.exit if exit is None else exit,
+        )
+        grow = [()] * (max(new_locs, default=-1) + 1 - len(outs))
+        outs, ins = outs + grow, ins + grow
+        _patch(outs, "src", removed, added)
+        _patch(ins, "dst", removed, added)
+        object.__setattr__(new, "adjacency", (outs, ins))
+        return new
 
     def fresh_loc(self) -> Loc:
         return max(self.locs) + 1
+
+
+def _patch(table: list, end: str, removed: tuple[Edge, ...], added: tuple[Edge, ...]) -> None:
+    """Rebuild, in ``Edge.sort_key`` order, the entry of ``table`` at the
+    ``end`` ("src" or "dst") of every removed or added edge."""
+    changed: dict[Loc, list[Edge]] = {}
+    for e in removed:
+        changed.setdefault(getattr(e, end), [])
+    for e in added:
+        changed.setdefault(getattr(e, end), []).append(e)
+    gone = set(removed)
+    for loc, extra in changed.items():
+        extra += [e for e in table[loc] if e not in gone]
+        extra.sort(key=Edge.sort_key)
+        table[loc] = tuple(extra)
 
 
 @dataclass(frozen=True)

@@ -99,8 +99,9 @@ class EditDelta:
         return out
 
 
-def _moved_out_edges(cfg: Cfg, loops: LoopInfo, loc: Loc) -> list[Edge]:
-    """Outgoing edges rerouted by an insertion at ``loc``.
+def _moved_out_edges(cfg: Cfg, loops: LoopInfo, loc: Loc) -> tuple[Edge, ...]:
+    """Outgoing edges rerouted by an insertion at ``loc``, in
+    ``Edge.sort_key`` order.
 
     At a loop head, edges leaving the loop stay put; everywhere else all
     outgoing edges move.
@@ -108,7 +109,7 @@ def _moved_out_edges(cfg: Cfg, loops: LoopInfo, loc: Loc) -> list[Edge]:
     out = cfg.out_edges(loc)
     if loc in loops.natural_loops:
         body = loops.natural_loops[loc]
-        return [e for e in out if e.dst in body or e.dst == loc]
+        return tuple(e for e in out if e.dst in body or e.dst == loc)
     return out
 
 
@@ -127,8 +128,7 @@ def relabel(cfg: Cfg, old: Edge, new_stmt: Stmt) -> tuple[Cfg, EditDelta]:
         return cfg, EditDelta()
     if new in cfg.edges:
         raise EditError("relabel would duplicate an existing edge")
-    new_cfg = Cfg(cfg.locs, cfg.edges - {old} | {new}, cfg.entry, cfg.exit)
-    return new_cfg, EditDelta(relabelled=((old, new),))
+    return cfg.with_edges(removed=(old,), added=(new,)), EditDelta(relabelled=((old, new),))
 
 
 def apply_edit(
@@ -142,13 +142,13 @@ def apply_edit(
     recheck when the caller re-analyzes the result anyway).
     """
     if isinstance(edit, RelabelEdge):
-        matches = [e for e in cfg.edges if e.src == edit.src and e.dst == edit.dst]
+        matches = [e for e in cfg.out_edges(edit.src) if e.dst == edit.dst]
         if not matches:
             raise EditError(f"no edge l{edit.src} -> l{edit.dst}")
         if len(matches) > 1:
             raise EditError(
                 f"relabel of l{edit.src} -> l{edit.dst} is ambiguous: "
-                + "; ".join(e.text for e in sorted(matches, key=Edge.sort_key))
+                + "; ".join(e.text for e in matches)
             )
         return relabel(cfg, matches[0], edit.new_stmt)
 
@@ -171,25 +171,23 @@ def apply_edit(
     else:
         raise EditError(f"unsupported edit {edit!r}")
 
-    moved_pairs = [(e, Edge(landing, e.stmt, e.dst)) for e in moved_out]
-    added = list(b.edges) + [new for _, new in moved_pairs]
-    removed = [old for old, _ in moved_pairs]
-    new_exit = cfg.exit
-    if edit.loc == cfg.exit:
-        new_exit = landing
-    new_cfg = Cfg(
-        locs=cfg.locs | frozenset(b.locs),
-        edges=(cfg.edges - frozenset(removed)) | frozenset(added),
-        entry=cfg.entry,
-        exit=new_exit,
+    # moved_out is in sort_key order, so the removed edges and the moved
+    # pairs are too.
+    moved_pairs = tuple((e, Edge(landing, e.stmt, e.dst)) for e in moved_out)
+    added = b.edges + [new for _, new in moved_pairs]
+    new_cfg = cfg.with_edges(
+        removed=moved_out,
+        added=added,
+        new_locs=b.locs,
+        exit=landing if edit.loc == cfg.exit else None,
     )
     if validate:
         analyze_loops(new_cfg)
     delta = EditDelta(
         added_locs=tuple(sorted(b.locs)),
         added_edges=tuple(sorted(added, key=Edge.sort_key)),
-        removed_edges=tuple(sorted(removed, key=Edge.sort_key)),
-        moved=tuple(sorted(moved_pairs, key=lambda p: p[0].sort_key())),
+        removed_edges=moved_out,
+        moved=moved_pairs,
     )
     return new_cfg, delta
 
@@ -202,28 +200,29 @@ def stable_join_indices(
     Surviving edges keep their index: a relabelled or rerouted edge replaces
     its predecessor in place, so downstream cell names stay stable and only
     genuinely affected analysis state is invalidated.  Joins among the fresh
-    locations are indexed from scratch.
+    locations are indexed from scratch.  Only the joins at a relabelled or
+    moved edge's destination are rewritten; every join is then checked to
+    hold exactly the edges that ``new_loops`` finds there, which raises
+    EditError when ``delta`` missed a change.
     """
     pure = new_loops.join_indices
-    relabel_map = {o: n for o, n in delta.relabelled}
-    move_map = {o: n for o, n in delta.moved}
+    relabel_map = dict(delta.relabelled)
+    move_map = dict(delta.moved)
+    patched: dict[Loc, tuple[Edge, ...]] = {}
+    for changed in (*relabel_map, *move_map):
+        loc = changed.dst  # a relabel or a move keeps the destination
+        if loc in old and loc not in patched:
+            edges = [relabel_map.get(e, e) for e in old[loc]]
+            patched[loc] = tuple(move_map.get(e, e) for e in edges)
     out: dict[Loc, tuple[Edge, ...]] = {}
-    for loc, edges in old.items():
-        patched = []
-        for e in edges:
-            e = relabel_map.get(e, e)
-            e = move_map.get(e, e)
-            patched.append(e)
-        out[loc] = tuple(patched)
     for loc, edges in pure.items():
-        if loc not in out:
+        have = patched[loc] if loc in patched else old.get(loc)
+        if have is None:
             out[loc] = edges
-    # Insertions only add edges into fresh locations, so an existing join's
-    # edge set never grows; verify we covered everything.
-    for loc in pure:
-        if set(out[loc]) != set(pure[loc]):
+        # Insertions only add edges into fresh locations, so an existing
+        # join's edge set never grows; a tuple compare settles most joins.
+        elif have == edges or set(have) == set(edges):
+            out[loc] = have
+        else:
             raise EditError(f"join index patch failed at l{loc}")
-    for loc in list(out):
-        if loc not in pure:
-            del out[loc]
     return out

@@ -64,7 +64,7 @@ class LoopInfo:
         raise CfgError(f"l{head} is not a loop head")
 
 
-def _natural_loop(ins: dict[Loc, list[Edge]], back: Edge) -> frozenset[Loc]:
+def _natural_loop(ins: list[tuple[Edge, ...]], back: Edge) -> frozenset[Loc]:
     """Locations that reach the back edge's source without passing its head.
 
     The head itself is excluded; cell naming treats it separately.
@@ -111,59 +111,54 @@ def _classify(
 def analyze_loops(cfg: Cfg) -> LoopInfo:
     """Partition edges, compute dominators, natural loops, and join indices.
 
-    One scan over the edges checks their endpoints and builds the adjacency;
-    everything after it works on locations.  A depth-first search from the
-    entry (successors in ascending order) numbers the locations in reverse
-    postorder as they finish.  One Cooper-Harvey-Kennedy pass in that order,
-    reading only forward predecessors (those numbered earlier), finds the
-    dominators of the forward subgraph, and the same sweep splits each
-    location's incoming edges into forward and retreating ones.  A dominator
-    precedes what it dominates, so only a retreating edge can be a back edge.
-    When every retreating edge is one, the graph is reducible and the
-    forward-subgraph dominators are the dominators: an edge s -> d with d
-    dominating s changes no dominator.  Only an irreducible graph iterates
-    further, over all predecessors to the fixed point, before the retreating
-    edges are classified again.
+    It reads the Cfg's kept adjacency (``Cfg.adjacency``, each location's
+    edges in ``Edge.sort_key`` order) and works on locations from there; it
+    keeps nothing, and derives all of its result from scratch on every call.
+    A depth-first search from the entry (successors in ascending order)
+    numbers the locations in reverse postorder as they finish.  One
+    Cooper-Harvey-Kennedy pass in that order, reading only forward
+    predecessors (those numbered earlier), finds the dominators of the
+    forward subgraph, and the same sweep splits each location's incoming
+    edges into forward and retreating ones.  A dominator precedes what it
+    dominates, so only a retreating edge can be a back edge.  When every
+    retreating edge is one, the graph is reducible and the forward-subgraph
+    dominators are the dominators: an edge s -> d with d dominating s
+    changes no dominator.  Only an irreducible graph iterates further, over
+    all predecessors to the fixed point, before the retreating edges are
+    classified again.
 
     Deterministic: incoming forward edges of a join are indexed in ascending
     (source id, statement text) order, as in ``fwd_in``.  Edits carry an
     existing indexing across with ``edits.stable_join_indices`` instead.
 
-    Raises CfgError when the entry, the exit or an edge endpoint is not in
-    ``locs``, and when a location is unreachable from the entry (naming the
-    least one), IrreducibleError when a retreating edge is not a back edge
-    (naming the least such edge by ``Edge.sort_key``), and CfgError when a
-    head has more than one incoming back edge.
+    Raises CfgError when the entry or the exit is not in ``locs``, when a
+    location id is negative, when an edge endpoint is not in ``locs``
+    (naming the least such edge by ``Edge.sort_key``, so the message does
+    not depend on set order), and when a location is unreachable from the
+    entry (naming the least one), IrreducibleError when a retreating edge is
+    not a back edge (naming the least such edge by ``Edge.sort_key``), and
+    CfgError when a head has more than one incoming back edge.
     """
     locs, entry = cfg.locs, cfg.entry
     if entry not in locs:
         raise CfgError(f"entry l{entry} not a member of locs")
     if cfg.exit not in locs:
         raise CfgError(f"exit l{cfg.exit} not a member of locs")
-    succs: dict[Loc, list[Loc]] = {l: [] for l in locs}
-    ins: dict[Loc, list[Edge]] = {l: [] for l in locs}
-    for e in cfg.edges:
-        try:
-            succs[e.src].append(e.dst)
-            ins[e.dst].append(e)
-        except KeyError:
-            raise CfgError(f"edge endpoint missing from locs: {e}") from None
-    for kids in succs.values():
-        if len(kids) > 1:
-            kids.sort()
+    outs, ins = cfg.adjacency
 
     # num[l] is l's reverse-postorder number and rpo its inverse; a location
     # is marked -1 while the search is below it.
     n = len(locs)
     rpo: list[Loc] = [entry] * n
     num = {entry: -1}
-    stack = [(entry, iter(succs[entry]))]
+    stack = [(entry, iter(outs[entry]))]
     while stack:
         node, kids = stack[-1]
-        for nxt in kids:
+        for e in kids:
+            nxt = e.dst
             if nxt not in num:
                 num[nxt] = -1
-                stack.append((nxt, iter(succs[nxt])))
+                stack.append((nxt, iter(outs[nxt])))
                 break
         else:
             stack.pop()
@@ -190,12 +185,11 @@ def analyze_loops(cfg: Cfg) -> LoopInfo:
             else:
                 dom[d] = s
                 edges.append(e)
-        if len(edges) >= 2:
-            # The edges of one join share dst: this is (source, text) order.
-            edges.sort(key=Edge.sort_key)
-            join_indices[l] = fwd_in[l] = tuple(edges)
-        else:
-            fwd_in[l] = tuple(edges)
+        # ins[l] is in sort_key order, and the edges of one join share dst:
+        # this is (source, text) order.
+        fwd_in[l] = fwd = tuple(edges)
+        if len(fwd) >= 2:
+            join_indices[l] = fwd
     back, irreducible = _classify(retreating, dom)
     if irreducible:
         # A retreating edge that is not a back edge may remove dominators.

@@ -184,9 +184,9 @@ def reference_loop_info(cfg: Cfg) -> LoopInfo:
         raise CfgError(f"entry l{cfg.entry} not a member of locs")
     if cfg.exit not in cfg.locs:
         raise CfgError(f"exit l{cfg.exit} not a member of locs")
-    for e in cfg.edges:
-        if e.src not in cfg.locs or e.dst not in cfg.locs:
-            raise CfgError(f"edge endpoint missing from locs: {e}")
+    bad = [e for e in cfg.edges if e.src not in cfg.locs or e.dst not in cfg.locs]
+    if bad:
+        raise CfgError(f"edge endpoint missing from locs: {min(bad, key=Edge.sort_key)}")
     seen: set[Loc] = set()
     post: list[Loc] = []
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import pickle
 import random
@@ -7,7 +8,7 @@ import pytest
 from daig.batch import batch_analyze
 from daig.domains import INTERVAL
 from daig.engine import Engine
-from daig.lang.cfg import Edge
+from daig.lang.cfg import Cfg, CfgError, Edge
 from daig.lang.edits import (
     EditError,
     InsertIf,
@@ -144,6 +145,54 @@ def test_stable_join_indices_keep_surviving_edges_in_place():
     assert any(e in moved_new for e in ji[join])
     # pure re-indexing would have reordered (fresh ids sort last)
     assert [stmt_text(e.stmt) for e in new_loops.join_indices[join]] != old_order
+
+
+def test_stable_join_indices_reject_a_delta_that_misses_a_moved_edge():
+    cfg = parse_program(APPEND_SRC).proc("main").cfg
+    old = analyze_loops(cfg).join_indices
+    new_cfg, delta = apply_edit(cfg, InsertStmtAfter(2, parse_stmt_text("print(0);")))
+    assert [n.dst for _o, n in delta.moved] == [cfg.exit]
+    partial = dataclasses.replace(delta, moved=())
+    with pytest.raises(EditError, match=f"^join index patch failed at l{cfg.exit}$"):
+        stable_join_indices(old, partial, analyze_loops(new_cfg))
+
+
+def test_adjacency_is_a_cache_that_copies_and_pickles_drop():
+    for cfg in edited_cfgs(43, programs=4, edits=4):
+        assert "adjacency" in vars(cfg)  # derived by the edit or built by the parser's analysis
+        outs, ins = cfg.adjacency
+        for loc in cfg.locs:
+            out = sorted((e for e in cfg.edges if e.src == loc), key=Edge.sort_key)
+            into = sorted((e for e in cfg.edges if e.dst == loc), key=Edge.sort_key)
+            assert outs[loc] == cfg.out_edges(loc) == tuple(out)
+            assert ins[loc] == tuple(into)
+        fresh = Cfg(cfg.locs, cfg.edges, cfg.entry, cfg.exit)  # no adjacency yet
+        assert fresh == cfg and hash(fresh) == hash(cfg)
+        assert pickle.dumps(cfg) == pickle.dumps(fresh)
+        for twin in (pickle.loads(pickle.dumps(cfg)), copy.copy(cfg), copy.deepcopy(cfg)):
+            assert "adjacency" not in vars(twin)
+            assert twin == cfg and hash(twin) == hash(cfg)
+            assert twin.adjacency == cfg.adjacency
+
+
+def test_location_ids_never_index_from_the_end():
+    # Built by hand with the last location's edge leaving it: outs[-1] is
+    # l1's list, so a negative id must not reach the lists.
+    cfg = Cfg(frozenset({0, 1}), frozenset({Edge(0, Skip(), 1), Edge(1, Skip(), 0)}), 0, 1)
+    assert cfg.adjacency[0][-1] == cfg.out_edges(1) != ()
+    assert cfg.out_edges(-1) == cfg.out_edges(2) == ()
+    with pytest.raises(EditError, match="^no edge l-1 -> l0$"):
+        apply_edit(cfg, RelabelEdge(-1, 0, Skip()))
+    with pytest.raises(EditError, match="^unknown location l-1$"):
+        apply_edit(cfg, InsertStmtAfter(-1, Skip()))
+    negative = Cfg(frozenset({-1, 0}), frozenset({Edge(-1, Skip(), 0)}), -1, 0)
+    for read in (analyze_loops, lambda c: c.out_edges(0)):
+        with pytest.raises(CfgError, match="^negative location id l-1$"):
+            read(negative)
+    with pytest.raises(CfgError, match="^negative location id l-2$"):
+        cfg.with_edges((), (Edge(1, Skip(), -2),), new_locs=(-2,))
+    with pytest.raises(CfgError, match="^edge endpoint missing from locs: "):
+        cfg.with_edges((), (Edge(1, Skip(), -1),))
 
 
 def edited_cfgs(seed: int, programs: int = 12, edits: int = 8):

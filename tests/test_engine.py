@@ -10,6 +10,7 @@ from daig.engine import Engine, EngineError
 from daig.graph import (
     FIX,
     STATE,
+    STMT,
     CellType,
     IdxN,
     Iter,
@@ -20,8 +21,15 @@ from daig.graph import (
     head_fix_name,
     stmt_cell_locs,
 )
-from daig.lang.cfg import Edge
-from daig.lang.edits import InsertIf, InsertStmtAfter, InsertWhile, RelabelEdge, apply_edit
+from daig.lang.cfg import Cfg, Edge
+from daig.lang.edits import (
+    InsertIf,
+    InsertStmtAfter,
+    InsertWhile,
+    RelabelEdge,
+    apply_edit,
+    relabel,
+)
 from daig.lang.loops import analyze_loops
 from daig.lang.parser import parse_expr_text, parse_program, parse_stmt_text
 from daig.lang.syntax import Assume, Skip, stmt_text
@@ -779,6 +787,59 @@ def test_name_table_carries_across_edits(seed):
             eng.query_loc(rng.choice(locs))
     assert kinds == {"insert", "skip", "stmt", "guard", "back"}
     assert_matches_batch(eng)
+
+
+def stmt_cell(eng, edge):
+    """The name of the statement cell that holds ``edge``'s statement."""
+    (name,) = (
+        n for n, c in eng.daig.refs.items()
+        if c.ty is STMT and c.contents == edge.stmt and stmt_cell_locs(n) == (edge.src, edge.dst)
+    )
+    return name
+
+
+@pytest.mark.parametrize("seed", [910, 911, 912])
+def test_edits_patch_the_adjacency_a_fresh_cfg_builds(seed):
+    # Every edit derives the new program's adjacency from the old one's; it
+    # must equal the adjacency that a Cfg rebuilt from the same fields builds.
+    # Each edit is made twice: on the Cfg alone, where nothing has analysed
+    # the result yet, and through the engine.
+    rng = random.Random(seed)
+    eng = Engine(parse_program(gen_program_source(rng)).proc("main").cfg, INTERVAL)
+    kinds = Counter()
+    for _ in range(80):
+        cfg, heads = eng.cfg, sorted(eng.loops.natural_loops)
+        stmt = gen_simple_stmt(rng, VAR_POOL[:4])
+        kind = rng.choice(("exit", "while", "relabel", "write") + ("head",) * bool(heads))
+        if kind == "head":
+            edit = InsertStmtAfter(rng.choice(heads), stmt)
+        elif kind == "exit":
+            edit = InsertIf(cfg.exit, gen_cond(rng, 1, VAR_POOL[:4]), (stmt,))
+        elif kind == "while":
+            loc = rng.choice(sorted(cfg.locs))
+            edit = InsertWhile(loc, gen_cond(rng, 1, VAR_POOL[:4]), (stmt,))
+        else:
+            edit = None
+            while not isinstance(edit, RelabelEdge):
+                _kind, edit = mixed_edit(rng, cfg, eng.loops)
+        if kind == "write":
+            (old,) = (e for e in cfg.out_edges(edit.src) if e.dst == edit.dst)
+            new, _delta = relabel(cfg, old, edit.new_stmt)
+            eng.write_cell(stmt_cell(eng, old), edit.new_stmt)
+        else:
+            new, _delta = apply_edit(cfg, edit, validate=False)
+            eng.apply_program_edit(edit)
+        if new is cfg:  # a relabel to the same statement
+            continue
+        kinds[kind] += 1
+        assert "adjacency" in vars(new)  # derived, not built on demand
+        assert new.adjacency == Cfg(new.locs, new.edges, new.entry, new.exit).adjacency
+        assert eng.cfg == new and eng.cfg.adjacency == new.adjacency
+        for _ in range(2):
+            eng.query_loc(rng.choice(sorted(new.locs)))
+    assert len(kinds) == 5 and min(kinds.values()) >= 5, kinds
+    assert_matches_batch(eng)
+
 
 # Per (seed, size): the counters of ``Metrics.snapshot()`` in field order,
 # then the number of cells, of consumer-index entries and of fix-index

@@ -159,3 +159,22 @@ def test_a_session_gives_the_same_graph_and_counters_in_every_process():
     assert len(first) == 3
     assert run_under_hash_seed("2", _SESSION).splitlines() == first
     assert nested_loop_session() == first
+
+
+_BAD_ENDPOINTS = """
+from daig.lang.cfg import Cfg, CfgError, Edge
+from daig.lang.loops import analyze_loops
+from daig.lang.syntax import Skip
+
+edges = {Edge(0, Skip(), 1)} | {Edge(1, Skip(), dst) for dst in range(50, 58)}
+try:
+    analyze_loops(Cfg(frozenset({0, 1}), frozenset(edges), 0, 1))
+except CfgError as exc:
+    print(exc)
+"""
+
+
+def test_the_endpoint_error_names_the_least_bad_edge_under_every_seed():
+    want = "edge endpoint missing from locs: Edge(src=1, stmt=Skip(), dst=50)\n"
+    assert run_under_hash_seed("1", _BAD_ENDPOINTS) == want
+    assert run_under_hash_seed("3", _BAD_ENDPOINTS) == want
