@@ -115,7 +115,10 @@ class Engine:
     through the table: a fresh graph (``init_daig``) is its cells over every
     location, and an edit adopts its cells for the locations it touches,
     writing each computation through ``Daig.set_comp``.  ``unroll`` is the
-    one code that extends a loop by an iterate.  Under ``debug`` the fresh
+    one code that extends a loop by an iterate.  The graph's consumer and
+    fix indexes are read only by dirtying, so a query-only engine never
+    builds them; the first edit derives them in O(cells) once, and
+    ``set_comp`` keeps them in step after that.  Under ``debug`` the fresh
     graph and every public operation are checked by ``assert_invariants``,
     which compares the graph with a from-scratch reference: a fresh graph
     whose live loops ``unroll`` takes to this graph's depths.  A pickled or

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property, partial
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -159,7 +160,7 @@ class RefCell:
     :func:`dest_structures` makes each cell with its computation in place,
     and a fresh graph (:func:`init_daig`) links every computed cell's
     sources; after that, only :meth:`Daig.set_comp` writes ``comp``,
-    keeping the graph's indexes in step.
+    keeping the graph's indexes in step once they are built.
 
     Links point upstream only, from a cell to what it reads, so a graph
     holds no reference cycles and is freed by reference counting.  Pickling
@@ -197,6 +198,11 @@ class Computation(NamedTuple):
         return f"{self.dest!r} <- {self.fn.value}({args})"
 
 
+# ``_comp((dest, fn, srcs))`` is ``Computation(dest, fn, srcs)`` made in C,
+# without the NamedTuple's Python-level ``__new__``: the builder and the
+# unroller make one per state cell.
+_comp = partial(tuple.__new__, Computation)
+
 _ARITY = {TRANSFER: 2, WIDEN: 2, FIX: 2}
 _NO_NAMES: frozenset = frozenset()
 
@@ -217,43 +223,74 @@ class GraphError(KeyError):
 
 
 class Daig:
-    """Mutable cell store with a consumer index for dirtying.
+    """Mutable cell store with the reverse indexes dirtying reads.
 
     ``refs`` maps each name to its cell, which holds the computation into
-    it; ``consumer_index`` maps a name to the names of the cells whose
+    it.  ``consumer_index`` maps a name to the names of the cells whose
     computations read it (a set may be left empty); ``fix_by_final`` maps
     the final iterate of each fix computation to that computation's
-    destination.  Both indexes are derived from the cells' computations,
-    and :func:`check_wf` checks that they invert them exactly.
+    destination.  Both indexes are caches derived from the cells'
+    computations on first read (``indexes``), as ``Cfg.adjacency`` is, and
+    :func:`check_wf` checks that they invert them exactly.  Only dirtying,
+    :meth:`forward_set` and the checkers read them, so a fresh graph and a
+    query-only engine never build them, and an engine's first edit pays
+    O(cells) once; after that :meth:`set_comp` keeps them in step.  Copying and pickling carry them only if built, so a pickled
+    warm session does not derive them again.
     """
 
     def __init__(self, entry_name: Name, entry_state):
         self.refs: dict[Name, RefCell] = {}
         self.entry_name = entry_name
         self.entry_state = entry_state
-        self.consumer_index: dict[Name, set[Name]] = {}
-        self.fix_by_final: dict[Name, Name] = {}
+
+    @cached_property
+    def indexes(self) -> tuple[dict[Name, set[Name]], dict[Name, Name]]:
+        """``(consumer_index, fix_by_final)``, derived from the cells'
+        computations on first read."""
+        users: dict[Name, set[Name]] = {}
+        users_of, fixes = users.setdefault, {}
+        for name, cell in self.refs.items():
+            comp = cell.comp
+            if comp is not None:
+                _, fn, srcs = comp
+                for s in srcs:
+                    users_of(s, set()).add(name)
+                if fn is FIX:
+                    fixes[srcs[1]] = name
+        return users, fixes
+
+    @property
+    def consumer_index(self) -> dict[Name, set[Name]]:
+        return self.indexes[0]
+
+    @property
+    def fix_by_final(self) -> dict[Name, Name]:
+        return self.indexes[1]
 
     # -- construction and mutation ------------------------------------------
 
     def set_comp(self, comp: Computation) -> None:
         """Make ``comp`` the computation into its (existing) destination
-        cell, replacing any previous one and its source links."""
+        cell, replacing any previous one and its source links, and keep the
+        indexes in step if they are built."""
         dest = comp.dest
         cell = self.refs.get(dest)
         if cell is None:
             raise GraphError(f"computation into unknown cell {dest!r}")
-        index = self.consumer_index
         old = cell.comp
+        cell.comp = comp
+        cell.srcs = None
+        built = self.__dict__.get("indexes")
+        if built is None:
+            return
+        index, fix_by_final = built
         if old is not None:
             for s in old.srcs:
                 users = index.get(s)
                 if users is not None:
                     users.discard(dest)
             if old.fn is FIX:
-                self.fix_by_final.pop(old.srcs[1], None)
-        cell.comp = comp
-        cell.srcs = None
+                fix_by_final.pop(old.srcs[1], None)
         for s in comp.srcs:
             users = index.get(s)
             if users is None:
@@ -261,7 +298,7 @@ class Daig:
             else:
                 users.add(dest)
         if comp.fn is FIX:
-            self.fix_by_final[comp.srcs[1]] = dest
+            fix_by_final[comp.srcs[1]] = dest
 
     def sources(self, cell: RefCell) -> tuple[RefCell, ...]:
         """The cells ``cell``'s computation reads, linked on first use."""
@@ -279,21 +316,25 @@ class Daig:
 
     def copy(self) -> "Daig":
         """An independent graph: new cells (with no cached sources) over the
-        same immutable names, computations and contents."""
+        same immutable names, computations and contents, and copies of the
+        indexes if they are built."""
         out = Daig(self.entry_name, self.entry_state)
         out.refs = {n: RefCell(c.name, c.ty, c.contents, c.comp) for n, c in self.refs.items()}
-        out.consumer_index = {n: set(s) for n, s in self.consumer_index.items()}
-        out.fix_by_final = dict(self.fix_by_final)
+        built = self.__dict__.get("indexes")
+        if built is not None:
+            users, fixes = built
+            out.indexes = ({n: set(s) for n, s in users.items()}, dict(fixes))
         return out
 
     # -- reachability ---------------------------------------------------------
 
     def forward_set(self, n: Name) -> set[Name]:
         """Cells that transitively (non-reflexively) depend on ``n``."""
+        index = self.consumer_index
         seen: set[Name] = set()
         stack = [n]
         while stack:
-            for dest in self.consumer_index.get(stack.pop(), ()):
+            for dest in index.get(stack.pop(), ()):
                 if dest not in seen:
                     seen.add(dest)
                     stack.append(dest)
@@ -447,16 +488,16 @@ def dest_structures(
             sname = Prod(s_ln, ln)
             if indexed is None:
                 refs[sname] = RefCell(sname, STMT, e.stmt)
-                into = Computation(n_d, TRANSFER, (sname, read))
+                into = _comp((n_d, TRANSFER, (sname, read)))
             else:
                 idx = IdxN(i)
                 sname = Prod(idx, sname)
                 pre = Prod(idx, n_d)
                 refs[sname] = RefCell(sname, STMT, e.stmt)
-                refs[pre] = RefCell(pre, STATE, None, Computation(pre, TRANSFER, (sname, read)))
+                refs[pre] = RefCell(pre, STATE, None, _comp((pre, TRANSFER, (sname, read))))
                 pres.append(pre)
         if indexed is not None:
-            into = Computation(n_d, JOIN, tuple(pres))
+            into = _comp((n_d, JOIN, tuple(pres)))
         if d != cfg.entry:
             refs[n_d] = RefCell(n_d, STATE, None, into)
         if fix is not None:
@@ -468,9 +509,9 @@ def dest_structures(
                 read = s_fix
             sname = Prod(s_ln, ln)
             refs[sname] = RefCell(sname, STMT, back.stmt)
-            refs[pre_w] = RefCell(pre_w, STATE, None, Computation(pre_w, TRANSFER, (sname, read)))
-            refs[iter1] = RefCell(iter1, STATE, None, Computation(iter1, WIDEN, (n_d, pre_w)))
-            refs[fix] = RefCell(fix, STATE, None, Computation(fix, FIX, (n_d, iter1)))
+            refs[pre_w] = RefCell(pre_w, STATE, None, _comp((pre_w, TRANSFER, (sname, read))))
+            refs[iter1] = RefCell(iter1, STATE, None, _comp((iter1, WIDEN, (n_d, pre_w))))
+            refs[fix] = RefCell(fix, STATE, None, _comp((fix, FIX, (n_d, iter1))))
 
 
 def _check_structured_loops(cfg: Cfg, loops: LoopInfo) -> None:
@@ -492,7 +533,9 @@ def init_daig(cfg: Cfg, names: LocNames, domain, entry_state=None) -> Daig:
     The cells are :func:`dest_structures` over every location, named
     through the table ``names`` of the CFG's loop structure; a final pass
     links each computed cell's sources, so a first demand looks up no
-    names, and fills the consumer and fix indexes.
+    names.  The build fills no index: the consumer and fix indexes are
+    derived on first read (see :class:`Daig`), which a query-only engine
+    never makes, and the first edit pays O(cells) for once.
     """
     loops = names.loops
     _check_structured_loops(cfg, loops)
@@ -506,18 +549,11 @@ def init_daig(cfg: Cfg, names: LocNames, domain, entry_state=None) -> Daig:
     refs = d.refs
     refs[entry_name] = RefCell(entry_name, STATE, entry_state)
     dest_structures(cfg, names, sorted(cfg.locs), refs)
-
-    users_of, cell_of = d.consumer_index.setdefault, refs.__getitem__
-    fix_by_final = d.fix_by_final
-    for name, cell in refs.items():
+    cell_of = refs.__getitem__
+    for cell in refs.values():
         comp = cell.comp
         if comp is not None:
-            _, fn, srcs = comp
-            cell.srcs = tuple(map(cell_of, srcs))
-            for s in srcs:
-                users_of(s, set()).add(name)
-            if fn is FIX:
-                fix_by_final[srcs[1]] = name
+            cell.srcs = tuple(map(cell_of, comp[2]))
     return d
 
 
@@ -581,8 +617,8 @@ def unroll(d: Daig, fix: Computation) -> set[Name]:
         cur = refs[dest].comp
         if cur is not None and cur.fn is comp.fn and cur.srcs == srcs:
             continue
-        d.set_comp(Computation(dest, comp.fn, srcs))
-    d.set_comp(Computation(fix.dest, FIX, (final, bumped[final])))
+        d.set_comp(_comp((dest, comp.fn, srcs)))
+    d.set_comp(_comp((fix.dest, FIX, (final, bumped[final]))))
     return between
 
 
@@ -597,7 +633,10 @@ def check_wf(d: Daig) -> list[Violation]:
     must be exactly the inverse of the cells' computations: a name lists
     every cell whose computation reads it and no other (an empty set is
     allowed), and each fix computation's final iterate, and nothing else,
-    maps to that computation's destination.
+    maps to that computation's destination.  This is a first read: it
+    builds the indexes of a graph that has none (a query-only engine's),
+    so a debug engine keeps them from its fresh graph on and every later
+    check tests what :meth:`Daig.set_comp` maintained.
     """
     out: list[Violation] = []
     refs = d.refs

@@ -19,6 +19,7 @@ from daig.graph import (
     Prod,
     check_wf,
     head_fix_name,
+    init_daig,
     stmt_cell_locs,
 )
 from daig.lang.cfg import Cfg, Edge
@@ -878,6 +879,96 @@ def test_cold_engine_counters_and_graph_sizes_are_pinned(seed):
         counters, sizes = COLD_PINS[seed, size]
         assert eng.metrics.snapshot() == dict(zip(eng.metrics.COUNTER_FIELDS, counters))
         assert (len(d.refs), len(d.consumer_index), len(d.fix_by_final)) == sizes
+
+
+NESTED_SRC = "fn main() { x = 0; while (x < 9) { y = 0; while (y < x) { y = y + 1; } x = x + 1; } }"
+
+
+def built(d) -> bool:
+    """Whether the graph ``d`` has built its consumer and fix indexes."""
+    return "indexes" in vars(d)
+
+
+def test_a_fresh_graph_and_a_query_only_engine_build_no_index():
+    cfg = parse_program(NESTED_SRC).proc("main").cfg
+    loops = analyze_loops(cfg)
+    assert not built(init_daig(cfg, LocNames(loops), INTERVAL))
+    eng = Engine(cfg, INTERVAL, loops=loops)
+    for loc in sorted(cfg.locs):
+        eng.query_loc(loc)
+    assert eng.metrics.unrollings > 0
+    assert not built(eng.daig)
+    # A debug engine's first check reads them, and it keeps them after that.
+    assert built(Engine(cfg, INTERVAL, loops=loops, debug=True).daig)
+
+
+def nonempty(index: dict) -> dict:
+    return {n: users for n, users in index.items() if users}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_indexes_built_on_first_use_equal_ones_kept_from_the_build(seed):
+    """A lazily indexed engine and a twin that built its indexes at
+    construction and kept them in step since hold equal indexes after every
+    step of a stream of insertions, relabels, cell writes and queries."""
+    rng = random.Random(seed)
+    cfg = parse_program(NESTED_SRC).proc("main").cfg
+    lazy, twin = Engine(cfg, INTERVAL), Engine(cfg, INTERVAL)
+    twin.daig.indexes
+    was_built = []
+    for _ in range(60):
+        was_built.append(built(lazy.daig))
+        what = rng.random()
+        if what < 0.5:
+            edit = mixed_edit(rng, lazy.cfg, lazy.loops)[1]
+            for eng in (lazy, twin):
+                eng.apply_program_edit(edit)
+        elif what < 0.6:
+            name = rng.choice(sorted(n for n, c in lazy.daig.refs.items() if c.comp is not None))
+            for eng in (lazy, twin):
+                eng.write_cell(name, None)
+        else:
+            loc = rng.choice(sorted(lazy.cfg.locs))
+            for eng in (lazy, twin):
+                eng.query_loc(loc)
+        # Comparing reads a copy's indexes while the engine's are not built.
+        d = lazy.daig if built(lazy.daig) else lazy.daig.copy()
+        assert built(lazy.daig) is (d is lazy.daig)
+        assert nonempty(d.consumer_index) == nonempty(twin.daig.consumer_index)
+        assert d.fix_by_final == twin.daig.fix_by_final
+        assert check_wf(d) == []
+        assert check_wf(twin.daig) == []
+    assert not was_built[0] and was_built[-1]
+    assert lazy.metrics.snapshot() == twin.metrics.snapshot()
+    assert lazy.metrics.unrollings > 0
+
+
+def test_copies_and_pickles_carry_the_indexes_only_if_built():
+    cfg = parse_program(NESTED_SRC).proc("main").cfg
+    eng = Engine(cfg, INTERVAL)
+    eng.query_loc(cfg.exit)
+    for d in (eng.daig.copy(), eng.snapshot().daig, pickle.loads(pickle.dumps(eng)).daig):
+        assert not built(d)
+    assert not built(eng.daig)
+
+    users, fixes = eng.daig.indexes
+    for d in (eng.daig.copy(), eng.snapshot().daig, pickle.loads(pickle.dumps(eng)).daig):
+        assert built(d)
+        assert d.consumer_index == users and d.fix_by_final == fixes
+        assert d.consumer_index is not users and d.fix_by_final is not fixes
+        assert all(d.consumer_index[n] is not users[n] for n in users)
+    # A copy's indexes and the original's change independently.
+    copy = eng.daig.copy()
+    final, fix = next(iter(fixes.items()))
+    copy.consumer_index[final].discard(fix)
+    del copy.fix_by_final[final]
+    assert fix in users[final] and fixes[final] == fix
+    assert check_wf(eng.daig) == []
+    kept = ({n: set(u) for n, u in copy.consumer_index.items()}, dict(copy.fix_by_final))
+    eng.apply_program_edit(InsertStmtAfter(cfg.entry, parse_stmt_text("y = 2;")))
+    assert check_wf(eng.daig) == []
+    assert eng.daig.consumer_index != kept[0]
+    assert (copy.consumer_index, copy.fix_by_final) == kept
 
 
 @pytest.mark.parametrize("seed", [0, 7, 9])  # seeds whose sessions unroll loops

@@ -15,10 +15,13 @@ corpus and with the loop structure passed in:
   location, in the workload's order.
 
 It prints two ratios, each the median over the passes of that pass's ratio:
-build/batch and engine/batch.  Every engine answer is checked against the
-batch answer once, outside the timed passes.  As in the benchmark, the
-corpus is moved out of the cyclic collector's reach (``gc.freeze``) before
-timing, so collections scan only what the timed code allocates.
+build/batch and engine/batch.  It also prints the cyclic collector's share
+of the engine passes: the time between each collection's ``start`` and
+``stop`` callbacks (``gc.callbacks``) over the pass's time, median over the
+passes.  Every engine answer is checked against the batch answer once,
+outside the timed passes.  As in the benchmark, the corpus is moved out of
+the cyclic collector's reach (``gc.freeze``) before timing, so collections
+scan only what the timed code allocates.
 """
 
 from __future__ import annotations
@@ -55,6 +58,20 @@ def _engine(programs, query: bool) -> float:
     return time.perf_counter() - t0
 
 
+class _CollectorClock:
+    """A ``gc.callbacks`` entry adding up the time collections take."""
+
+    def __init__(self) -> None:
+        self.seconds = 0.0
+        self._t0 = 0.0
+
+    def __call__(self, phase: str, _info: dict) -> None:
+        if phase == "start":
+            self._t0 = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self._t0
+
+
 def _check(programs) -> None:
     for cfg, loops, order in programs:
         engine = Engine(cfg, DOMAIN, loops=loops, mode=MODE)
@@ -73,15 +90,25 @@ def main(argv=None) -> int:
     _check(programs)
     gc.collect()
     gc.freeze()
-    build, full = [], []
-    for _ in range(args.passes):
-        batch = _batch(programs)
-        build.append(_engine(programs, query=False) / batch)
-        full.append(_engine(programs, query=True) / batch)
+    build, full, collector = [], [], []
+    clock = _CollectorClock()
+    gc.callbacks.append(clock)
+    try:
+        for _ in range(args.passes):
+            batch = _batch(programs)
+            build.append(_engine(programs, query=False) / batch)
+            before = clock.seconds
+            engine = _engine(programs, query=True)
+            full.append(engine / batch)
+            collector.append((clock.seconds - before) / engine)
+    finally:
+        gc.callbacks.remove(clock)
+        gc.unfreeze()
     locs = sum(len(cfg.locs) for cfg, _loops, _order in programs)
     print(f"corpus: seed {args.seed}, {len(programs)} programs, {locs} locations")
     print(f"build/batch:  {statistics.median(build):.2f}x")
     print(f"engine/batch: {statistics.median(full):.2f}x")
+    print(f"collector:    {statistics.median(collector):.1%} of the engine passes")
     return 0
 
 
