@@ -70,7 +70,7 @@ class _Run:
         for h in loops.natural_loops:
             region_of[h] = []
         for l in _topo_order(cfg, loops):
-            enc = loops.enclosing_heads(l)
+            enc = loops.enclosing[l]
             region_of[enc[-1] if enc else None].append(l)
         self.region_of = region_of
 

@@ -107,10 +107,12 @@ class Engine:
     Demand walks linked cells: each cell holds the computation into it (the
     only place it is kept) and caches its source cells, so a walk looks up
     no names.  Links point upstream only, so the graph has no reference
-    cycles.  ``names`` is the name table of the loop structure, replaced
-    with it: ``query_loc`` resolves a location through it to one cell per
-    enclosing loop level, each named by the table's ``LocN`` and the counts
-    of the level above's converged first iterate, read from the graph.
+    cycles.  ``names`` is the name table of the loop structure (``loops``
+    may be a table to adopt), which an edit replaces with the one
+    :func:`derive_names` makes; all engines of a forest's procedure hold
+    one table.  ``query_loc`` resolves a location through it to one cell
+    per enclosing loop level, each named by the table's ``LocN`` and the
+    counts of the level above's converged first iterate, read from the graph.
     ``dest_structures`` is the one builder of a location's cells, named
     through the table: a fresh graph (``init_daig``) is its cells over every
     location, and an edit adopts its cells for the locations it touches,
@@ -141,7 +143,7 @@ class Engine:
         cfg: Cfg,
         domain,
         *,
-        loops: Optional[LoopInfo] = None,
+        loops: Optional[LoopInfo | LocNames] = None,
         mode: str = "eq",
         memo: Optional[dict] = None,
         enable_memo: bool = True,
@@ -153,7 +155,7 @@ class Engine:
             raise ValueError(f"unknown convergence mode {mode!r}")
         self.cfg = cfg
         self.domain = domain
-        self.names = LocNames(loops if loops is not None else analyze_loops(cfg))
+        self.names = loops if isinstance(loops, LocNames) else LocNames(loops or analyze_loops(cfg))
         self.mode = mode
         self.memo = memo if memo is not None else {}
         self.enable_memo = enable_memo
@@ -389,7 +391,7 @@ class Engine:
             except EditError as exc:
                 raise EngineError(f"cannot write {name!r}: {exc}") from None
             if new_cfg is not self.cfg:
-                self.splice(new_cfg, delta, analyze_loops(new_cfg))
+                self.splice(new_cfg, delta, derive_names(self.names, new_cfg, delta))
                 return
             # Rewriting the current statement changes no edge, but its
             # consumers are still re-demanded.
@@ -456,17 +458,17 @@ class Engine:
         self._check_no_calls(inserted_stmts(edit))
         new_cfg, delta = apply_edit(self.cfg, edit, validate=False)
         if new_cfg is not self.cfg:
-            self.splice(new_cfg, delta, analyze_loops(new_cfg))
+            self.splice(new_cfg, delta, derive_names(self.names, new_cfg, delta))
         return delta
 
-    def splice(self, new_cfg: Cfg, delta: EditDelta, loops: LoopInfo) -> None:
+    def splice(self, new_cfg: Cfg, delta: EditDelta, names: LocNames) -> None:
         """Bring the graph in step with ``new_cfg``, which differs from the
-        current program by ``delta`` and has loop structure ``loops`` (as
-        derived by ``analyze_loops``): keep join indices stable, re-derive the
+        current program by ``delta`` and has the name table ``names`` that
+        :func:`derive_names` made: adopt that table as it is, re-derive the
         flow into every touched location with ``dest_structures``, adopt the
         cells the graph lacks, and dirty whatever reads a changed statement
         or computation.  Every computation goes in through ``set_comp``.
-        One derived edit may be spliced into every engine analyzing the
+        One derived table may be spliced into every engine analyzing the
         edited procedure.
 
         A changed statement empties what reads it, and a replaced
@@ -480,9 +482,6 @@ class Engine:
         stale sources.  An edit that adds an edge carrying a call recomputes
         nothing here, so no call handler runs before a forest has replaced
         the procedure's CFG."""
-        ji = stable_join_indices(self.loops.join_indices, delta, loops)
-        names = LocNames(replace(loops, join_indices=ji))
-        names.update(self.names)  # no entry changes (see ``LocNames``)
         made: dict[Name, RefCell] = {}
         dest_structures(new_cfg, names, sorted(delta.touched_dsts() | set(delta.added_locs)), made)
         daig = self.daig
@@ -533,6 +532,18 @@ class Engine:
         for dest in changed:
             self._dirty(dest, include_self=False)
         self._after_public_op()
+
+
+def derive_names(names: LocNames, new_cfg: Cfg, delta: EditDelta) -> LocNames:
+    """The name table of ``new_cfg``, which differs from the program of
+    ``names`` by ``delta``: its loop structure, with the join indices of
+    ``names`` carried across, and every entry of ``names`` (see
+    ``LocNames``).  The one place an edit's name table is derived."""
+    loops = analyze_loops(new_cfg)
+    ji = stable_join_indices(names.loops.join_indices, delta, loops)
+    out = LocNames(replace(loops, join_indices=ji))
+    out.update(names)  # no entry changes (see ``LocNames``)
+    return out
 
 
 def _outside_loops(name: Name) -> bool:

@@ -382,11 +382,12 @@ class LocNames(dict):
     """The cell names of one loop structure (``loops``): each location's
     ``LocN``, state cell name (its enclosing heads', and a head's own,
     counts at zero) and fix cell name (``None`` off loop heads), made once,
-    on first use.  Entries follow from ``loops`` alone, so engine copies may
+    on first use.  Entries follow from ``loops`` alone, so engines may
     share a table; whoever replaces ``loops`` replaces the table.
 
-    An edit's table starts with every entry of the table before it
-    (``Engine.splice``): an entry follows from the location's enclosing
+    An edit's table comes from ``daig.engine.derive_names``, and every
+    engine of the edited procedure shares it.  It starts with every entry
+    of the table before it: an entry follows from the location's enclosing
     heads and whether it is a head, and no edit form changes either for an
     existing location, since edits only add locations and relabel edges.
     A deletion edit that removes locations or loops must revisit this."""

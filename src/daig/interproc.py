@@ -16,11 +16,10 @@ from __future__ import annotations
 from typing import Optional
 from weakref import ref
 
-from .engine import Engine, EngineError, Metrics
-from .graph import Computation, Name, stmt_cell_locs
+from .engine import Engine, EngineError, Metrics, derive_names
+from .graph import Computation, LocNames, Name, stmt_cell_locs
 from .lang.cfg import CfgError, Loc, Program
 from .lang.edits import ProgramEdit, apply_edit, inserted_stmts
-from .lang.loops import analyze_loops
 from .lang.syntax import Call
 
 
@@ -36,14 +35,10 @@ class Context(tuple):
     def __new__(cls, sites: tuple[CallSite, ...] = ()) -> "Context":
         return tuple.__new__(cls, sites)
 
-    @property
-    def sites(self) -> tuple[CallSite, ...]:
-        return tuple(self)
-
     def __repr__(self):
-        if not self.sites:
+        if not self:
             return "@[]"
-        return "@[" + ",".join(f"{p}:l{l}" for p, l in self.sites) + "]"
+        return "@[" + ",".join(f"{p}:l{l}" for p, l in self) + "]"
 
 
 ENTRY_CONTEXT = Context()
@@ -57,7 +52,7 @@ def callee_context(policy_k: int, caller_ctx: Context, callsite: CallSite) -> Co
     """Suffix call-string policy: keep the last ``policy_k`` sites."""
     if policy_k <= 0:
         return ENTRY_CONTEXT
-    return Context((caller_ctx.sites + (callsite,))[-policy_k:])
+    return Context((*caller_ctx, callsite)[-policy_k:])
 
 
 class DaigForest:
@@ -81,6 +76,8 @@ class DaigForest:
         self.mode = mode
         self.debug = debug
         self.engines: dict[tuple[str, Context], Engine] = {}
+        # proc -> the name table every live engine of proc holds
+        self.names: dict[str, LocNames] = {}
         # (callee, callee ctx) -> return-site cells computed from its exit
         self.call_deps: dict[tuple[str, Context], set[tuple[str, Context, Name]]] = {}
         # (callee, callee ctx) -> entry-state contribution per call site
@@ -102,15 +99,18 @@ class DaigForest:
         return eng
 
     def _new_engine(self, proc: str, ctx: Context, entry) -> Engine:
-        return Engine(
+        eng = Engine(
             self.program.proc(proc).cfg,
             self.domain,
+            loops=self.names.get(proc),
             mode=self.mode,
             debug=self.debug,
             memo=self._memo,
             call_handler=self._call_handler(proc, ctx),
             entry_state=entry,
         )
+        self.names[proc] = eng.names
+        return eng
 
     def _register_entry(self, proc: str, ctx: Context, site: CallSite, entry) -> None:
         key = (proc, ctx)
@@ -184,23 +184,25 @@ class DaigForest:
         """Edit a procedure in every live context, then transitively dirty
         every recorded return-site cell in callers.
 
-        The edit is derived once, and its loop analysis (which also rejects
-        an irreducible result) is spliced into each live context's graph.
+        The procedure's name table is derived once (its loop analysis also
+        rejects an irreducible result) and spliced into each live context's
+        graph; contexts made later are built on it.
         An edit whose new call would close a recursive call cycle is
         rejected before any state changes, as the parser rejects recursion.
         """
         adds_call = self._validate_new_calls(edit)
         old_cfg = self.program.proc(proc).cfg
-        new_cfg, delta = apply_edit(old_cfg, edit, validate=False)
+        names = self.names.get(proc)  # None until proc has a live context
+        new_cfg, delta = apply_edit(old_cfg, edit, validate=names is None)
         if adds_call:
             edited = Program(dict(self.program.procedures), self.program.main)
             edited.replace_cfg(proc, new_cfg)
             edited.call_order()
-        if new_cfg is not old_cfg:
-            loops = analyze_loops(new_cfg)
+        if new_cfg is not old_cfg and names is not None:
+            names = self.names[proc] = derive_names(names, new_cfg, delta)
             for (p, _ctx), eng in sorted(self.engines.items(), key=lambda kv: kv[0]):
                 if p == proc:
-                    eng.splice(new_cfg, delta, loops)
+                    eng.splice(new_cfg, delta, names)
         self.program.replace_cfg(proc, new_cfg)
         self._dirty_callers(proc, None)
 

@@ -53,10 +53,6 @@ class LoopInfo:
             out.add(cur)
         return frozenset(out)
 
-    def enclosing_heads(self, loc: Loc) -> tuple[Loc, ...]:
-        """Heads of the natural loops containing ``loc``, outermost first."""
-        return self.enclosing[loc]
-
     def back_edge_of(self, head: Loc) -> Edge:
         for e in self.back_edges:
             if e.dst == head:

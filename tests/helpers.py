@@ -11,7 +11,6 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import daig.engine
-import daig.interproc
 import daig.lang.edits
 from daig.domains.interval import NEG_INF, POS_INF, IntervalState
 from daig.lang.cfg import Cfg, CfgError, Edge, Loc
@@ -82,15 +81,16 @@ def no_reference_cycles():
 
 
 def count_loop_analyses(monkeypatch) -> list[Cfg]:
-    """Record every CFG that the edit path (``daig.lang.edits``,
-    ``daig.engine``, ``daig.interproc``) hands to ``analyze_loops``."""
+    """Record every CFG that the edit path (``daig.lang.edits`` and
+    ``daig.engine``, whose ``derive_names`` the forest calls too) hands to
+    ``analyze_loops``."""
     calls: list[Cfg] = []
 
     def counting(cfg: Cfg):
         calls.append(cfg)
         return analyze_loops(cfg)
 
-    for module in (daig.lang.edits, daig.engine, daig.interproc):
+    for module in (daig.lang.edits, daig.engine):
         monkeypatch.setattr(module, "analyze_loops", counting)
     return calls
 

@@ -13,7 +13,7 @@ from daig.lang.edits import InsertStmtAfter, RelabelEdge
 from daig.lang.inline import inline_program, is_inline_var
 from daig.lang.loops import analyze_loops
 from daig.lang.parser import parse_program, parse_stmt_text
-from daig.lang.syntax import stmt_text
+from daig.lang.syntax import Call, stmt_text
 
 from daig.workload import INTERPROC_BASE
 
@@ -56,7 +56,7 @@ def test_callee_context_policies():
         ctx = Context(())
         for site in (site1, site2, site3):
             ctx = callee_context(k, ctx, site)
-            assert len(ctx.sites) <= k
+            assert len(ctx) <= k
 
 
 def test_identity_function_binds_argument():
@@ -242,6 +242,80 @@ def test_callee_edit_is_derived_once_for_all_live_contexts(monkeypatch):
     assert_matches_inline_oracle(program, policy_k=1)
     assert len([ctx for p, ctx in forest.live_keys() if p == "f"]) == 2
 
+
+
+def assert_every_context_matches_inline_oracle(forest, program):
+    """Every location of every live context against the inline oracle: main
+    directly, and a callee context by a batch run of the callee from the
+    entry its one call site gives, the argument evaluated in the oracle's
+    state at the call, or from unknown inputs for the direct context."""
+    assert_forest_matches_inline_oracle(forest, program)
+    oracle = inlined_invariants(program)
+    calls = {e.src: e.stmt for e in program.proc(program.main).cfg.edges if isinstance(e.stmt, Call)}
+    for proc, ctx in forest.live_keys():
+        if proc == program.main:
+            continue
+        callee = program.proc(proc)
+        if ctx:
+            ((_caller, site),) = ctx
+            arg = INTERVAL.eval_arg(calls[site].actual, oracle[site])
+            entry = INTERVAL.entry_state_for_call(callee.param, arg)
+        else:
+            entry = INTERVAL.init()
+        want = batch_analyze(callee.cfg, analyze_loops(callee.cfg), INTERVAL, entry_state=entry)
+        for loc in sorted(callee.cfg.locs):
+            got = INTERVAL.to_text(forest.query_loc(proc, loc, ctx))
+            assert got == INTERVAL.to_text(want.invariants[loc]), (proc, ctx, loc)
+
+
+def test_contexts_of_a_procedure_share_one_name_table(monkeypatch):
+    src = """
+    fn main() { a = f(1); c = a + 1; }
+    fn f(p) {
+      x = p;
+      if (x < 3) { x = x + 1; } else { x = x - 1; }
+      while (x < 9) { x = x + 4; }
+      ret = x;
+    }
+    """
+    program = parse_program(src)
+    forest = DaigForest(program, INTERVAL, policy_k=1, debug=True)
+    assert_forest_matches_inline_oracle(forest, program)
+    calls = count_loop_analyses(monkeypatch)
+    # A direct query makes a second context of f, built on f's table.
+    direct = forest.engine("f")
+    assert calls == []
+
+    def f_engines():
+        return [eng for (p, _ctx), eng in forest.engines.items() if p == "f"]
+
+    assert len(f_engines()) == 2
+    assert all(eng.names is forest.names["f"] for eng in f_engines())
+
+    # Insert on the then-branch: its edge into the if/else join moves to a
+    # fresh source, which keeps its join index but would sort last afresh.
+    join = next(l for l, es in direct.loops.join_indices.items() if len(es) == 2)
+    then_src = direct.loops.join_indices[join][0].src
+    forest.apply_program_edit("f", InsertStmtAfter(then_src, parse_stmt_text("x = x * 2;")))
+    assert len(calls) == 2
+    names = forest.names["f"]
+    assert names.loops.join_indices != analyze_loops(program.proc("f").cfg).join_indices
+    assert all(eng.names is names for eng in f_engines())
+    assert_every_context_matches_inline_oracle(forest, program)
+
+    # A context made after the edit names its cells as the shared table does,
+    # so the next edit splices into it like into the others.
+    main_cfg = program.proc("main").cfg
+    forest.apply_program_edit("main", InsertStmtAfter(main_cfg.entry, parse_stmt_text("b = f(7);")))
+    del calls[:]
+    assert_forest_matches_inline_oracle(forest, program)
+    assert calls == []
+    assert len(f_engines()) == 3
+    edge = next(e for e in program.proc("f").cfg.edges if stmt_text(e.stmt) == "ret = x;")
+    forest.apply_program_edit("f", RelabelEdge(edge.src, edge.dst, parse_stmt_text("ret = x - p;")))
+    assert len(calls) == 1
+    assert all(eng.names is forest.names["f"] for eng in f_engines())
+    assert_every_context_matches_inline_oracle(forest, program)
 
 
 @pytest.mark.parametrize("stmt", ["x = f(y);", "w = 2;"])

@@ -143,7 +143,7 @@ def test_enclosing_heads_order_is_outermost_first():
     inner, outer = heads[0], heads[-1]
     assert inner in loops.natural_loops[outer]
     for loc in loops.natural_loops[inner]:
-        assert loops.enclosing_heads(loc) == (outer, inner)
+        assert loops.enclosing[loc] == (outer, inner)
 
 
 def check_against_definitions(cfg: Cfg) -> None:
@@ -157,7 +157,7 @@ def check_against_definitions(cfg: Cfg) -> None:
     assert {h: set(b) for h, b in loops.natural_loops.items()} == bodies
     for l in cfg.locs:
         heads = sorted((h for h, b in bodies.items() if l in b), key=lambda h: (-len(bodies[h]), h))
-        assert loops.enclosing_heads(l) == tuple(heads), l
+        assert loops.enclosing[l] == tuple(heads), l
         incoming = sorted((e for e in cfg.edges - back if e.dst == l), key=Edge.sort_key)
         assert loops.fwd_in[l] == tuple(incoming), l
         if len(incoming) >= 2:

@@ -86,7 +86,7 @@ def test_while_as_first_statement_keeps_entry_plain():
     cfg = prog.proc("main").cfg
     loops = analyze_loops(cfg)
     assert cfg.entry not in loops.natural_loops
-    assert not loops.enclosing_heads(cfg.entry)
+    assert not loops.enclosing[cfg.entry]
 
 
 def test_syntax_error_carries_position():

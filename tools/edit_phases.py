@@ -13,8 +13,10 @@ steps, then the queries:
 
 - apply_edit: ``apply_edit`` on the engine's program, including the loop
   analysis of the old program it runs (shown on its own as well);
-- analysis: the engine's ``analyze_loops`` of the edited program;
-- splice: ``Engine.splice``;
+- derive_names: ``derive_names``, the engine's one derivation of the edited
+  program's name table: its loop analysis, the join indices carried
+  across, and the old table's entries copied in;
+- splice: ``Engine.splice``, which adopts that table;
 - queries: the five ``query_loc`` calls.
 
 It prints each phase's time per cycle and its share of the cycle, each the
@@ -36,12 +38,13 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from daig.batch import batch_analyze  # noqa: E402
+from daig.engine import derive_names  # noqa: E402
 from daig.lang import edits  # noqa: E402
 from daig.lang.edits import apply_edit  # noqa: E402
 from daig.lang.loops import analyze_loops  # noqa: E402
 from perfbench.workloads import DOMAIN, MODE, EditSession  # noqa: E402
 
-PHASES = ("apply_edit", "its analysis", "analysis", "splice", "queries")
+PHASES = ("apply_edit", "its analysis", "derive_names", "splice", "queries")
 
 
 class _TimedAnalysis:
@@ -65,9 +68,9 @@ def _cycle(engine, step, old_analysis: _TimedAnalysis, acc: dict) -> list:
     t0 = time.perf_counter()
     new_cfg, delta = apply_edit(engine.cfg, step.edit, validate=False)
     t1 = time.perf_counter()
-    loops = analyze_loops(new_cfg)
+    names = derive_names(engine.names, new_cfg, delta)
     t2 = time.perf_counter()
-    engine.splice(new_cfg, delta, loops)
+    engine.splice(new_cfg, delta, names)
     t3 = time.perf_counter()
     answers = [engine.query_loc(loc) for loc in step.queries]
     t4 = time.perf_counter()
@@ -119,7 +122,7 @@ def main(argv=None) -> int:
         edits.analyze_loops = analyze_loops
         gc.unfreeze()
     print(f"corpus: seed {args.seed}, {len(episodes)} sessions, {cycles} cycles")
-    totals = [p["apply_edit"] + p["analysis"] + p["splice"] + p["queries"] for p in passes]
+    totals = [p["apply_edit"] + p["derive_names"] + p["splice"] + p["queries"] for p in passes]
     total = statistics.median(totals)
     for phase in PHASES:
         shares = [p[phase] / t for p, t in zip(passes, totals)]
