@@ -3,19 +3,25 @@
 Queries walk dependencies backwards, reusing filled cells and the
 location-independent memo table; loop fixed points are computed by
 demanded unrolling, which extends the graph one abstract iteration at a
-time until two consecutive iterates agree.  With the memo on, an
-insertion recomputes at once each state cell outside every loop whose
-computation it replaced, and empties what reads such a cell only if its
-value changed: O(touched) eager work at the edit.  Every other change (a
-statement write, a cell inside a loop body) empties its dependents,
-rolling fix edges back to their first iterates, and they are recomputed
-when demanded again.
+time until two consecutive iterates agree.
+
+With the memo on, an edit propagates what it changes: it recomputes at
+once every filled cell that reads a replaced computation or statement, and
+goes on only from cells whose value changed.  A cell outside every loop is
+recomputed in place; a cell inside a loop rolls back only its outermost
+loop, whose fixed point is demanded again from its first iterate.  Three
+boundaries keep lazy emptying, where dependents are emptied, fix edges
+rolled back to their first iterates, and everything recomputed when
+demanded again: memo-off engines, a transfer over a call statement, and
+loops in an engine with a call handler.  So no call handler runs inside an
+edit.  A write to a state cell empties lazily too.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from .graph import (
@@ -29,7 +35,6 @@ from .graph import (
     LocN,
     LocNames,
     Name,
-    Prod,
     RefCell,
     check_ai_consistency,
     check_cfg_consistency,
@@ -51,7 +56,7 @@ from .lang.edits import (
     stable_join_indices,
 )
 from .lang.loops import LoopInfo, analyze_loops
-from .lang.syntax import Call, Stmt, is_stmt, stmt_text
+from .lang.syntax import Call, is_stmt, stmt_text
 from .domains.base import ContractViolation
 
 
@@ -118,9 +123,9 @@ class Engine:
     location, and an edit adopts its cells for the locations it touches,
     writing each computation through ``Daig.set_comp``.  ``unroll`` is the
     one code that extends a loop by an iterate.  The graph's consumer and
-    fix indexes are read only by dirtying, so a query-only engine never
-    builds them; the first edit derives them in O(cells) once, and
-    ``set_comp`` keeps them in step after that.  Under ``debug`` the fresh
+    fix indexes are read only by an edit's dirtying and propagation, so a
+    query-only engine never builds them; the first edit derives them in
+    O(cells) once, and ``set_comp`` keeps them in step after that.  Under ``debug`` the fresh
     graph and every public operation are checked by ``assert_invariants``,
     which compares the graph with a from-scratch reference: a fresh graph
     whose live loops ``unroll`` takes to this graph's depths.  A pickled or
@@ -128,10 +133,13 @@ class Engine:
     it is queried, as do cells that unrolling or an edit gives a new
     computation.
 
-    With the memo on, an insertion does O(touched) eager work outside
-    loops (see :meth:`splice`): it recomputes the cells whose computation
-    it replaced and empties what reads them only where a value changed,
-    skipping exactly the recomputations that would have been memo hits.
+    With the memo on, an edit propagates (see :meth:`splice` and
+    :meth:`_propagate`): it recomputes the filled cells whose inputs it
+    changed, in place outside loops and by re-converging the outermost
+    loop of a cell inside one, and goes on only where a value changed, so
+    a filled cell stays filled and a query after the edit reads it at once.
+    Memo-off engines, transfers over calls, and loops in an engine with a
+    call handler are emptied instead and recomputed on demand.
 
     Mutating operations (query, write_cell, apply_program_edit) must be
     externally serialized; ``snapshot`` produces an independent copy that
@@ -371,12 +379,13 @@ class Engine:
     # -- edits ----------------------------------------------------------------
 
     def write_cell(self, name: Name, value) -> None:
-        """Edit one cell: dirty everything downstream, then commit.
+        """Edit one cell.
 
-        Writing ``None`` empties the cell (it must have an incoming
-        computation); writing a value requires the cell's type to match.
         Writing a statement cell relabels the corresponding CFG edge, on the
-        same path as a ``RelabelEdge`` program edit.  Dirtying across a fix
+        same path as a ``RelabelEdge`` program edit (see :meth:`splice`).
+        Writing a state cell dirties everything downstream, then commits:
+        ``None`` empties the cell (it must have an incoming computation), and
+        a value requires the cell's type to match.  Dirtying across a fix
         edge rolls it back to the loop's first iterates before continuing
         from iterate one.
         """
@@ -418,7 +427,11 @@ class Engine:
                         "has no interprocedural handler (analyze calls with DaigForest)"
                     )
 
-    def _dirty(self, start: Name, include_self: bool) -> None:
+    def _dirty(self, start: Name, include_self: bool, stop: Optional[Name] = None) -> None:
+        """Empty the filled cells downstream of ``start`` (and ``start``
+        itself if ``include_self``), rolling each fix edge whose final
+        iterate this reaches back to the loop's first iterates; the cell
+        ``stop`` is neither emptied nor passed."""
         # The consumer sets are visited in the order of their names' hashes,
         # the same in every process; what this empties is a closure, the same
         # in any order.
@@ -431,7 +444,7 @@ class Engine:
         while work:
             n = work.pop()
             cell = refs[n]
-            if cell.contents is None:
+            if cell.contents is None or n == stop:
                 continue
             cell.contents = None
             dirtied += 1
@@ -452,9 +465,10 @@ class Engine:
 
     def apply_program_edit(self, edit: ProgramEdit) -> EditDelta:
         """Apply a source-level edit: relabels rewrite statement cells,
-        insertions splice in fresh structure, and every cell whose inputs
-        changed is dirtied so demand recomputes it.  Without a call handler
-        an edit that inserts a call is rejected before any state changes."""
+        insertions splice in fresh structure, and every filled cell whose
+        inputs changed is brought up to date by :meth:`splice`.  Without a
+        call handler an edit that inserts a call is rejected before any
+        state changes."""
         self._check_no_calls(inserted_stmts(edit))
         new_cfg, delta = apply_edit(self.cfg, edit, validate=False)
         if new_cfg is not self.cfg:
@@ -466,28 +480,23 @@ class Engine:
         current program by ``delta`` and has the name table ``names`` that
         :func:`derive_names` made: adopt that table as it is, re-derive the
         flow into every touched location with ``dest_structures``, adopt the
-        cells the graph lacks, and dirty whatever reads a changed statement
-        or computation.  Every computation goes in through ``set_comp``.
-        One derived table may be spliced into every engine analyzing the
-        edited procedure.
+        cells the graph lacks, write the changed statements, and bring the
+        filled cells that read a changed statement or computation up to
+        date.  Every computation goes in through ``set_comp``.  One derived
+        table may be spliced into every engine analyzing the edited
+        procedure.
 
-        A changed statement empties what reads it, and a replaced
-        computation inside a loop body empties its cell and what reads it.
-        With the memo on, a filled state cell outside every loop whose
-        computation was replaced is instead recomputed once every new
-        computation is in place (O(touched) eager work, a memo lookup in the
-        common case), and what reads it is emptied only if its value
-        changed; a changed cell keeps its new value.  That emptying also
-        reaches any touched cell downstream, whose value was recomputed from
-        stale sources.  An edit that adds an edge carrying a call recomputes
-        nothing here, so no call handler runs before a forest has replaced
-        the procedure's CFG."""
+        With the memo on, :meth:`_propagate` recomputes those cells at once
+        and goes on only where a value changed.  With it off, and for an
+        edit that adds an edge carrying a call, they are emptied with all
+        they reach instead, and recomputed when demanded; so no call
+        handler runs before a forest has replaced the procedure's CFG."""
         made: dict[Name, RefCell] = {}
         dest_structures(new_cfg, names, sorted(delta.touched_dsts() | set(delta.added_locs)), made)
         daig = self.daig
         refs = daig.refs
-        content_writes: list[tuple[Name, Stmt]] = []
-        dirties: list[Name] = []
+        stmts: list[Name] = []  # statement cells whose statement changed
+        seeds: list[Name] = []  # state cells whose computation was replaced
         for name, cell in made.items():
             comp = cell.comp
             cur = refs.get(name)
@@ -498,55 +507,124 @@ class Engine:
                     daig.set_comp(comp)
             elif cell.ty is STMT:
                 if cur.contents != cell.contents:
-                    content_writes.append((name, cell.contents))
+                    cur.contents = cell.contents
+                    stmts.append(name)
             elif comp is None or cur.comp == comp:
                 continue
             elif cur.comp is None:
                 daig.set_comp(comp)
             elif comp.fn is not FIX:  # any existing unrolling depth is acceptable
                 daig.set_comp(comp)
-                dirties.append(name)
+                seeds.append(name)
         self.cfg = new_cfg
         self.names = names
-        for name, stmt in content_writes:
-            self._dirty(name, include_self=False)
-            refs[name].contents = stmt
-        cut_off = self.enable_memo and not any(isinstance(e.stmt, Call) for e in delta.added_edges)
-        eager: list[Name] = []
-        for dest in dirties:
-            if cut_off and _outside_loops(dest):
-                eager.append(dest)
+        if stmts:
+            index = daig.consumer_index
+            seeds += [u for name in stmts for u in index.get(name, ())]
+        if self.enable_memo and not any(isinstance(e.stmt, Call) for e in delta.added_edges):
+            self._propagate(seeds)
+        else:
+            for name in seeds:
+                self._dirty(name, include_self=True)
+        self._after_public_op()
+
+    def _propagate(self, seeds: list[Name]) -> None:
+        """Recompute the filled cells among the state cells ``seeds`` and
+        downstream of them, going on only from a cell whose value changed
+        (``domain.equal``); empty cells stay empty.
+
+        A cell outside every loop is recomputed in place, a memo lookup in
+        the common case; so are an outermost loop's first iterate and its
+        pre-join cells, which read only cells outside the loop.  Any other
+        cell inside a loop empties what it reaches inside its outermost
+        loop, rolling that loop back (:meth:`_dirty` stopped at the loop's
+        fix cell), and the fix cell is demanded afresh from the first
+        iterate once the work upstream of it is done; what reads it is
+        visited only if the fixed point changed.  A transfer is taken at
+        once, from a stack; joins, fix cells and the seeds wait in a heap
+        keyed by the reverse-postorder number of their location
+        (``LoopInfo.rpo_num``), so each is taken after everything upstream
+        of it.  Two boundaries empty instead, as demand could otherwise run
+        a call handler here: a transfer over a call statement, and every
+        cell inside a loop of an engine with a call handler."""
+        daig = self.daig
+        refs = daig.refs
+        index = daig.consumer_index
+        loops = self.loops
+        rpo_num, enclosing = loops.rpo_num, loops.enclosing
+        equal = self.domain.equal
+        dirty = self._dirty
+        lazy_loops = self.call_handler is not None
+        heap: list[tuple[int, int, Name]] = []  # (location number, rank there, cell)
+        queued: set[Name] = set()
+        stack: list[Name] = []
+
+        def visit(n: Name, defer: bool) -> None:
+            part = n[2] if n[0] == 3 else n  # a pre-join or pre-widen cell's location part
+            if part[0] != 2:
+                loc = part[1]
             else:
-                self._dirty(dest, include_self=True)
-        changed: list[Name] = []
-        for dest in eager:
-            cell = refs[dest]
+                loc = part[1][1]
+                # Inside a loop, unless it is an outermost loop's first iterate
+                # or one of its pre-join cells, which read only cells outside.
+                if part[2] != ((loc, 0),):
+                    if refs[n].contents is None:
+                        return
+                    if lazy_loops:
+                        dirty(n, include_self=True)
+                        return
+                    outer = enclosing[loc][0] if enclosing[loc] else loc
+                    fix = LocN(outer)
+                    dirty(n, include_self=True, stop=fix)
+                    n, loc = fix, outer
+                    defer = True
+            if not defer and refs[n].comp.fn is TRANSFER:
+                stack.append(n)
+            elif n not in queued:
+                queued.add(n)
+                # At one location: pre-join cells, then the state, then the fix cell.
+                rank = 0 if n[0] == 3 else 2 if refs[n].comp.fn is FIX else 1
+                heappush(heap, (rpo_num[loc], rank, n))
+
+        for n in seeds:
+            visit(n, True)
+        while True:
+            if stack:
+                n = stack.pop()
+            elif heap:
+                n = heappop(heap)[2]
+                queued.discard(n)
+            else:
+                break
+            cell = refs[n]
             old = cell.contents
-            if old is None:  # empty before the edit, or emptied just above
+            if old is None:
+                continue
+            comp = cell.comp
+            if comp.fn is TRANSFER and isinstance(refs[comp.srcs[0]].contents, Call):
+                dirty(n, include_self=True)
                 continue
             cell.contents = None
-            if self.domain.equal(self._demand(cell), old):
+            if equal(self._demand(cell), old):
                 cell.contents = old
-            else:
-                changed.append(dest)
-        for dest in changed:
-            self._dirty(dest, include_self=False)
-        self._after_public_op()
+                continue
+            # Rolling a loop back may change what reads a first iterate.
+            for u in tuple(index.get(n, ())):
+                visit(u, False)
 
 
 def derive_names(names: LocNames, new_cfg: Cfg, delta: EditDelta) -> LocNames:
     """The name table of ``new_cfg``, which differs from the program of
     ``names`` by ``delta``: its loop structure, with the join indices of
     ``names`` carried across, and every entry of ``names`` (see
-    ``LocNames``).  The one place an edit's name table is derived."""
-    loops = analyze_loops(new_cfg)
-    ji = stable_join_indices(names.loops.join_indices, delta, loops)
-    out = LocNames(replace(loops, join_indices=ji))
+    ``LocNames``).  The one place an edit's name table is derived.  A
+    relabel changes no structure, so its table patches the old
+    ``LoopInfo`` (``LoopInfo.relabelled``) and runs no loop analysis."""
+    if delta.relabelled and not (delta.added_locs or delta.added_edges or delta.removed_edges):
+        out = LocNames(names.loops.relabelled(delta.relabelled))
+    else:
+        loops = analyze_loops(new_cfg)
+        ji = stable_join_indices(names.loops.join_indices, delta, loops)
+        out = LocNames(replace(loops, join_indices=ji))
     out.update(names)  # no entry changes (see ``LocNames``)
     return out
-
-
-def _outside_loops(name: Name) -> bool:
-    """Whether the state cell ``name`` lies outside every loop: its own
-    name, or a pre-join cell's location part, carries no iteration count."""
-    return isinstance(name, LocN) or (isinstance(name, Prod) and isinstance(name.right, LocN))

@@ -231,11 +231,12 @@ class Daig:
     the final iterate of each fix computation to that computation's
     destination.  Both indexes are caches derived from the cells'
     computations on first read (``indexes``), as ``Cfg.adjacency`` is, and
-    :func:`check_wf` checks that they invert them exactly.  Only dirtying,
-    :meth:`forward_set` and the checkers read them, so a fresh graph and a
-    query-only engine never build them, and an engine's first edit pays
-    O(cells) once; after that :meth:`set_comp` keeps them in step.  Copying and pickling carry them only if built, so a pickled
-    warm session does not derive them again.
+    :func:`check_wf` checks that they invert them exactly.  Only an
+    edit's dirtying and propagation, :meth:`forward_set` and the checkers
+    read them, so a fresh graph and a query-only engine never build them,
+    and an engine's first edit pays O(cells) once; after that
+    :meth:`set_comp` keeps them in step.  Copying and pickling carry them
+    only if built, so a pickled warm session does not derive them again.
     """
 
     def __init__(self, entry_name: Name, entry_state):
@@ -630,11 +631,11 @@ def check_wf(d: Daig) -> list[Violation]:
     """The five well-formedness conditions, plus intact cell links and exact
     indexes; an empty list means well-formed.
 
-    Dirtying reads only ``consumer_index`` and ``fix_by_final``, so each
-    must be exactly the inverse of the cells' computations: a name lists
-    every cell whose computation reads it and no other (an empty set is
-    allowed), and each fix computation's final iterate, and nothing else,
-    maps to that computation's destination.  This is a first read: it
+    An edit's dirtying and propagation read only ``consumer_index`` and
+    ``fix_by_final``, so each must be exactly the inverse of the cells'
+    computations: a name lists every cell whose computation reads it and
+    no other (an empty set is allowed), and each fix computation's final
+    iterate, and nothing else, maps to that computation's destination.  This is a first read: it
     builds the indexes of a graph that has none (a query-only engine's),
     so a debug engine keeps them from its fresh graph on and every later
     check tests what :meth:`Daig.set_comp` maintained.

@@ -6,7 +6,8 @@ loops, and assigns the per-join indices used to name pre-join cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Iterable
 
 from .cfg import Cfg, CfgError, Edge, Loc
 
@@ -34,7 +35,9 @@ class LoopInfo:
     ``fwd_in`` order, but an edit may carry an older, stable indexing across
     (``edits.stable_join_indices``), so only ``fwd_in`` promises that order.
     ``enclosing`` maps every location to the heads of the natural loops whose
-    body holds it, outermost first.
+    body holds it, outermost first.  ``rpo_num`` numbers every location in
+    the reverse postorder of a depth-first search from the entry, so every
+    forward edge goes from a smaller number to a larger one.
     """
 
     fwd_edges: frozenset[Edge]
@@ -44,6 +47,7 @@ class LoopInfo:
     idom: dict[Loc, Loc]
     fwd_in: dict[Loc, tuple[Edge, ...]]
     enclosing: dict[Loc, tuple[Loc, ...]]
+    rpo_num: dict[Loc, int]
 
     def dominators_of(self, loc: Loc) -> frozenset[Loc]:
         out = {loc}
@@ -58,6 +62,34 @@ class LoopInfo:
             if e.dst == head:
                 return e
         raise CfgError(f"l{head} is not a loop head")
+
+    def relabelled(self, pairs: Iterable[tuple[Edge, Edge]]) -> "LoopInfo":
+        """This structure with each ``(old, new)`` edge pair swapped, ``new``
+        carrying ``old``'s source and destination: what ``analyze_loops``
+        gives the relabelled graph, with these join indices kept in place.
+        A relabel keeps every (source, destination) pair, so dominators,
+        loops, nesting and numbering stay; only ``fwd_in`` is re-sorted, as
+        the new statement may sort differently among parallel edges."""
+        fwd, back = set(self.fwd_edges), set(self.back_edges)
+        fwd_in, join_indices = dict(self.fwd_in), dict(self.join_indices)
+        for old, new in pairs:
+            if old in back:
+                back.remove(old)
+                back.add(new)
+                continue
+            fwd.remove(old)
+            fwd.add(new)
+            d = new.dst
+            fwd_in[d] = tuple(sorted((new if e == old else e for e in fwd_in[d]), key=Edge.sort_key))
+            if d in join_indices:
+                join_indices[d] = tuple(new if e == old else e for e in join_indices[d])
+        return replace(
+            self,
+            fwd_edges=frozenset(fwd),
+            back_edges=frozenset(back),
+            fwd_in=fwd_in,
+            join_indices=join_indices,
+        )
 
 
 def _natural_loop(ins: list[tuple[Edge, ...]], back: Edge) -> frozenset[Loc]:
@@ -228,4 +260,5 @@ def analyze_loops(cfg: Cfg) -> LoopInfo:
         idom=idom,
         fwd_in=fwd_in,
         enclosing=enclosing,
+        rpo_num=num,
     )

@@ -188,10 +188,12 @@ def reference_loop_info(cfg: Cfg) -> LoopInfo:
     if bad:
         raise CfgError(f"edge endpoint missing from locs: {min(bad, key=Edge.sort_key)}")
     seen: set[Loc] = set()
+    pre: list[Loc] = []
     post: list[Loc] = []
 
     def visit(l: Loc) -> None:
         seen.add(l)
+        pre.append(l)
         for m in sorted(e.dst for e in cfg.edges if e.src == l):
             if m not in seen:
                 visit(m)
@@ -228,6 +230,7 @@ def reference_loop_info(cfg: Cfg) -> LoopInfo:
             l: tuple(sorted((h for h in heads if l in bodies[h]), key=lambda h: (-len(bodies[h]), h)))
             for l in cfg.locs
         },
+        rpo_num={l: num[l] for l in pre},  # keyed in discovery order, as the search numbers them
     )
 
 

@@ -1,12 +1,13 @@
 import pickle
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from daig.batch import batch_analyze
 from daig.domains import INTERVAL
-from daig.engine import Engine, EngineError
+from daig.engine import Engine, EngineError, derive_names
 from daig.graph import (
     FIX,
     STATE,
@@ -30,6 +31,7 @@ from daig.lang.edits import (
     RelabelEdge,
     apply_edit,
     relabel,
+    stable_join_indices,
 )
 from daig.lang.loops import analyze_loops
 from daig.lang.parser import parse_expr_text, parse_program, parse_stmt_text
@@ -178,8 +180,10 @@ def test_write_cell_commit_only_touches_target_when_downstream_empty():
 
 
 def test_write_cell_dirty_set_is_exact_on_branch_edit():
+    # With the memo off a statement write empties what reads it; with it on
+    # the write is propagated instead.
     cfg = append_cfg()
-    eng = Engine(cfg, INTERVAL, debug=True)
+    eng = Engine(cfg, INTERVAL, enable_memo=False, debug=True)
     eng.query_loc(cfg.exit)
     filled = {n for n, c in eng.daig.refs.items() if not c.is_empty()}
     # relabel the then-branch statement (an indexed cell, since it feeds the
@@ -192,7 +196,8 @@ def test_write_cell_dirty_set_is_exact_on_branch_edit():
 def test_editing_converged_loop_rolls_back_and_empties_iterates():
     src = "fn main() { x = 0; while (x < 3) { x = x + 1; } }"
     cfg = parse_program(src).proc("main").cfg
-    eng = Engine(cfg, INTERVAL, debug=True)
+    # With the memo on, the edit would re-converge the loop at once.
+    eng = Engine(cfg, INTERVAL, enable_memo=False, debug=True)
     (head,) = eng.loops.natural_loops
     eng.query_loc(cfg.exit)
     assert eng.metrics.unrollings >= 1  # converged at depth two
@@ -342,18 +347,16 @@ def test_deletion_is_relabel_to_skip():
 
 
 def test_edit_analyzes_loops_once_per_cfg_it_needs(monkeypatch):
-    # A relabel keeps every (source, destination) pair, so only the new CFG
-    # is analyzed; an insertion also reads the old CFG's loops to decide
-    # which outgoing edges move.
+    # A relabel keeps every (source, destination) pair, so no CFG is
+    # analyzed; an insertion analyzes the new CFG, and also reads the old
+    # CFG's loops to decide which outgoing edges move.
     cfg = append_cfg()
     eng = Engine(cfg, INTERVAL, debug=True)
     eng.query_loc(cfg.exit)
     calls = count_loop_analyses(monkeypatch)
     edge = next(e for e in cfg.edges if stmt_text(e.stmt) == "rn = q;")
     eng.apply_program_edit(RelabelEdge(edge.src, edge.dst, parse_stmt_text("rn = 3;")))
-    assert len(calls) == 1
-    assert calls == [eng.cfg]
-    del calls[:]
+    assert calls == []
     relabelled = eng.cfg
     eng.apply_program_edit(InsertStmtAfter(2, parse_stmt_text("print(0);")))
     assert len(calls) == 2
@@ -442,7 +445,8 @@ def test_snapshot_is_independent():
 
 def test_snapshot_shares_no_cell_and_leaves_the_original_alone():
     cfg = while_cfg()
-    eng = Engine(cfg, INTERVAL)
+    # With the memo off the edit leaves cells for the snapshot to link.
+    eng = Engine(cfg, INTERVAL, enable_memo=False)
     eng.query_loc(cfg.exit)
     edge = next(e for e in cfg.edges if stmt_text(e.stmt) == "x = 0;")
     eng.apply_program_edit(RelabelEdge(edge.src, edge.dst, parse_stmt_text("x = 5;")))
@@ -488,10 +492,13 @@ fn main() {
 
 @pytest.mark.parametrize("debug", [False, True])
 def test_location_resolution_survives_rollbacks_and_copies(debug):
-    # An edit inside the inner body rolls both loops back; each engine,
-    # copy or not, must then resolve every location through the deepened
-    # loops again, with the name table the edit left.
-    eng = Engine(parse_program(DEEPENING_SRC).proc("main").cfg, INTERVAL, debug=debug)
+    # An edit inside the inner body rolls both loops back.  With the memo
+    # off they stay rolled back until demanded; with it on the edit
+    # re-converges them.  Each engine, copy or not, must then resolve every
+    # location through the deepened loops, with the name table the edit left.
+    cfg = parse_program(DEEPENING_SRC).proc("main").cfg
+    eng = Engine(cfg, INTERVAL, debug=debug)
+    lazy = Engine(cfg, INTERVAL, enable_memo=False, debug=debug)
     loops = eng.loops
     outer = max(loops.natural_loops, key=lambda h: len(loops.natural_loops[h]))
     (inner,) = set(loops.natural_loops) - {outer}
@@ -506,16 +513,20 @@ def test_location_resolution_survives_rollbacks_and_copies(debug):
         for loc in sorted(e.cfg.locs):
             assert INTERVAL.equal(e.query_loc(loc), oracle.invariants[loc])
 
-    assert_matches_batch(eng)
-    assert depths(eng) == (2, 2)
-    (body,) = loops.natural_loops[inner]
-    eng.apply_program_edit(InsertStmtAfter(body, parse_stmt_text("k = j;")))
-    assert depths(eng) == (1, 1)
-    for e in (eng, eng.snapshot(), pickle.loads(pickle.dumps(eng))):
+    for e in (eng, lazy):
         assert_matches_batch(e)
         assert depths(e) == (2, 2)
-    for e in (eng.snapshot(), pickle.loads(pickle.dumps(eng))):
-        assert_matches_batch(e)
+    (body,) = loops.natural_loops[inner]
+    for e in (eng, lazy):
+        e.apply_program_edit(InsertStmtAfter(body, parse_stmt_text("k = j;")))
+    assert depths(lazy) == (1, 1)
+    assert depths(eng) == (2, 2)
+    for e in (eng, lazy):
+        for c in (e, e.snapshot(), pickle.loads(pickle.dumps(e))):
+            assert_matches_batch(c)
+            assert depths(c) == (2, 2)
+        for c in (e.snapshot(), pickle.loads(pickle.dumps(e))):
+            assert_matches_batch(c)
 
 
 def test_unroll_region_skips_stale_iterates_of_a_rolled_back_inner_loop(monkeypatch):
@@ -529,7 +540,9 @@ def test_unroll_region_skips_stale_iterates_of_a_rolled_back_inner_loop(monkeypa
       }
     }
     """
-    eng = Engine(parse_program(src).proc("main").cfg, INTERVAL, debug=True)
+    # With the memo off the edit leaves the loops rolled back for the
+    # queries to unroll again.
+    eng = Engine(parse_program(src).proc("main").cfg, INTERVAL, enable_memo=False, debug=True)
     loops = eng.loops
     outer = max(loops.natural_loops, key=lambda h: len(loops.natural_loops[h]))
     (inner,) = set(loops.natural_loops) - {outer}
@@ -570,21 +583,31 @@ def test_unroll_region_skips_stale_iterates_of_a_rolled_back_inner_loop(monkeypa
 def test_unroll_region_along_seeded_edit_streams():
     # debug=True checks every unrolling's region against the reachability
     # intersection, besides the graph invariants after every operation.
-    unrollings = 0
+    # Each stream runs on a memo-on engine, whose edits re-converge the loops
+    # they reach, and on a memo-off one, which leaves them rolled back for
+    # the queries to unroll again.
+    unrollings = Counter()
     for seed in range(16):
         rng = random.Random(700 + seed)
-        eng = Engine(parse_program(EMPTY_MAIN).proc("main").cfg, INTERVAL, debug=True)
+        cfg = parse_program(EMPTY_MAIN).proc("main").cfg
+        engines = {memo: Engine(cfg, INTERVAL, enable_memo=memo, debug=True) for memo in (True, False)}
         for _ in range(120):
-            eng.apply_program_edit(gen_edit(rng, eng.cfg))
-            eng.query_loc(rng.choice(sorted(eng.cfg.locs)))
-        # The final sweep checks the invariants once, not after every query.
-        eng.debug = False
-        oracle = batch_analyze(eng.cfg, analyze_loops(eng.cfg), INTERVAL)
-        for loc in sorted(eng.cfg.locs):
-            assert INTERVAL.equal(eng.query_loc(loc), oracle.invariants[loc])
-        eng.assert_invariants()
-        unrollings += eng.metrics.unrollings
-    assert unrollings >= 300
+            edit = gen_edit(rng, engines[True].cfg)
+            for eng in engines.values():
+                eng.apply_program_edit(edit)
+            loc = rng.choice(sorted(engines[True].cfg.locs))
+            for eng in engines.values():
+                eng.query_loc(loc)
+        oracle = batch_analyze(engines[True].cfg, analyze_loops(engines[True].cfg), INTERVAL)
+        for memo, eng in engines.items():
+            # The final sweep checks the invariants once, not after every query.
+            eng.debug = False
+            for loc in sorted(eng.cfg.locs):
+                assert INTERVAL.equal(eng.query_loc(loc), oracle.invariants[loc])
+            eng.assert_invariants()
+            unrollings[memo] += eng.metrics.unrollings
+    assert unrollings[False] >= 300
+    assert unrollings[True] > 0
 
 
 def mixed_edit(rng, cfg, loops):
@@ -637,7 +660,8 @@ def test_relabels_mixed_with_insertions_match_batch(seed):
 
 def test_seeded_session_counters_are_pinned():
     # How cell names are built and how an unrolling finds its region must
-    # not change what the engine computes: these counters are exact.
+    # not change what the engine computes: these counters are exact.  They
+    # are those of edits that propagate what they change.
     rng = random.Random(4)
     eng = Engine(parse_program(EMPTY_MAIN).proc("main").cfg, INTERVAL)
     for _ in range(60):
@@ -646,13 +670,13 @@ def test_seeded_session_counters_are_pinned():
         for _ in range(5):
             eng.query_loc(rng.choice(locs))
     assert eng.metrics.snapshot() == {
-        "transfer_evals": 193,
+        "transfer_evals": 199,
         "join_evals": 17,
         "widen_evals": 14,
-        "memo_hits": 840,
-        "memo_misses": 224,
-        "unrollings": 12,
-        "cells_dirtied": 964,
+        "memo_hits": 441,
+        "memo_misses": 230,
+        "unrollings": 9,
+        "cells_dirtied": 416,
     }
     assert len(eng.daig.refs) == 297
 
@@ -715,12 +739,20 @@ def test_cut_off_empties_nothing_when_no_value_changes():
     assert parent  # without the cut-off, the rest of the program is emptied
     assert_matches_batch(eng)
 
-    # A changed value empties what dirtying without the cut-off empties; the
-    # touched cell itself keeps its new value.
+    # With the memo off, a changed computation empties what dirtying without
+    # the cut-off empties.  With it on, the touched cell takes its new value
+    # and propagation stops where ``y = 2;`` makes the values equal again.
     (first,) = eng.cfg.out_edges(eng.cfg.entry)
     touched = LocN(first.dst)
-    lost, parent = edit_and_compare(eng, InsertStmtAfter(eng.cfg.entry, parse_stmt_text("y = 5;")))
+    edit = InsertStmtAfter(eng.cfg.entry, parse_stmt_text("y = 5;"))
+    lazy = eng.snapshot()
+    lazy.enable_memo = False
+    lost, parent = edit_and_compare(lazy, edit)
     assert lost == parent and len(lost) > 1 and touched in lost
+    assert_matches_batch(lazy)
+    lost, parent = edit_and_compare(eng, edit)
+    assert touched in lost and lost < parent
+    assert all(eng.daig.refs[n].contents is not None for n in parent)
     assert eng.daig.refs[touched].contents == ivl(x=(1, 1), y=(5, 5))
     assert_matches_batch(eng)
 
@@ -729,7 +761,7 @@ def test_cut_off_empties_nothing_when_no_value_changes():
 def test_cut_off_empties_at_most_what_dirtying_empties(seed):
     # With the memo off the cut-off is off, and an insertion empties exactly
     # the filled cells at or downstream of a replaced computation; with it
-    # on, an insertion empties a subset of them.
+    # on, an insertion empties or changes a subset of them.
     rng = random.Random(seed)
     cfg = parse_program(gen_program_source(rng)).proc("main").cfg
     lazy = Engine(cfg, INTERVAL, enable_memo=False)
@@ -748,6 +780,119 @@ def test_cut_off_empties_at_most_what_dirtying_empties(seed):
     assert smaller > 0
     eager.assert_invariants()
     assert_matches_batch(eager)
+
+
+def filled_states(eng) -> dict:
+    return {n: c.contents for n, c in eng.daig.refs.items() if c.ty is STATE and c.contents is not None}
+
+
+@pytest.mark.parametrize("seed", [0, 3, 5, 8])
+def test_propagation_agrees_with_lazy_emptying_and_batch_after_every_edit(seed):
+    # Insertions mixed with relabels.  ``full`` is queried everywhere after
+    # every edit, so each edit propagates through a filled graph; ``sparse``
+    # is queried at two locations, so each edit also meets empty cells.
+    # Both must leave a graph whose filled cells are consistent before any
+    # query, and the memo-off engine empties instead of propagating.
+    rng = random.Random(seed)
+    cfg = parse_program(gen_program_source(rng)).proc("main").cfg
+    full, sparse = Engine(cfg, INTERVAL), Engine(cfg, INTERVAL)
+    lazy = Engine(cfg, INTERVAL, enable_memo=False)
+    kinds = set()
+    for _ in range(40):
+        kind, edit = mixed_edit(rng, full.cfg, full.loops)
+        kinds.add(kind)
+        for eng in (full, sparse, lazy):
+            eng.apply_program_edit(edit)
+        full.assert_invariants()
+        sparse.assert_invariants()
+        want = batch_analyze(full.cfg, analyze_loops(full.cfg), INTERVAL).invariants
+        locs = sorted(full.cfg.locs)
+        for loc in locs:
+            assert full.query_loc(loc) == want[loc] == lazy.query_loc(loc), loc
+        for loc in (rng.choice(locs), rng.choice(locs)):
+            assert sparse.query_loc(loc) == want[loc], loc
+        full.assert_invariants()
+    assert kinds == {"insert", "skip", "stmt", "guard", "back"}
+    assert full.metrics.unrollings > 0 and lazy.metrics.cells_dirtied > full.metrics.cells_dirtied
+    for loc in sorted(sparse.cfg.locs):
+        assert sparse.query_loc(loc) == want[loc], loc
+
+
+PROPAGATION_SRC = "fn main() { x = 0; y = 1; while (x < 10) { x = x + 1; } z = x + y; }"
+
+
+def test_an_edit_that_changes_no_value_leaves_every_filled_cell_filled_and_equal():
+    cfg = parse_program(PROPAGATION_SRC).proc("main").cfg
+    eng = Engine(cfg, INTERVAL, debug=True)
+    for loc in sorted(cfg.locs):
+        eng.query_loc(loc)
+    y_edge = next(e for e in cfg.edges if stmt_text(e.stmt) == "y = 1;")
+    edits = [
+        RelabelEdge(y_edge.src, y_edge.dst, parse_stmt_text("y = 2 - 1;")),
+        InsertStmtAfter(y_edge.src, parse_stmt_text("x = x + 0;")),
+        InsertStmtAfter(cfg.entry, Skip()),
+    ]
+    for edit in edits:
+        before = filled_states(eng)
+        eng.apply_program_edit(edit)
+        refs = eng.daig.refs
+        assert all(refs[n].contents == v for n, v in before.items()), edit
+    assert eng.metrics.cells_dirtied == 0
+    assert_matches_batch(eng)
+
+
+def test_an_edit_inside_a_loop_whose_fixed_point_stays_leaves_what_follows_filled():
+    # ``x = x + 2;`` changes the loop's iterates, but widening reaches the
+    # same fixed point, so nothing after the loop is emptied or recomputed.
+    cfg = parse_program(PROPAGATION_SRC).proc("main").cfg
+    eng = Engine(cfg, INTERVAL, debug=True)
+    for loc in sorted(cfg.locs):
+        eng.query_loc(loc)
+    loops = eng.loops
+    (head,) = loops.natural_loops
+    after = {
+        LocN(loc) for loc in cfg.locs
+        if not loops.enclosing[loc] and loops.rpo_num[loc] > loops.rpo_num[head]
+    }
+    before = filled_states(eng)
+    assert after and after <= before.keys()
+    (back,) = loops.back_edges
+    m = eng.metrics
+    evals, unrollings = m.transfer_evals + m.join_evals, m.unrollings
+    eng.apply_program_edit(RelabelEdge(back.src, back.dst, parse_stmt_text("x = x + 2;")))
+    refs = eng.daig.refs
+    assert all(refs[n].contents == before[n] for n in after)
+    assert refs[LocN(head)].contents == before[LocN(head)]
+    # The loop was rolled back and converged again inside the edit.
+    assert m.cells_dirtied > 0 and m.unrollings > unrollings
+    it0 = eng.names[head][1]
+    pre_widen = Prod(it0, it0.with_count(head, 1))  # reads the back edge in the first iteration
+    assert refs[pre_widen].contents != before[pre_widen]
+    assert m.transfer_evals + m.join_evals > evals
+    assert_matches_batch(eng)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_relabel_patches_the_loop_structure_analysis_would_derive(seed):
+    # A relabel's table reuses the old LoopInfo with the relabelled edge
+    # swapped in; it must equal the analysis of the new CFG with the join
+    # indices carried across.
+    rng = random.Random(seed)
+    cfg = parse_program(gen_program_source(rng)).proc("main").cfg
+    names = LocNames(analyze_loops(cfg))
+    relabels = 0
+    for _ in range(40):
+        _kind, edit = mixed_edit(rng, cfg, names.loops)
+        new_cfg, delta = apply_edit(cfg, edit)
+        if new_cfg is cfg:
+            continue
+        new = derive_names(names, new_cfg, delta)
+        fresh = analyze_loops(new_cfg)
+        ji = stable_join_indices(names.loops.join_indices, delta, fresh)
+        assert new.loops == replace(fresh, join_indices=ji)
+        relabels += isinstance(edit, RelabelEdge)
+        cfg, names = new_cfg, new
+    assert relabels >= 10
 
 
 def test_debug_check_runs_once_per_query_loc(monkeypatch):

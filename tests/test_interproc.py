@@ -232,12 +232,11 @@ def test_callee_edit_is_derived_once_for_all_live_contexts(monkeypatch):
     assert_forest_matches_inline_oracle(forest, program)
     assert_matches_inline_oracle(program, policy_k=1)
 
-    # A relabel changes no structure: only the new CFG is analyzed.
+    # A relabel changes no structure: no CFG is analyzed.
     del calls[:]
     edge = next(e for e in program.proc("f").cfg.edges if stmt_text(e.stmt) == "ret = (x * 2);")
     forest.apply_program_edit("f", RelabelEdge(edge.src, edge.dst, parse_stmt_text("ret = x - 1;")))
-    assert len(calls) == 1
-    assert calls == [program.proc("f").cfg]
+    assert calls == []
     assert_forest_matches_inline_oracle(forest, program)
     assert_matches_inline_oracle(program, policy_k=1)
     assert len([ctx for p, ctx in forest.live_keys() if p == "f"]) == 2
@@ -313,7 +312,7 @@ def test_contexts_of_a_procedure_share_one_name_table(monkeypatch):
     assert len(f_engines()) == 3
     edge = next(e for e in program.proc("f").cfg.edges if stmt_text(e.stmt) == "ret = x;")
     forest.apply_program_edit("f", RelabelEdge(edge.src, edge.dst, parse_stmt_text("ret = x - p;")))
-    assert len(calls) == 1
+    assert calls == []  # a relabel runs no loop analysis
     assert all(eng.names is forest.names["f"] for eng in f_engines())
     assert_every_context_matches_inline_oracle(forest, program)
 
@@ -351,6 +350,47 @@ def test_a_forest_edit_adding_a_call_edge_runs_no_call_inside_splice(monkeypatch
     forest.apply_program_edit("main", InsertStmtAfter(at, parse_stmt_text(stmt)))
     assert calls_inside == []
     assert_forest_matches_inline_oracle(forest, program)
+
+def test_a_forest_edit_runs_no_call_handler(monkeypatch):
+    # Edits that change values upstream of calls, inside a loop of main that
+    # makes a call, and inside a callee: propagation stops at every call
+    # transfer and at every loop of an engine with a call handler, and
+    # empties them instead, so no call runs until a query demands one.
+    src = """
+    fn main() { a = 1; b = f(a); i = 0; while (i < 3) { i = i + 1; a = a + b; d = f(7); } c = f(a); }
+    fn f(p) { x = p; w = 0; while (w < 2) { w = w + 1; } ret = x * 2; }
+    """
+    program = parse_program(src)
+    forest = DaigForest(program, INTERVAL, policy_k=1, debug=True)
+    assert_forest_matches_inline_oracle(forest, program)
+    editing, calls_inside = [], []
+    call = DaigForest._call
+
+    def spied_call(self, *args):
+        calls_inside.extend(editing)
+        return call(self, *args)
+
+    monkeypatch.setattr(DaigForest, "_call", spied_call)
+
+    def edge(proc, text):
+        return next(e for e in program.proc(proc).cfg.edges if stmt_text(e.stmt) == text)
+
+    edits = [
+        ("main", RelabelEdge(edge("main", "a = 1;").src, edge("main", "a = 1;").dst, parse_stmt_text("a = 2;"))),
+        ("main", InsertStmtAfter(program.proc("main").cfg.entry, parse_stmt_text("e = 0;"))),
+        ("main", InsertStmtAfter(edge("main", "i = (i + 1);").dst, parse_stmt_text("b = b + 1;"))),
+        ("f", RelabelEdge(edge("f", "ret = (x * 2);").src, edge("f", "ret = (x * 2);").dst,
+                          parse_stmt_text("ret = x + 1;"))),
+        ("f", InsertStmtAfter(edge("f", "w = (w + 1);").src, parse_stmt_text("x = x + 1;"))),
+    ]
+    for proc, edit in edits:
+        editing.append((proc, edit))
+        forest.apply_program_edit(proc, edit)
+        editing.pop()
+        assert calls_inside == []
+        assert_forest_matches_inline_oracle(forest, program)
+    assert_matches_inline_oracle(program, policy_k=1)
+
 
 def test_post_edit_consistency_with_argument_change():
     src = """

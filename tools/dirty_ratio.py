@@ -17,12 +17,16 @@ a copy of its warm engine.  Per edit it prints:
   value it changed);
 - unread: eager cells that no later query read, i.e. that a copy of the
   engine made just before the edit, with the memo off (so it computes
-  nothing at the edit), did not fill while answering the same queries.
+  nothing at the edit), did not fill while answering the same queries;
+- edit_ev and query_ev: the evaluations (memo hits plus misses, read from
+  ``Metrics`` snapshots) spent inside the edit and inside its five
+  queries.
 
 The totals end with the same emptied/refilled/equal counts for that lazy
 copy, which empties at the edit everything downstream of a replaced
-computation, and with the engine's counters over all edits and queries.
-Every answer is checked against the lazy copy's.
+computation, with the evaluations spent inside edits and inside queries,
+and with the engine's counters over all edits and queries.  Every answer
+is checked against the lazy copy's.
 """
 
 from __future__ import annotations
@@ -47,11 +51,19 @@ def _filled(engine) -> dict:
     }
 
 
+def _evaluations(engine) -> int:
+    m = engine.metrics.snapshot()
+    return m["memo_hits"] + m["memo_misses"]
+
+
 def _cycle(engine, step):
     """Apply one step's edit and queries.  Returns (emptied, refilled,
-    equal), the state cells the edit filled, and the answers."""
+    equal), the state cells the edit filled, the answers, and the
+    evaluations spent inside the edit and inside the queries."""
     before = _filled(engine)
+    start = _evaluations(engine)
     engine.apply_program_edit(step.edit)
+    edited = _evaluations(engine)
     refs = engine.daig.refs
     emptied = [n for n in before if refs[n].contents is None]
     eager = [
@@ -61,7 +73,8 @@ def _cycle(engine, step):
     answers = [engine.query_loc(loc) for loc in step.queries]
     refilled = [n for n in emptied if refs[n].contents is not None]
     equal = sum(DOMAIN.equal(refs[n].contents, before[n]) for n in refilled)
-    return (len(emptied), len(refilled), equal), eager, answers
+    evals = (edited - start, _evaluations(engine) - edited)
+    return (len(emptied), len(refilled), equal), eager, answers, evals
 
 
 def main(argv=None) -> int:
@@ -70,35 +83,36 @@ def main(argv=None) -> int:
     ap.add_argument("--totals-only", action="store_true")
     args = ap.parse_args(argv)
     workload = EditSession(args.seed)
-    totals = [0] * 5
+    totals = [0] * 7
     lazy_totals = [0] * 3
     counters: Counter = Counter()
     if not args.totals_only:
-        print("episode cycle  emptied refilled equal  eager unread")
+        print("episode cycle  emptied refilled equal  eager unread  edit_ev query_ev")
     for ep, (blob, steps) in enumerate(workload.episodes):
         engine = pickle.loads(blob)
         base = engine.metrics.snapshot()
         for ci, step in enumerate(steps):
             lazy = engine.snapshot()
             lazy.enable_memo = False
-            counts, eager, answers = _cycle(engine, step)
-            lazy_counts, _, lazy_answers = _cycle(lazy, step)
+            counts, eager, answers, evals = _cycle(engine, step)
+            lazy_counts, _, lazy_answers, _ = _cycle(lazy, step)
             if not all(map(DOMAIN.equal, answers, lazy_answers)):
                 raise SystemExit(f"dirty_ratio: answers differ at episode {ep}, cycle {ci}")
             lazy_refs = lazy.daig.refs
             unread = sum(1 for n in eager if n not in lazy_refs or lazy_refs[n].contents is None)
-            row = counts + (len(eager), unread)
+            row = counts + (len(eager), unread) + evals
             totals = [a + b for a, b in zip(totals, row)]
             lazy_totals = [a + b for a, b in zip(lazy_totals, lazy_counts)]
             if not args.totals_only:
-                print("{:7d} {:5d}  {:7d} {:8d} {:5d}  {:5d} {:6d}".format(ep, ci, *row))
+                print("{:7d} {:5d}  {:7d} {:8d} {:5d}  {:5d} {:6d}  {:7d} {:8d}".format(ep, ci, *row))
         for f, v in engine.metrics.snapshot().items():
             counters[f] += v - base[f]
-    emptied, refilled, equal, eager, unread = totals
+    emptied, refilled, equal, eager, unread, edit_ev, query_ev = totals
     edits = sum(len(steps) for _blob, steps in workload.episodes)
     print(f"corpus: edit-session seed {args.seed}, {edits} edits")
     print(f"emptied {emptied}, refilled {refilled}, equal {equal}; eager {eager}, unread {unread}")
     print("lazy copy: emptied {}, refilled {}, equal {}".format(*lazy_totals))
+    print(f"evaluations (memo hits + misses): edits {edit_ev}, queries {query_ev}")
     print("counters: " + ", ".join(f"{k} {v}" for k, v in counters.items()))
     return 0
 
