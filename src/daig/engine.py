@@ -35,6 +35,7 @@ from .graph import (
     LocN,
     LocNames,
     Name,
+    Prod,
     RefCell,
     check_ai_consistency,
     check_cfg_consistency,
@@ -42,6 +43,7 @@ from .graph import (
     dest_structures,
     fix_head,
     init_daig,
+    state_loc,
     stmt_cell_locs,
     unroll,
 )
@@ -125,13 +127,13 @@ class Engine:
     one code that extends a loop by an iterate.  The graph's consumer and
     fix indexes are read only by an edit's dirtying and propagation, so a
     query-only engine never builds them; the first edit derives them in
-    O(cells) once, and ``set_comp`` keeps them in step after that.  Under ``debug`` the fresh
-    graph and every public operation are checked by ``assert_invariants``,
-    which compares the graph with a from-scratch reference: a fresh graph
-    whose live loops ``unroll`` takes to this graph's depths.  A pickled or
-    snapshot engine starts without cached sources and links them again as
-    it is queried, as do cells that unrolling or an edit gives a new
-    computation.
+    O(cells) once, and ``set_comp`` keeps them in step after that.  Under
+    ``debug`` the fresh graph and every public operation are checked by
+    ``assert_invariants``, which compares the graph with a from-scratch
+    reference: a fresh graph whose live loops ``unroll`` takes to this
+    graph's depths.  A pickled or snapshot engine starts without cached
+    sources and links them again as it is queried, as do cells that
+    unrolling or an edit gives a new computation.
 
     With the memo on, an edit propagates (see :meth:`splice` and
     :meth:`_propagate`): it recomputes the filled cells whose inputs it
@@ -560,30 +562,24 @@ class Engine:
         stack: list[Name] = []
 
         def visit(n: Name, defer: bool) -> None:
-            part = n[2] if n[0] == 3 else n  # a pre-join or pre-widen cell's location part
-            if part[0] != 2:
-                loc = part[1]
-            else:
-                loc = part[1][1]
-                # Inside a loop, unless it is an outermost loop's first iterate
-                # or one of its pre-join cells, which read only cells outside.
-                if part[2] != ((loc, 0),):
-                    if refs[n].contents is None:
-                        return
-                    if lazy_loops:
-                        dirty(n, include_self=True)
-                        return
-                    outer = enclosing[loc][0] if enclosing[loc] else loc
-                    fix = LocN(outer)
-                    dirty(n, include_self=True, stop=fix)
-                    n, loc = fix, outer
-                    defer = True
+            loc, in_loop = state_loc(n)
+            if in_loop:
+                if refs[n].contents is None:
+                    return
+                if lazy_loops:
+                    dirty(n, include_self=True)
+                    return
+                outer = enclosing[loc][0] if enclosing[loc] else loc
+                fix = LocN(outer)
+                dirty(n, include_self=True, stop=fix)
+                n, loc = fix, outer
+                defer = True
             if not defer and refs[n].comp.fn is TRANSFER:
                 stack.append(n)
             elif n not in queued:
                 queued.add(n)
                 # At one location: pre-join cells, then the state, then the fix cell.
-                rank = 0 if n[0] == 3 else 2 if refs[n].comp.fn is FIX else 1
+                rank = 0 if isinstance(n, Prod) else 2 if refs[n].comp.fn is FIX else 1
                 heappush(heap, (rpo_num[loc], rank, n))
 
         for n in seeds:
@@ -617,14 +613,9 @@ def derive_names(names: LocNames, new_cfg: Cfg, delta: EditDelta) -> LocNames:
     """The name table of ``new_cfg``, which differs from the program of
     ``names`` by ``delta``: its loop structure, with the join indices of
     ``names`` carried across, and every entry of ``names`` (see
-    ``LocNames``).  The one place an edit's name table is derived.  A
-    relabel changes no structure, so its table patches the old
-    ``LoopInfo`` (``LoopInfo.relabelled``) and runs no loop analysis."""
-    if delta.relabelled and not (delta.added_locs or delta.added_edges or delta.removed_edges):
-        out = LocNames(names.loops.relabelled(delta.relabelled))
-    else:
-        loops = analyze_loops(new_cfg)
-        ji = stable_join_indices(names.loops.join_indices, delta, loops)
-        out = LocNames(replace(loops, join_indices=ji))
+    ``LocNames``).  The one place an edit's name table is derived."""
+    loops = analyze_loops(new_cfg)
+    ji = stable_join_indices(names.loops.join_indices, delta, loops)
+    out = LocNames(replace(loops, join_indices=ji))
     out.update(names)  # no entry changes (see ``LocNames``)
     return out

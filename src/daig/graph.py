@@ -454,6 +454,20 @@ def stmt_cell_locs(name: Name) -> tuple[Loc, Loc]:
     raise GraphError(f"not a statement cell name: {name!r}")
 
 
+def state_loc(name: Name) -> tuple[Loc, bool]:
+    """(location, inside a loop) of the state cell ``name``.  A pre-join
+    cell ``Prod(IdxN, n)`` and a pre-widen cell ``Prod(n, iterate one)`` are
+    placed by their right part.  An outermost head's first iterate, the
+    only iterate counted ``((head, 0),)``, is not inside: it and its
+    pre-join cells read only cells outside the loop, as a ``LocN`` does."""
+    if isinstance(name, Prod):
+        name = name.right
+    if isinstance(name, LocN):
+        return name.loc, False
+    loc = name.base.loc
+    return loc, name.counts != ((loc, 0),)
+
+
 # --- initial construction ----------------------------------------------------
 
 
@@ -635,10 +649,11 @@ def check_wf(d: Daig) -> list[Violation]:
     ``fix_by_final``, so each must be exactly the inverse of the cells'
     computations: a name lists every cell whose computation reads it and
     no other (an empty set is allowed), and each fix computation's final
-    iterate, and nothing else, maps to that computation's destination.  This is a first read: it
-    builds the indexes of a graph that has none (a query-only engine's),
-    so a debug engine keeps them from its fresh graph on and every later
-    check tests what :meth:`Daig.set_comp` maintained.
+    iterate, and nothing else, maps to that computation's destination.
+    This is a first read: it builds the indexes of a graph that has none
+    (a query-only engine's), so a debug engine keeps them from its fresh
+    graph on and every later check tests what :meth:`Daig.set_comp`
+    maintained.
     """
     out: list[Violation] = []
     refs = d.refs

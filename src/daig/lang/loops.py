@@ -6,8 +6,7 @@ loops, and assigns the per-join indices used to name pre-join cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable
+from dataclasses import dataclass
 
 from .cfg import Cfg, CfgError, Edge, Loc
 
@@ -62,34 +61,6 @@ class LoopInfo:
             if e.dst == head:
                 return e
         raise CfgError(f"l{head} is not a loop head")
-
-    def relabelled(self, pairs: Iterable[tuple[Edge, Edge]]) -> "LoopInfo":
-        """This structure with each ``(old, new)`` edge pair swapped, ``new``
-        carrying ``old``'s source and destination: what ``analyze_loops``
-        gives the relabelled graph, with these join indices kept in place.
-        A relabel keeps every (source, destination) pair, so dominators,
-        loops, nesting and numbering stay; only ``fwd_in`` is re-sorted, as
-        the new statement may sort differently among parallel edges."""
-        fwd, back = set(self.fwd_edges), set(self.back_edges)
-        fwd_in, join_indices = dict(self.fwd_in), dict(self.join_indices)
-        for old, new in pairs:
-            if old in back:
-                back.remove(old)
-                back.add(new)
-                continue
-            fwd.remove(old)
-            fwd.add(new)
-            d = new.dst
-            fwd_in[d] = tuple(sorted((new if e == old else e for e in fwd_in[d]), key=Edge.sort_key))
-            if d in join_indices:
-                join_indices[d] = tuple(new if e == old else e for e in join_indices[d])
-        return replace(
-            self,
-            fwd_edges=frozenset(fwd),
-            back_edges=frozenset(back),
-            fwd_in=fwd_in,
-            join_indices=join_indices,
-        )
 
 
 def _natural_loop(ins: list[tuple[Edge, ...]], back: Edge) -> frozenset[Loc]:

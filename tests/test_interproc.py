@@ -232,11 +232,12 @@ def test_callee_edit_is_derived_once_for_all_live_contexts(monkeypatch):
     assert_forest_matches_inline_oracle(forest, program)
     assert_matches_inline_oracle(program, policy_k=1)
 
-    # A relabel changes no structure: no CFG is analyzed.
+    # A relabel changes no structure: only the new CFG is analyzed.
     del calls[:]
     edge = next(e for e in program.proc("f").cfg.edges if stmt_text(e.stmt) == "ret = (x * 2);")
     forest.apply_program_edit("f", RelabelEdge(edge.src, edge.dst, parse_stmt_text("ret = x - 1;")))
-    assert calls == []
+    assert len(calls) == 1
+    assert calls == [program.proc("f").cfg]
     assert_forest_matches_inline_oracle(forest, program)
     assert_matches_inline_oracle(program, policy_k=1)
     assert len([ctx for p, ctx in forest.live_keys() if p == "f"]) == 2
@@ -312,7 +313,7 @@ def test_contexts_of_a_procedure_share_one_name_table(monkeypatch):
     assert len(f_engines()) == 3
     edge = next(e for e in program.proc("f").cfg.edges if stmt_text(e.stmt) == "ret = x;")
     forest.apply_program_edit("f", RelabelEdge(edge.src, edge.dst, parse_stmt_text("ret = x - p;")))
-    assert calls == []  # a relabel runs no loop analysis
+    assert len(calls) == 1
     assert all(eng.names is forest.names["f"] for eng in f_engines())
     assert_every_context_matches_inline_oracle(forest, program)
 
@@ -350,6 +351,7 @@ def test_a_forest_edit_adding_a_call_edge_runs_no_call_inside_splice(monkeypatch
     forest.apply_program_edit("main", InsertStmtAfter(at, parse_stmt_text(stmt)))
     assert calls_inside == []
     assert_forest_matches_inline_oracle(forest, program)
+
 
 def test_a_forest_edit_runs_no_call_handler(monkeypatch):
     # Edits that change values upstream of calls, inside a loop of main that
