@@ -9,12 +9,13 @@ With the memo on, an edit propagates what it changes: it recomputes at
 once every filled cell that reads a replaced computation or statement, and
 goes on only from cells whose value changed.  A cell outside every loop is
 recomputed in place; a cell inside a loop rolls back only its outermost
-loop, whose fixed point is demanded again from its first iterate.  Three
-boundaries keep lazy emptying, where dependents are emptied, fix edges
-rolled back to their first iterates, and everything recomputed when
-demanded again: memo-off engines, a transfer over a call statement, and
-loops in an engine with a call handler.  So no call handler runs inside an
-edit.  A write to a state cell empties lazily too.
+loop, whose fixed point is demanded again from its first iterate.  Two
+rules stop propagation and empty lazily instead, where dependents are
+emptied, fix edges rolled back to their first iterates, and everything
+recomputed when demanded again.  Memo-off engines always empty lazily.  A
+demand inside an edit never runs a call: where it would, the cell it
+recomputes is emptied with what it reaches, so no call handler runs
+inside an edit.  A write to a state cell empties lazily too.
 """
 
 from __future__ import annotations
@@ -124,10 +125,10 @@ class Engine:
     through the table: a fresh graph (``init_daig``) is its cells over every
     location, and an edit adopts its cells for the locations it touches,
     writing each computation through ``Daig.set_comp``.  ``unroll`` is the
-    one code that extends a loop by an iterate.  The graph's consumer and
-    fix indexes are read only by an edit's dirtying and propagation, so a
-    query-only engine never builds them; the first edit derives them in
-    O(cells) once, and ``set_comp`` keeps them in step after that.  Under
+    one code that extends a loop by an iterate.  The graph's consumer
+    index is read only by an edit's dirtying and propagation, so a
+    query-only engine never builds it; the first edit derives it in
+    O(cells) once, and ``set_comp`` keeps it in step after that.  Under
     ``debug`` the fresh graph and every public operation are checked by
     ``assert_invariants``, which compares the graph with a from-scratch
     reference: a fresh graph whose live loops ``unroll`` takes to this
@@ -140,8 +141,8 @@ class Engine:
     changed, in place outside loops and by re-converging the outermost
     loop of a cell inside one, and goes on only where a value changed, so
     a filled cell stays filled and a query after the edit reads it at once.
-    Memo-off engines, transfers over calls, and loops in an engine with a
-    call handler are emptied instead and recomputed on demand.
+    A memo-off engine, and a cell whose recomputation would run a call,
+    are emptied instead and recomputed on demand.
 
     Mutating operations (query, write_cell, apply_program_edit) must be
     externally serialized; ``snapshot`` produces an independent copy that
@@ -226,10 +227,13 @@ class Engine:
         self._after_public_op()
         return value
 
-    def _demand(self, root: RefCell):
+    def _demand(self, root: RefCell, calls: bool = True):
         """The value of the cell ``root``, computed as :meth:`query` says.
         Unlike the public operations it checks no invariants, so an edit
-        may demand cells before its graph is whole again."""
+        may demand cells before its graph is whole again.  With ``calls``
+        false it runs no call handler: at the first empty transfer over a
+        call that it would have to evaluate it stops and returns ``None``,
+        keeping every cell it filled on the way."""
         if root.contents is not None:
             return root.contents
         daig = self.daig
@@ -278,6 +282,8 @@ class Engine:
                     stack.append(srcs[1])
                     continue
                 if isinstance(stmt, Call):
+                    if not calls:
+                        return None
                     # Not memoized: the result depends on the callee's current code.
                     if self.call_handler is None:
                         raise ContractViolation(
@@ -384,7 +390,8 @@ class Engine:
         """Edit one cell.
 
         Writing a statement cell relabels the corresponding CFG edge, on the
-        same path as a ``RelabelEdge`` program edit (see :meth:`splice`).
+        same path as a ``RelabelEdge`` program edit (see :meth:`splice`), so
+        writing the statement the cell already holds changes nothing.
         Writing a state cell dirties everything downstream, then commits:
         ``None`` empties the cell (it must have an incoming computation), and
         a value requires the cell's type to match.  Dirtying across a fix
@@ -403,21 +410,17 @@ class Engine:
                 raise EngineError(f"cannot write {name!r}: {exc}") from None
             if new_cfg is not self.cfg:
                 self.splice(new_cfg, delta, derive_names(self.names, new_cfg, delta))
-                return
-            # Rewriting the current statement changes no edge, but its
-            # consumers are still re-demanded.
-            self._dirty(name, include_self=False)
-        else:
-            if value is None:
-                if cell.comp is None:
-                    raise EngineError(f"cannot empty source cell {name!r}")
-            elif is_stmt(value):
-                raise EngineError(f"cell {name!r} holds abstract states")
-            self._dirty(name, include_self=value is None)
-            if value is not None:
-                cell.contents = value
-                if name == self.daig.entry_name:
-                    self.daig.entry_state = value
+            return
+        if value is None:
+            if cell.comp is None:
+                raise EngineError(f"cannot empty source cell {name!r}")
+        elif is_stmt(value):
+            raise EngineError(f"cell {name!r} holds abstract states")
+        self._dirty(name, include_self=value is None)
+        if value is not None:
+            cell.contents = value
+            if name == self.daig.entry_name:
+                self.daig.entry_state = value
         self._after_public_op()
 
     def _check_no_calls(self, stmts) -> None:
@@ -440,7 +443,6 @@ class Engine:
         daig = self.daig
         refs = daig.refs
         index = daig.consumer_index
-        fix_by_final = daig.fix_by_final
         work: list[Name] = [start] if include_self else list(index.get(start, ()))
         dirtied = 0
         while work:
@@ -451,18 +453,19 @@ class Engine:
             cell.contents = None
             dirtied += 1
             users = index.get(n)
-            if users:
-                work.extend(users)
-            fix_dest = fix_by_final.get(n)
-            if fix_dest is not None:
-                final = refs[fix_dest].comp.srcs[1]
-                head = fix_head(fix_dest)
-                assert isinstance(final, Iter)
-                if final.count_of(head) > 1:
-                    first1 = final.with_count(head, 0)
-                    final1 = final.with_count(head, 1)
-                    daig.set_comp(Computation(fix_dest, FIX, (first1, final1)))
-                    work.append(final1)
+            if not users:
+                continue
+            work.extend(users)
+            # ``n`` is a loop's final iterate if a fix computation reads it second.
+            for fix in users:
+                comp = refs[fix].comp
+                if comp.fn is FIX and comp.srcs[1] == n:
+                    head = fix_head(fix)
+                    if n.count_of(head) > 1:
+                        final1 = n.with_count(head, 1)
+                        daig.set_comp(Computation(fix, FIX, (n.with_count(head, 0), final1)))
+                        work.append(final1)
+                    break
         self.metrics.cells_dirtied += dirtied
 
     def apply_program_edit(self, edit: ProgramEdit) -> EditDelta:
@@ -489,10 +492,8 @@ class Engine:
         procedure.
 
         With the memo on, :meth:`_propagate` recomputes those cells at once
-        and goes on only where a value changed.  With it off, and for an
-        edit that adds an edge carrying a call, they are emptied with all
-        they reach instead, and recomputed when demanded; so no call
-        handler runs before a forest has replaced the procedure's CFG."""
+        and goes on only where a value changed.  With it off, they are
+        emptied with all they reach instead, and recomputed when demanded."""
         made: dict[Name, RefCell] = {}
         dest_structures(new_cfg, names, sorted(delta.touched_dsts() | set(delta.added_locs)), made)
         daig = self.daig
@@ -523,7 +524,7 @@ class Engine:
         if stmts:
             index = daig.consumer_index
             seeds += [u for name in stmts for u in index.get(name, ())]
-        if self.enable_memo and not any(isinstance(e.stmt, Call) for e in delta.added_edges):
+        if self.enable_memo:
             self._propagate(seeds)
         else:
             for name in seeds:
@@ -546,17 +547,16 @@ class Engine:
         once, from a stack; joins, fix cells and the seeds wait in a heap
         keyed by the reverse-postorder number of their location
         (``LoopInfo.rpo_num``), so each is taken after everything upstream
-        of it.  Two boundaries empty instead, as demand could otherwise run
-        a call handler here: a transfer over a call statement, and every
-        cell inside a loop of an engine with a call handler."""
+        of it.  Each recomputation demands with ``calls`` false, so no call
+        handler runs here: where that demand stops at a call, the cell gets
+        its old value back and is emptied with all it reaches instead."""
         daig = self.daig
         refs = daig.refs
         index = daig.consumer_index
         loops = self.loops
         rpo_num, enclosing = loops.rpo_num, loops.enclosing
         equal = self.domain.equal
-        dirty = self._dirty
-        lazy_loops = self.call_handler is not None
+        demand, dirty = self._demand, self._dirty
         heap: list[tuple[int, int, Name]] = []  # (location number, rank there, cell)
         queued: set[Name] = set()
         stack: list[Name] = []
@@ -565,9 +565,6 @@ class Engine:
             loc, in_loop = state_loc(n)
             if in_loop:
                 if refs[n].contents is None:
-                    return
-                if lazy_loops:
-                    dirty(n, include_self=True)
                     return
                 outer = enclosing[loc][0] if enclosing[loc] else loc
                 fix = LocN(outer)
@@ -596,12 +593,13 @@ class Engine:
             old = cell.contents
             if old is None:
                 continue
-            comp = cell.comp
-            if comp.fn is TRANSFER and isinstance(refs[comp.srcs[0]].contents, Call):
+            cell.contents = None
+            new = demand(cell, False)
+            if new is None:  # recomputing it would run a call: empty it instead
+                cell.contents = old
                 dirty(n, include_self=True)
                 continue
-            cell.contents = None
-            if equal(self._demand(cell), old):
+            if equal(new, old):
                 cell.contents = old
                 continue
             # Rolling a loop back may change what reads a first iterate.

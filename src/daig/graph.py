@@ -160,7 +160,7 @@ class RefCell:
     :func:`dest_structures` makes each cell with its computation in place,
     and a fresh graph (:func:`init_daig`) links every computed cell's
     sources; after that, only :meth:`Daig.set_comp` writes ``comp``,
-    keeping the graph's indexes in step once they are built.
+    keeping the graph's consumer index in step once it is built.
 
     Links point upstream only, from a cell to what it reads, so a graph
     holds no reference cycles and is freed by reference counting.  Pickling
@@ -223,20 +223,19 @@ class GraphError(KeyError):
 
 
 class Daig:
-    """Mutable cell store with the reverse indexes dirtying reads.
+    """Mutable cell store with the reverse index dirtying reads.
 
     ``refs`` maps each name to its cell, which holds the computation into
     it.  ``consumer_index`` maps a name to the names of the cells whose
-    computations read it (a set may be left empty); ``fix_by_final`` maps
-    the final iterate of each fix computation to that computation's
-    destination.  Both indexes are caches derived from the cells'
-    computations on first read (``indexes``), as ``Cfg.adjacency`` is, and
-    :func:`check_wf` checks that they invert them exactly.  Only an
-    edit's dirtying and propagation, :meth:`forward_set` and the checkers
-    read them, so a fresh graph and a query-only engine never build them,
-    and an engine's first edit pays O(cells) once; after that
-    :meth:`set_comp` keeps them in step.  Copying and pickling carry them
-    only if built, so a pickled warm session does not derive them again.
+    computations read it (a set may be left empty); a loop's final
+    iterate is the one its fix computation reads second.  The index is a
+    cache derived from the cells' computations on first read, as
+    ``Cfg.adjacency`` is, and :func:`check_wf` checks that it inverts them
+    exactly.  Only an edit's dirtying and propagation, :meth:`forward_set`
+    and the checkers read it, so a fresh graph and a query-only engine
+    never build it, and an engine's first edit pays O(cells) once; after
+    that :meth:`set_comp` keeps it in step.  Copying and pickling carry it
+    only if built, so a pickled warm session does not derive it again.
     """
 
     def __init__(self, entry_name: Name, entry_state):
@@ -245,35 +244,24 @@ class Daig:
         self.entry_state = entry_state
 
     @cached_property
-    def indexes(self) -> tuple[dict[Name, set[Name]], dict[Name, Name]]:
-        """``(consumer_index, fix_by_final)``, derived from the cells'
-        computations on first read."""
+    def consumer_index(self) -> dict[Name, set[Name]]:
+        """The names of the cells whose computations read each name,
+        derived from the cells' computations on first read."""
         users: dict[Name, set[Name]] = {}
-        users_of, fixes = users.setdefault, {}
+        users_of = users.setdefault
         for name, cell in self.refs.items():
             comp = cell.comp
             if comp is not None:
-                _, fn, srcs = comp
-                for s in srcs:
+                for s in comp.srcs:
                     users_of(s, set()).add(name)
-                if fn is FIX:
-                    fixes[srcs[1]] = name
-        return users, fixes
-
-    @property
-    def consumer_index(self) -> dict[Name, set[Name]]:
-        return self.indexes[0]
-
-    @property
-    def fix_by_final(self) -> dict[Name, Name]:
-        return self.indexes[1]
+        return users
 
     # -- construction and mutation ------------------------------------------
 
     def set_comp(self, comp: Computation) -> None:
         """Make ``comp`` the computation into its (existing) destination
         cell, replacing any previous one and its source links, and keep the
-        indexes in step if they are built."""
+        consumer index in step if it is built."""
         dest = comp.dest
         cell = self.refs.get(dest)
         if cell is None:
@@ -281,25 +269,20 @@ class Daig:
         old = cell.comp
         cell.comp = comp
         cell.srcs = None
-        built = self.__dict__.get("indexes")
-        if built is None:
+        index = self.__dict__.get("consumer_index")
+        if index is None:
             return
-        index, fix_by_final = built
         if old is not None:
             for s in old.srcs:
                 users = index.get(s)
                 if users is not None:
                     users.discard(dest)
-            if old.fn is FIX:
-                fix_by_final.pop(old.srcs[1], None)
         for s in comp.srcs:
             users = index.get(s)
             if users is None:
                 index[s] = {dest}
             else:
                 users.add(dest)
-        if comp.fn is FIX:
-            fix_by_final[comp.srcs[1]] = dest
 
     def sources(self, cell: RefCell) -> tuple[RefCell, ...]:
         """The cells ``cell``'s computation reads, linked on first use."""
@@ -317,14 +300,13 @@ class Daig:
 
     def copy(self) -> "Daig":
         """An independent graph: new cells (with no cached sources) over the
-        same immutable names, computations and contents, and copies of the
-        indexes if they are built."""
+        same immutable names, computations and contents, and a copy of the
+        consumer index if it is built."""
         out = Daig(self.entry_name, self.entry_state)
         out.refs = {n: RefCell(c.name, c.ty, c.contents, c.comp) for n, c in self.refs.items()}
-        built = self.__dict__.get("indexes")
-        if built is not None:
-            users, fixes = built
-            out.indexes = ({n: set(s) for n, s in users.items()}, dict(fixes))
+        index = self.__dict__.get("consumer_index")
+        if index is not None:
+            out.consumer_index = {n: set(s) for n, s in index.items()}
         return out
 
     # -- reachability ---------------------------------------------------------
@@ -549,9 +531,9 @@ def init_daig(cfg: Cfg, names: LocNames, domain, entry_state=None) -> Daig:
     The cells are :func:`dest_structures` over every location, named
     through the table ``names`` of the CFG's loop structure; a final pass
     links each computed cell's sources, so a first demand looks up no
-    names.  The build fills no index: the consumer and fix indexes are
-    derived on first read (see :class:`Daig`), which a query-only engine
-    never makes, and the first edit pays O(cells) for once.
+    names.  The build fills no index: the consumer index is derived on
+    first read (see :class:`Daig`), which a query-only engine never makes,
+    and the first edit pays O(cells) for once.
     """
     loops = names.loops
     _check_structured_loops(cfg, loops)
@@ -642,23 +624,20 @@ def unroll(d: Daig, fix: Computation) -> set[Name]:
 
 
 def check_wf(d: Daig) -> list[Violation]:
-    """The five well-formedness conditions, plus intact cell links and exact
-    indexes; an empty list means well-formed.
+    """The five well-formedness conditions, plus intact cell links and an
+    exact consumer index; an empty list means well-formed.
 
-    An edit's dirtying and propagation read only ``consumer_index`` and
-    ``fix_by_final``, so each must be exactly the inverse of the cells'
-    computations: a name lists every cell whose computation reads it and
-    no other (an empty set is allowed), and each fix computation's final
-    iterate, and nothing else, maps to that computation's destination.
-    This is a first read: it builds the indexes of a graph that has none
-    (a query-only engine's), so a debug engine keeps them from its fresh
-    graph on and every later check tests what :meth:`Daig.set_comp`
+    An edit's dirtying and propagation read only ``consumer_index``, so it
+    must be exactly the inverse of the cells' computations: a name lists
+    every cell whose computation reads it and no other (an empty set is
+    allowed).  This is a first read: it builds the index of a graph that
+    has none (a query-only engine's), so a debug engine keeps it from its
+    fresh graph on and every later check tests what :meth:`Daig.set_comp`
     maintained.
     """
     out: list[Violation] = []
     refs = d.refs
     users: dict[Name, set[Name]] = {}  # the consumer index the computations imply
-    fixes: dict[Name, Name] = {}  # the fix index they imply
     for name, cell in refs.items():
         if cell.name != name:
             out.append(Violation("BadName", name, "cell keyed under a different name"))
@@ -676,8 +655,6 @@ def check_wf(d: Daig) -> list[Violation]:
             continue
         for s in comp.srcs:
             users.setdefault(s, set()).add(name)
-        if comp.fn is FIX and len(comp.srcs) == 2:
-            fixes[comp.srcs[1]] = name
         missing = [s for s in comp.srcs if s not in refs]
         for s in missing:
             out.append(Violation("MissingRef", s, f"source of {name!r} has no cell"))
@@ -725,11 +702,6 @@ def check_wf(d: Daig) -> list[Violation]:
     for s, have in index.items():
         for u in have - users.get(s, _NO_NAMES):
             stale.append(Violation("StaleIndex", s, f"indexed consumer {u!r} does not read it"))
-    for final in fixes.keys() | d.fix_by_final.keys():
-        have, want = d.fix_by_final.get(final), fixes.get(final)
-        if have != want:
-            detail = f"fix index gives {have!r}, wanted {want!r}"
-            stale.append(Violation("StaleIndex", final, detail))
     out += sorted(stale, key=lambda v: (v.name, v.detail))
 
     for name, cell in refs.items():
@@ -763,8 +735,8 @@ def check_cfg_consistency(
     refs = d.refs
     heads = sorted(loops.natural_loops, key=lambda h: (len(loops.enclosing[h]), h))
     for h in heads:
-        instances = [n for n in ref.fix_by_final.values() if fix_head(n) == h]
-        for name in sorted(instances):
+        fixes = [n for n, c in ref.refs.items() if c.comp is not None and c.comp.fn is FIX]
+        for name in sorted(n for n in fixes if fix_head(n) == h):
             cell = refs.get(name)
             comp = None if cell is None else cell.comp
             if comp is None:

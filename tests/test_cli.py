@@ -285,10 +285,12 @@ def _gauges(line: str) -> dict[str, int]:
 def test_repl_metrics_report_graph_and_memo_gauges():
     program = parse_program((SAMPLES / "while.imp").read_text(encoding="utf-8"))
     session = Session(program, INTERVAL)
-    session.handle("query main exit")
+    # Only the loop head (l1) is queried, and the insertion after the exit
+    # reads nothing filled, so its new cells stay empty until queried.
+    session.handle("query main 1")
     warm = _gauges(session.handle("metrics"))
     assert warm["cells"] > warm["empty_cells"] and warm["memo_entries"] > 0
-    assert session.handle("edit insert-after main 0 :: y = 1;") == "ok"
+    assert session.handle("edit insert-after main exit :: y = 1;") == "ok"
     edited = _gauges(session.handle("metrics"))
     assert edited["cells"] > warm["cells"]
     assert edited["empty_cells"] > warm["empty_cells"]

@@ -150,15 +150,18 @@ def test_unroll_adds_three_cells_and_never_copies_statements():
 
 def test_unroll_is_idempotent_after_rollback():
     cfg = while_cfg()
-    eng = Engine(cfg, INTERVAL, debug=True)
+    eng = Engine(cfg, INTERVAL, enable_memo=False, debug=True)
     loops = eng.loops
     (head,) = loops.natural_loops
     eng.query(head_fix_name(head, loops))
     shape_before = (computations(eng.daig), sorted(map(repr, eng.daig.refs)))
-    # roll the loop back by editing the back-edge statement, then re-demand
+    # roll the loop back by editing the back-edge statement and writing it
+    # back (a memo-off engine empties lazily), then re-demand
     (back,) = loops.back_edges
     eng.apply_program_edit(RelabelEdge(back.src, back.dst, back.stmt))
-    eng.write_cell(Prod(LocN(back.src), LocN(back.dst)), parse_stmt_text("x = x + 1;"))
+    back_cell = Prod(LocN(back.src), LocN(back.dst))
+    eng.write_cell(back_cell, parse_stmt_text("x = x + 2;"))
+    eng.write_cell(back_cell, parse_stmt_text("x = x + 1;"))
     fix = eng.daig.refs[head_fix_name(head, eng.loops)].comp
     it0 = LocNames(loops)[head][1]
     assert fix.srcs == (it0, it0.with_count(head, 1))
@@ -980,18 +983,18 @@ def test_edits_patch_the_adjacency_a_fresh_cfg_builds(seed):
 
 
 # Per (seed, size): the counters of ``Metrics.snapshot()`` in field order,
-# then the number of cells, of consumer-index entries and of fix-index
-# entries after every location of the program was queried once.
+# then the number of cells and of consumer-index entries after every
+# location of the program was queried once.
 COLD_PINS = {
-    (0, 20): ((22, 0, 3, 2, 25, 1, 0), (51, 50, 2)),
-    (0, 100): ((118, 4, 6, 31, 128, 2, 0), (270, 269, 4)),
-    (0, 180): ((214, 6, 11, 59, 231, 2, 0), (498, 497, 13)),
-    (1, 20): ((20, 1, 1, 1, 22, 0, 0), (46, 45, 1)),
-    (1, 100): ((110, 7, 5, 5, 122, 1, 0), (242, 241, 4)),
-    (1, 180): ((230, 12, 20, 45, 262, 6, 0), (538, 535, 16)),
-    (2, 20): ((18, 1, 0, 2, 19, 0, 0), (42, 41, 0)),
-    (2, 100): ((104, 8, 4, 7, 116, 0, 0), (239, 238, 4)),
-    (2, 180): ((193, 14, 5, 17, 212, 0, 0), (442, 441, 8)),
+    (0, 20): ((22, 0, 3, 2, 25, 1, 0), (51, 50)),
+    (0, 100): ((118, 4, 6, 31, 128, 2, 0), (270, 269)),
+    (0, 180): ((214, 6, 11, 59, 231, 2, 0), (498, 497)),
+    (1, 20): ((20, 1, 1, 1, 22, 0, 0), (46, 45)),
+    (1, 100): ((110, 7, 5, 5, 122, 1, 0), (242, 241)),
+    (1, 180): ((230, 12, 20, 45, 262, 6, 0), (538, 535)),
+    (2, 20): ((18, 1, 0, 2, 19, 0, 0), (42, 41)),
+    (2, 100): ((104, 8, 4, 7, 116, 0, 0), (239, 238)),
+    (2, 180): ((193, 14, 5, 17, 212, 0, 0), (442, 441)),
 }
 
 
@@ -1015,15 +1018,15 @@ def test_cold_engine_counters_and_graph_sizes_are_pinned(seed):
         d = eng.daig
         counters, sizes = COLD_PINS[seed, size]
         assert eng.metrics.snapshot() == dict(zip(eng.metrics.COUNTER_FIELDS, counters))
-        assert (len(d.refs), len(d.consumer_index), len(d.fix_by_final)) == sizes
+        assert (len(d.refs), len(d.consumer_index)) == sizes
 
 
 NESTED_SRC = "fn main() { x = 0; while (x < 9) { y = 0; while (y < x) { y = y + 1; } x = x + 1; } }"
 
 
 def built(d) -> bool:
-    """Whether the graph ``d`` has built its consumer and fix indexes."""
-    return "indexes" in vars(d)
+    """Whether the graph ``d`` has built its consumer index."""
+    return "consumer_index" in vars(d)
 
 
 def test_a_fresh_graph_and_a_query_only_engine_build_no_index():
@@ -1035,7 +1038,7 @@ def test_a_fresh_graph_and_a_query_only_engine_build_no_index():
         eng.query_loc(loc)
     assert eng.metrics.unrollings > 0
     assert not built(eng.daig)
-    # A debug engine's first check reads them, and it keeps them after that.
+    # A debug engine's first check reads it, and it keeps it after that.
     assert built(Engine(cfg, INTERVAL, loops=loops, debug=True).daig)
 
 
@@ -1045,13 +1048,13 @@ def nonempty(index: dict) -> dict:
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_indexes_built_on_first_use_equal_ones_kept_from_the_build(seed):
-    """A lazily indexed engine and a twin that built its indexes at
-    construction and kept them in step since hold equal indexes after every
+    """A lazily indexed engine and a twin that built its consumer index at
+    construction and kept it in step since hold the same consumer index after every
     step of a stream of insertions, relabels, cell writes and queries."""
     rng = random.Random(seed)
     cfg = parse_program(NESTED_SRC).proc("main").cfg
     lazy, twin = Engine(cfg, INTERVAL), Engine(cfg, INTERVAL)
-    twin.daig.indexes
+    twin.daig.consumer_index
     was_built = []
     for _ in range(60):
         was_built.append(built(lazy.daig))
@@ -1068,11 +1071,10 @@ def test_indexes_built_on_first_use_equal_ones_kept_from_the_build(seed):
             loc = rng.choice(sorted(lazy.cfg.locs))
             for eng in (lazy, twin):
                 eng.query_loc(loc)
-        # Comparing reads a copy's indexes while the engine's are not built.
+        # Comparing reads a copy's index while the engine's is not built.
         d = lazy.daig if built(lazy.daig) else lazy.daig.copy()
         assert built(lazy.daig) is (d is lazy.daig)
         assert nonempty(d.consumer_index) == nonempty(twin.daig.consumer_index)
-        assert d.fix_by_final == twin.daig.fix_by_final
         assert check_wf(d) == []
         assert check_wf(twin.daig) == []
     assert not was_built[0] and was_built[-1]
@@ -1088,24 +1090,23 @@ def test_copies_and_pickles_carry_the_indexes_only_if_built():
         assert not built(d)
     assert not built(eng.daig)
 
-    users, fixes = eng.daig.indexes
+    users = eng.daig.consumer_index
     for d in (eng.daig.copy(), eng.snapshot().daig, pickle.loads(pickle.dumps(eng)).daig):
         assert built(d)
-        assert d.consumer_index == users and d.fix_by_final == fixes
-        assert d.consumer_index is not users and d.fix_by_final is not fixes
+        assert d.consumer_index == users and d.consumer_index is not users
         assert all(d.consumer_index[n] is not users[n] for n in users)
-    # A copy's indexes and the original's change independently.
+    # A copy's index and the original's change independently.
     copy = eng.daig.copy()
-    final, fix = next(iter(fixes.items()))
+    fix = next(n for n, c in eng.daig.refs.items() if c.comp is not None and c.comp.fn is FIX)
+    final = eng.daig.refs[fix].comp.srcs[1]
     copy.consumer_index[final].discard(fix)
-    del copy.fix_by_final[final]
-    assert fix in users[final] and fixes[final] == fix
+    assert fix in users[final]
     assert check_wf(eng.daig) == []
-    kept = ({n: set(u) for n, u in copy.consumer_index.items()}, dict(copy.fix_by_final))
+    kept = {n: set(u) for n, u in copy.consumer_index.items()}
     eng.apply_program_edit(InsertStmtAfter(cfg.entry, parse_stmt_text("y = 2;")))
     assert check_wf(eng.daig) == []
-    assert eng.daig.consumer_index != kept[0]
-    assert (copy.consumer_index, copy.fix_by_final) == kept
+    assert eng.daig.consumer_index != kept
+    assert copy.consumer_index == kept
 
 
 @pytest.mark.parametrize("seed", [0, 7, 9])  # seeds whose sessions unroll loops

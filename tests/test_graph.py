@@ -144,7 +144,9 @@ def test_fresh_graphs_are_well_formed_and_answer_like_batch(seed):
 def test_wf_and_debug_engine_catch_a_stale_index(monkeypatch):
     cfg = parse_program(JOINED_LOOPS_SRC).proc("main").cfg
     loops = analyze_loops(cfg)
-    final, fix = next(iter(init_daig(cfg, LocNames(loops), INTERVAL).fix_by_final.items()))
+    refs = init_daig(cfg, LocNames(loops), INTERVAL).refs
+    fix = next(n for n, c in refs.items() if c.comp is not None and c.comp.fn is FnSymbol.FIX)
+    final = refs[fix].comp.srcs[1]
     exit_name = LocN(cfg.exit)  # read by no computation
     cases = [
         (
@@ -154,10 +156,6 @@ def test_wf_and_debug_engine_catch_a_stale_index(monkeypatch):
         (
             lambda d: d.consumer_index.setdefault(exit_name, set()).add(fix),
             ("StaleIndex", exit_name, f"indexed consumer {fix!r} does not read it"),
-        ),
-        (
-            lambda d: d.fix_by_final.__setitem__(final, exit_name),
-            ("StaleIndex", final, f"fix index gives {exit_name!r}, wanted {fix!r}"),
         ),
     ]
     for corrupt, want in cases:

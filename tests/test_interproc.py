@@ -353,11 +353,61 @@ def test_a_forest_edit_adding_a_call_edge_runs_no_call_inside_splice(monkeypatch
     assert_forest_matches_inline_oracle(forest, program)
 
 
+def test_a_forest_loop_that_makes_no_call_propagates_as_in_a_lone_engine(monkeypatch):
+    # A forest engine has a call handler, but a loop that makes no call
+    # propagates an edit exactly as a lone engine does: it is re-converged
+    # at the edit, not emptied, and does the same work.
+    src = "fn main() { a = 1; i = 0; while (i < 10) { i = i + a; b = i * 2; } c = b + a; }"
+    program = parse_program(src)
+    forest = DaigForest(program, INTERVAL, debug=True)
+    lone = Engine(program.proc("main").cfg, INTERVAL, debug=True)
+    monkeypatch.setattr(DaigForest, "_call", lambda *args: pytest.fail("a call handler ran"))
+
+    def edge(text):
+        return next(e for e in lone.cfg.edges if stmt_text(e.stmt) == text)
+
+    def check(step):
+        cfg = lone.cfg
+        want = batch_analyze(cfg, analyze_loops(cfg), INTERVAL).invariants
+        for loc in sorted(cfg.locs):
+            for got in (forest.query_loc("main", loc), lone.query_loc(loc)):
+                assert INTERVAL.equal(got, want[loc]), (step, loc)
+        filled_cells_and_counters_equal(step)
+
+    def filled_cells_and_counters_equal(step):
+        eng = forest.engine("main")
+        assert {n: c.contents for n, c in eng.daig.refs.items() if c.contents is not None} == {
+            n: c.contents for n, c in lone.daig.refs.items() if c.contents is not None
+        }, step
+        assert forest.metrics().snapshot() == lone.metrics.snapshot(), step
+
+    check("warm")
+    a1, body, out = edge("a = 1;"), edge("b = (i * 2);"), edge("c = (b + a);")
+    edits = [
+        RelabelEdge(a1.src, a1.dst, parse_stmt_text("a = 3;")),  # upstream: the loop's value changes
+        InsertStmtAfter(body.dst, parse_stmt_text("d = b - i;")),
+        RelabelEdge(body.src, body.dst, parse_stmt_text("b = i + 1;")),
+        InsertStmtAfter(out.dst, parse_stmt_text("e = c;")),
+        RelabelEdge(a1.src, a1.dst, parse_stmt_text("a = 1;")),
+    ]
+    for step, edit in enumerate(edits):
+        forest.apply_program_edit("main", edit)
+        lone.apply_program_edit(edit)
+        eng = forest.engine("main")
+        (head,) = eng.loops.natural_loops
+        fix = eng.names[head][0]
+        live = eng.daig.backward_set(fix) | {fix}
+        assert [n for n in sorted(live) if eng.daig.refs[n].contents is None] == [], step
+        filled_cells_and_counters_equal(step)
+        check(step)
+
+
 def test_a_forest_edit_runs_no_call_handler(monkeypatch):
     # Edits that change values upstream of calls, inside a loop of main that
-    # makes a call, and inside a callee: propagation stops at every call
-    # transfer and at every loop of an engine with a call handler, and
-    # empties them instead, so no call runs until a query demands one.
+    # makes a call, and inside a callee: a demand inside an edit never runs
+    # a call, so propagation empties each cell whose recomputation would,
+    # the loop that makes a call included, and no call runs until a query
+    # demands one.
     src = """
     fn main() { a = 1; b = f(a); i = 0; while (i < 3) { i = i + 1; a = a + b; d = f(7); } c = f(a); }
     fn f(p) { x = p; w = 0; while (w < 2) { w = w + 1; } ret = x * 2; }
