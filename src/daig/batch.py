@@ -8,7 +8,6 @@ queries.  Inner loops re-converge once per enclosing iteration.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 from .lang.cfg import Cfg, Loc
@@ -27,26 +26,6 @@ class BatchResult:
     transfer_evals: int = 0
     join_evals: int = 0
     widen_evals: int = 0
-
-
-def _topo_order(cfg: Cfg, loops: LoopInfo) -> list[Loc]:
-    indeg = {l: 0 for l in cfg.locs}
-    for e in loops.fwd_edges:
-        indeg[e.dst] += 1
-    ready = [l for l, d in indeg.items() if d == 0]
-    heapq.heapify(ready)
-    succs: dict[Loc, list[Loc]] = {l: [] for l in cfg.locs}
-    for e in loops.fwd_edges:
-        succs[e.src].append(e.dst)
-    order = []
-    while ready:
-        n = heapq.heappop(ready)
-        order.append(n)
-        for m in succs[n]:
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                heapq.heappush(ready, m)
-    return order
 
 
 class _Run:
@@ -69,7 +48,9 @@ class _Run:
         region_of: dict[Loc | None, list[Loc]] = {None: []}
         for h in loops.natural_loops:
             region_of[h] = []
-        for l in _topo_order(cfg, loops):
+        # Reverse postorder is topological: every forward edge goes from a
+        # smaller number to a larger one.
+        for l in sorted(cfg.locs, key=loops.rpo_num.__getitem__):
             enc = loops.enclosing[l]
             region_of[enc[-1] if enc else None].append(l)
         self.region_of = region_of

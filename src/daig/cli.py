@@ -29,16 +29,14 @@ from pathlib import Path
 
 from .batch import batch_analyze
 from .domains import domain_by_name
-from .graph import (
-    LocNames, check_ai_consistency, check_cfg_consistency, check_wf, init_daig, to_dot
-)
+from .graph import to_dot
 from .interproc import Context, DaigForest, ENTRY_CONTEXT
 from .lang.cfg import CfgError, Loc, Program
 from .lang.edits import InsertIf, InsertStmtAfter, InsertWhile, RelabelEdge
 from .lang.inline import inline_program, is_inline_var
 from .lang.loops import analyze_loops
 from .lang.parser import ParseError, parse_expr_text, parse_program, parse_stmt_text
-from .engine import PreservationError
+from .engine import Engine, PreservationError
 from .workload import (
     CONFIGS,
     ConfigSummary,
@@ -269,20 +267,10 @@ def cmd_check(args) -> int:
     program = parse_program(text)
     domain = domain_by_name(args.domain)
     for name in sorted(program.procedures):
-        cfg = program.proc(name).cfg
-        loops = analyze_loops(cfg)
-        d = init_daig(cfg, LocNames(loops), domain)
-        wf = check_wf(d)
-        if wf:
-            print(f"error: {name}: {wf[0]}", file=sys.stderr)
-            return 2
-        if not check_cfg_consistency(d, cfg, loops):
-            print(f"error: {name}: graph/CFG consistency failed", file=sys.stderr)
-            return 2
-        if not check_ai_consistency(d, domain):
-            print(f"error: {name}: graph/analysis consistency failed", file=sys.stderr)
-            return 2
-        print(f"{name}: well-formed, consistent ({len(d.refs)} cells)")
+        # A debug engine checks its fresh graph when built, and raises
+        # PreservationError (exit code 2) if a check fails.
+        engine = Engine(program.proc(name).cfg, domain, debug=True)
+        print(f"{name}: well-formed, consistent ({len(engine.daig.refs)} cells)")
 
     lines: list[str] = []
     if args.script:

@@ -10,14 +10,15 @@ rather than enforced here.
 Every domain is non-relational: it lifts a lattice of values pointwise to
 maps from variables to values (``MapState``).  ``MapDomain`` implements all
 that such domains share: the map state and its bottom, ``transfer``, the
-refinement of ``assume`` conditions (And/Or/Not, comparison negation and
-the literal-left swap, a bare variable as ``!= 0``/``== 0``, and an
-evaluate-then-truth fallback), three-valued Not/And/Or evaluation, the
-pointwise join/widen/leq, ``models``, and the interprocedural hooks.  A
-domain supplies only its value lattice (top, value join/widen/leq,
-``contains``, the text of a value, the form a binding stores or its
-emptiness), its evaluator of arithmetic and comparisons with its truth
-test on values, and its comparison refiner.
+one evaluator of expression syntax, the refinement of ``assume``
+conditions (And/Or/Not, comparison negation and the literal-left swap, a
+bare variable as ``!= 0``/``== 0``, and an evaluate-then-truth fallback),
+the pointwise join/widen/leq, ``models``, and the interprocedural hooks.
+A domain supplies value operations only: its value lattice (top, value
+join/widen/leq, ``contains``, the text of a value, the form a binding
+stores or its emptiness), the value of a literal, arithmetic, the
+comparisons ``<``, ``<=`` and ``==``, the truth of a value and the value
+of a truth, and its comparison refiner.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Any, Optional
 
 from ..lang.syntax import (
     And,
+    ArrayRead,
     ArrayWrite,
     Assign,
     Assume,
@@ -140,21 +142,53 @@ class MapState:
         return self.text()
 
 
-def connective_truth(e: Expr, state, evaluate, truth) -> Optional[bool]:
-    """Three-valued truth of a Not/And/Or: True, False, or None (unknown),
-    from ``truth`` of the domain's ``evaluate`` of each operand."""
-    if isinstance(e, Not):
-        t = truth(evaluate(e.operand, state))
-        return None if t is None else not t
-    a = truth(evaluate(e.lhs, state))
-    b = truth(evaluate(e.rhs, state))
-    if isinstance(e, And):
-        if a is False or b is False:
-            return False
-        return True if a is True and b is True else None
-    if a is True or b is True:
-        return True
-    return False if a is False and b is False else None
+# Three-valued logic: True, False, or None for unknown.
+_TRUTHS = (True, False, None)
+_NOT = {True: False, False: True, None: None}
+_AND = {(a, b): False if False in (a, b) else a and b for a in _TRUTHS for b in _TRUTHS}
+_OR = {(a, b): _NOT[_AND[_NOT[a], _NOT[b]]] for a in _TRUTHS for b in _TRUTHS}
+# ``a > b`` is ``b < a`` and ``a >= b`` is ``b <= a``.
+_FLIPPED = {">": "<", ">=": "<="}
+
+
+def _evaluator(dom: type) -> tuple:
+    """``evaluate`` and ``binop`` for a domain class (see ``MapDomain``),
+    as closures over its value operations: a method recursing through
+    ``self`` would cost an attribute lookup per node on this hot path.
+    ``binop`` is the one dispatch of an operator on two values."""
+    top = dom.state_cls.TOP
+    literal, arith, compare = dom.literal, dom.arith, dom.compare
+    truth, of_truth = dom.truth, dom.of_truth
+
+    def binop(op: str, a, b):
+        f = arith.get(op)
+        if f is not None:
+            return f(a, b)
+        swapped = _FLIPPED.get(op)
+        if swapped is not None:
+            return compare(swapped, b, a)
+        if op == "!=":
+            return of_truth[_NOT[truth(compare("==", a, b))]]
+        return compare(op, a, b)
+
+    def evaluate(e: Expr, state):
+        t = type(e)
+        if t is Var:
+            return state.bindings.get(e.name, top)
+        if t is IntLit:
+            return literal(e.value)
+        if t is Binop:
+            return binop(e.op, evaluate(e.lhs, state), evaluate(e.rhs, state))
+        if t is ArrayRead:
+            return top
+        if t is Not:
+            return of_truth[_NOT[truth(evaluate(e.operand, state))]]
+        if t is And or t is Or:
+            ab = (truth(evaluate(e.lhs, state)), truth(evaluate(e.rhs, state)))
+            return of_truth[(_AND if t is And else _OR)[ab]]
+        raise TypeError(e)
+
+    return evaluate, binop
 
 
 class MapDomain:
@@ -165,17 +199,34 @@ class MapDomain:
     a concrete state is abstracted by an abstract one), ``digest`` and the
     hooks ``eval_arg``, ``entry_state_for_call`` and ``return_state``.
 
-    A subclass supplies its ``state_cls``, a ``MapState`` subclass, and,
-    as static methods: ``evaluate(expr, state)``, the abstract value of an
-    expression; ``truth(value)``, True, False or None for a value read as
-    a condition (nonzero is true); ``refine_cmp(op, var, rhs, state)``,
-    the state refined by ``var op rhs``, or None to fall back to
-    ``truth``; the value ``value_join``, ``value_widen`` and
-    ``value_leq``; and ``contains(value, n)``, whether ``n`` is abstracted
-    by ``value``.
+    A subclass supplies its ``state_cls``, a ``MapState`` subclass, and
+    value operations only, as static methods or tables: ``literal(n)``;
+    ``arith``, the functions of ``+ - * /`` on two values; ``compare(op,
+    a, b)`` for ``op`` one of ``<``, ``<=`` and ``==``; ``truth(value)``,
+    True, False or None for a value read as a condition (nonzero is
+    true), and ``of_truth``, the value of each; ``refine_cmp(op, var, rhs,
+    state)``, the state refined by ``var op rhs``, or None to fall back
+    to ``truth``; the value ``value_join``, ``value_widen`` and
+    ``value_leq``; and ``contains(value, n)``, whether ``n`` is
+    abstracted by ``value``.
+
+    Each subclass gets from them the one ``evaluate(expr, state)``: a
+    literal goes through ``literal``, a variable reads its binding, an
+    array read is top, operators go through ``binop(op, a, b)``, and
+    ``!``, ``&&`` and ``||`` (both operands evaluated) are three-valued
+    over ``truth``, mapped back through ``of_truth``.  ``binop`` sends
+    arithmetic to ``arith``, swaps the operands of ``>`` and ``>=`` for
+    ``<`` and ``<=``, and negates the truth of ``==`` for ``!=``.  Both
+    are static methods of the class, made once per class: an instance
+    attribute would not pickle, and engines pickle their domain.
     """
 
     state_cls: type
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        evaluate, binop = _evaluator(cls)
+        cls.evaluate, cls.binop = staticmethod(evaluate), staticmethod(binop)
 
     def __init__(self):
         self._init = self.state_cls({})
@@ -253,7 +304,7 @@ class MapDomain:
             out = self.refine_cmp(op, lhs, rhs, state)
             if out is not None:
                 return out
-        t = self.truth(self.evaluate(Binop(op, lhs, rhs), state))
+        t = self.truth(self.binop(op, self.evaluate(lhs, state), self.evaluate(rhs, state)))
         return self._bottom if t is False else state
 
     # -- pointwise lattice ---------------------------------------------------

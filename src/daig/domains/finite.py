@@ -7,10 +7,11 @@ engine with a domain where loops converge without real widening.
 
 from __future__ import annotations
 
+import operator
 from typing import Optional
 
-from ..lang.syntax import And, ArrayRead, Binop, Expr, IntLit, Not, Or, Var
-from .base import MAGNITUDE_LIMIT, SWAPPED_CMP, MapDomain, MapState, connective_truth
+from ..lang.syntax import Expr, Var
+from .base import MAGNITUDE_LIMIT, MapDomain, MapState
 
 NEG, ZERO, POS, TOP = "neg", "zero", "pos", "top"
 
@@ -70,8 +71,8 @@ def _sign_add(a: str, b: str) -> str:
     return _ADD.get((a, b), TOP) if TOP not in (a, b) else TOP
 
 
-def _sign_neg(a: str) -> str:
-    return {NEG: POS, POS: NEG, ZERO: ZERO, TOP: TOP}[a]
+def _sign_sub(a: str, b: str) -> str:
+    return _sign_add(a, {NEG: POS, POS: NEG, ZERO: ZERO, TOP: TOP}[b])
 
 
 def _sign_mul(a: str, b: str) -> str:
@@ -92,34 +93,8 @@ def _sign_div(a: str, b: str) -> str:
     return TOP
 
 
-_SIGN_OF_TRUTH = {True: POS, False: ZERO, None: TOP}
-
-
 def _truth_of_sign(s: str) -> Optional[bool]:
     return None if s == TOP else s != ZERO
-
-
-def eval_sign(e: Expr, state: SignState) -> str:
-    if isinstance(e, IntLit):
-        return sign_of(e.value)
-    if isinstance(e, Var):
-        return state.get(e.name)
-    if isinstance(e, ArrayRead):
-        return TOP
-    if isinstance(e, Binop):
-        a, b = eval_sign(e.lhs, state), eval_sign(e.rhs, state)
-        if e.op == "+":
-            return _sign_add(a, b)
-        if e.op == "-":
-            return _sign_add(a, _sign_neg(b))
-        if e.op == "*":
-            return _sign_mul(a, b)
-        if e.op == "/":
-            return _sign_div(a, b)
-        return _cmp_signs(e.op, a, b)
-    if isinstance(e, (Not, And, Or)):
-        return _SIGN_OF_TRUTH[connective_truth(e, state, eval_sign, _truth_of_sign)]
-    raise TypeError(e)
 
 
 _CMP_SIGNS = {
@@ -133,11 +108,8 @@ _CMP_SIGNS = {
 
 
 def _cmp_signs(op: str, a: str, b: str) -> str:
-    """Sign of a comparison result (pos=true, zero=false, top=unknown)."""
-    if op in (">", ">="):
-        return _cmp_signs(SWAPPED_CMP[op], b, a)
-    if op == "!=":
-        return {POS: ZERO, ZERO: POS, TOP: TOP}[_cmp_signs("==", a, b)]
+    """Sign of ``a op b`` for ``op`` one of ``<``, ``<=`` and ``==``
+    (pos=true, zero=false, top=unknown)."""
     return _CMP_SIGNS[op].get((a, b), TOP)
 
 
@@ -150,7 +122,7 @@ def _sign_meet(a: str, b: str) -> Optional[str]:
 
 
 def _refine_sign_cmp(op: str, lhs: Var, rhs: Expr, state: SignState) -> Optional[SignState]:
-    rsign = eval_sign(rhs, state)
+    rsign = SIGN.evaluate(rhs, state)
     if op == "==" and rsign != TOP:
         want = rsign
     elif op == "<" and rsign in (ZERO, NEG) or op == "<=" and rsign == NEG:
@@ -166,8 +138,11 @@ class SignDomain(MapDomain):
     name = "sign"
     state_cls = SignState
 
-    evaluate = staticmethod(eval_sign)
+    literal = staticmethod(sign_of)
+    arith = {"+": _sign_add, "-": _sign_sub, "*": _sign_mul, "/": _sign_div}
+    compare = staticmethod(_cmp_signs)
     truth = staticmethod(_truth_of_sign)
+    of_truth = {True: POS, False: ZERO, None: TOP}
     refine_cmp = staticmethod(_refine_sign_cmp)
     value_join = value_widen = staticmethod(_flat_join)
     value_leq = staticmethod(_flat_leq)
@@ -180,52 +155,28 @@ class SignDomain(MapDomain):
 # -- constants ---------------------------------------------------------------
 
 
-def _cmp_const(op: str, a: int, b: int) -> bool:
-    return {
-        "<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b,
-        "==": a == b, "!=": a != b,
-    }[op]
+def _const_arith(op):
+    """``op`` on two constants, top if either is."""
+    return lambda a, b: TOP if a == TOP or b == TOP else op(a, b)
 
 
-def _const_binop(op: str, a, b):
-    if a == TOP or b == TOP:
-        return TOP
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return TOP if b == 0 else a // b
-    return int(_cmp_const(op, a, b))
+_CONST_CMP = {"<": operator.lt, "<=": operator.le, "==": operator.eq}
 
 
-_CONST_OF_TRUTH = {True: 1, False: 0, None: TOP}
+def _cmp_const(op: str, a, b):
+    """``a op b`` as 1 or 0 for ``op`` one of ``<``, ``<=`` and ``==``,
+    top if either constant is."""
+    return TOP if a == TOP or b == TOP else int(_CONST_CMP[op](a, b))
 
 
 def _truth_of_const(c) -> Optional[bool]:
     return None if c == TOP else c != 0
 
 
-def eval_const(e: Expr, state: ConstState):
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, Var):
-        return state.get(e.name)
-    if isinstance(e, ArrayRead):
-        return TOP
-    if isinstance(e, Binop):
-        return _const_binop(e.op, eval_const(e.lhs, state), eval_const(e.rhs, state))
-    if isinstance(e, (Not, And, Or)):
-        return _CONST_OF_TRUTH[connective_truth(e, state, eval_const, _truth_of_const)]
-    raise TypeError(e)
-
-
 def _refine_const_cmp(op: str, lhs: Var, rhs: Expr, state: ConstState) -> Optional[ConstState]:
     if op != "==":
         return None
-    rv = eval_const(rhs, state)
+    rv = CONST.evaluate(rhs, state)
     if rv == TOP:
         return None
     cur = state.get(lhs.name)
@@ -238,8 +189,16 @@ class ConstDomain(MapDomain):
     name = "const"
     state_cls = ConstState
 
-    evaluate = staticmethod(eval_const)
+    literal = staticmethod(int)
+    arith = {
+        "+": _const_arith(operator.add),
+        "-": _const_arith(operator.sub),
+        "*": _const_arith(operator.mul),
+        "/": _const_arith(lambda a, b: TOP if b == 0 else a // b),
+    }
+    compare = staticmethod(_cmp_const)
     truth = staticmethod(_truth_of_const)
+    of_truth = {True: 1, False: 0, None: TOP}
     refine_cmp = staticmethod(_refine_const_cmp)
     value_join = value_widen = staticmethod(_flat_join)
     value_leq = staticmethod(_flat_leq)

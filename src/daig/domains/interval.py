@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from ..lang.syntax import And, ArrayRead, Binop, Expr, IntLit, Not, Or, Var
-from .base import MAGNITUDE_LIMIT, SWAPPED_CMP, MapDomain, MapState, connective_truth
+from ..lang.syntax import Expr, IntLit, Var
+from .base import MAGNITUDE_LIMIT, SWAPPED_CMP, MapDomain, MapState
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -83,6 +83,10 @@ def _mul(x: Bound, y: Bound) -> Bound:
     return POS_INF if (x > 0) == (y > 0) else NEG_INF
 
 
+def r_const(n: int) -> Range:
+    return (n, n)
+
+
 def r_add(a: Range, b: Range) -> Range:
     return (_add(a[0], b[0]), _add(a[1], b[1]))
 
@@ -140,7 +144,6 @@ def r_contains(r: Range, v: int) -> bool:
 TRUE_RANGE: Range = (1, 1)
 FALSE_RANGE: Range = (0, 0)
 BOOL_RANGE: Range = (0, 1)
-_RANGE_OF_TRUTH = {True: TRUE_RANGE, False: FALSE_RANGE, None: BOOL_RANGE}
 
 
 def _truth_of_range(r: Range) -> Optional[bool]:
@@ -153,6 +156,7 @@ def _truth_of_range(r: Range) -> Optional[bool]:
 
 
 def _cmp_ranges(op: str, a: Range, b: Range) -> Range:
+    """The truth range of ``a op b`` for ``op`` one of ``<``, ``<=`` and ``==``."""
     if op == "<":
         if a[1] < b[0]:
             return TRUE_RANGE
@@ -165,47 +169,11 @@ def _cmp_ranges(op: str, a: Range, b: Range) -> Range:
         if a[0] > b[1]:
             return FALSE_RANGE
         return BOOL_RANGE
-    if op in (">", ">="):
-        return _cmp_ranges(SWAPPED_CMP[op], b, a)
-    if op == "==":
-        if a == b and a[0] == a[1] and type(a[0]) is int:
-            return TRUE_RANGE
-        if max(a[0], b[0]) > min(a[1], b[1]):
-            return FALSE_RANGE
-        return BOOL_RANGE
-    if op == "!=":
-        t = _cmp_ranges("==", a, b)
-        if t == TRUE_RANGE:
-            return FALSE_RANGE
-        if t == FALSE_RANGE:
-            return TRUE_RANGE
-        return BOOL_RANGE
-    raise ValueError(op)
-
-
-def eval_range(e: Expr, state: IntervalState) -> Range:
-    """Interval evaluation of an expression; array reads are unknown."""
-    if isinstance(e, IntLit):
-        return (e.value, e.value)
-    if isinstance(e, Var):
-        return state.get(e.name)
-    if isinstance(e, ArrayRead):
-        return TOP_RANGE
-    if isinstance(e, Binop):
-        a = eval_range(e.lhs, state)
-        b = eval_range(e.rhs, state)
-        if e.op == "+":
-            return r_add(a, b)
-        if e.op == "-":
-            return r_sub(a, b)
-        if e.op == "*":
-            return r_mul(a, b)
-        if e.op == "/":
-            return r_div(a, b)
-        return _cmp_ranges(e.op, a, b)
-    if isinstance(e, (Not, And, Or)):
-        return _RANGE_OF_TRUTH[connective_truth(e, state, eval_range, _truth_of_range)]
-    raise TypeError(e)
+    if a == b and a[0] == a[1] and type(a[0]) is int:
+        return TRUE_RANGE
+    if max(a[0], b[0]) > min(a[1], b[1]):
+        return FALSE_RANGE
+    return BOOL_RANGE
 
 
 # -- assume refinement -----------------------------------------------------
@@ -265,8 +233,11 @@ class IntervalDomain(MapDomain):
     name = "interval"
     state_cls = IntervalState
 
-    evaluate = staticmethod(eval_range)
+    literal = staticmethod(r_const)
+    arith = {"+": r_add, "-": r_sub, "*": r_mul, "/": r_div}
+    compare = staticmethod(_cmp_ranges)
     truth = staticmethod(_truth_of_range)
+    of_truth = {True: TRUE_RANGE, False: FALSE_RANGE, None: BOOL_RANGE}
     refine_cmp = staticmethod(_refine_cmp)
     value_join = staticmethod(r_hull)
     value_widen = staticmethod(r_widen)

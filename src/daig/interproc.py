@@ -18,7 +18,7 @@ from weakref import ref
 
 from .engine import Engine, EngineError, Metrics, derive_names
 from .graph import Computation, LocNames, Name, stmt_cell_locs
-from .lang.cfg import CfgError, Loc, Program
+from .lang.cfg import Loc, Program
 from .lang.edits import ProgramEdit, apply_edit, inserted_stmts
 from .lang.syntax import Call
 
@@ -187,14 +187,15 @@ class DaigForest:
         The procedure's name table is derived once (its loop analysis also
         rejects an irreducible result) and spliced into each live context's
         graph; contexts made later are built on it.
-        An edit whose new call would close a recursive call cycle is
-        rejected before any state changes, as the parser rejects recursion.
+        An edit that inserts a call is checked by ``Program.call_order``
+        on the edited program, as the parser checks a program: a call to
+        an unknown procedure, with the wrong arity, or closing a recursive
+        call cycle is rejected before any state changes.
         """
-        adds_call = self._validate_new_calls(edit)
         old_cfg = self.program.proc(proc).cfg
         names = self.names.get(proc)  # None until proc has a live context
         new_cfg, delta = apply_edit(old_cfg, edit, validate=names is None)
-        if adds_call:
+        if any(isinstance(s, Call) for s in inserted_stmts(edit)):
             edited = Program(dict(self.program.procedures), self.program.main)
             edited.replace_cfg(proc, new_cfg)
             edited.call_order()
@@ -205,19 +206,6 @@ class DaigForest:
                     eng.splice(new_cfg, delta, names)
         self.program.replace_cfg(proc, new_cfg)
         self._dirty_callers(proc, None)
-
-    def _validate_new_calls(self, edit: ProgramEdit) -> bool:
-        """Check the callee and arity of every call the edit inserts; return
-        whether it inserts one."""
-        stmts = inserted_stmts(edit)
-        for s in stmts:
-            if isinstance(s, Call):
-                if s.callee not in self.program.procedures:
-                    raise CfgError(f"call to unknown procedure {s.callee!r}")
-                callee = self.program.proc(s.callee)
-                if (callee.param is None) != (s.actual is None):
-                    raise CfgError(f"call arity mismatch for {s.callee!r}")
-        return any(isinstance(s, Call) for s in stmts)
 
     def _dirty_callers(self, proc: str, ctx: Optional[Context]) -> None:
         """Empty every recorded return-site cell depending on (proc, ctx),

@@ -52,8 +52,9 @@ class Cfg:
     from the end.  The adjacency is built from ``edges`` on first use and
     kept; ``with_edges``, through which every edit goes, derives the new
     Cfg's adjacency from this one's in O(change).  It is a cache: equality
-    and hashing ignore it, and pickling and copying drop it, so a loaded
-    Cfg builds it afresh.
+    and hashing ignore it.  Pickling and copying carry it once built, so a
+    loaded Cfg need not build it again; copies may share its lists, as
+    ``with_edges`` writes only to new ones.
     """
 
     locs: frozenset[Loc]
@@ -79,11 +80,6 @@ class Cfg:
             outs[e.src] += (e,)
             ins[e.dst] += (e,)
         return outs, ins
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("adjacency", None)
-        return state
 
     def out_edges(self, loc: Loc) -> tuple[Edge, ...]:
         """The edges leaving ``loc`` in ``Edge.sort_key`` order (none when
@@ -168,17 +164,26 @@ class Program:
     def call_order(self) -> list[str]:
         """Procedures in bottom-up call order (callees before callers).
 
-        Raises CfgError on a recursive call cycle.
+        This is the one rule for well-formed calls: raises CfgError for a
+        call to an unknown procedure, a call whose argument does not match
+        its callee's parameter, and a recursive call cycle.
         """
-        callees: dict[str, set[str]] = {name: set() for name in self.procedures}
-        for name, proc in self.procedures.items():
-            for e in proc.cfg.edges:
-                if isinstance(e.stmt, Call):
-                    if e.stmt.callee not in self.procedures:
+        procedures = self.procedures
+        callees: dict[str, set[str]] = {name: set() for name in procedures}
+        for name, proc in procedures.items():
+            # In adjacency order, not set order, so the bad call reported is
+            # the same under every string-hash seed.
+            for s in (e.stmt for outs in proc.cfg.adjacency[0] for e in outs):
+                if isinstance(s, Call):
+                    callee = procedures.get(s.callee)
+                    if callee is None:
+                        raise CfgError(f"call to unknown procedure {s.callee!r} in {name!r}")
+                    if (callee.param is None) != (s.actual is None):
+                        need = "takes no argument" if callee.param is None else "requires an argument"
                         raise CfgError(
-                            f"call to unknown procedure {e.stmt.callee!r} in {name!r}"
+                            f"call arity mismatch: {s.callee!r} {need} (call in {name!r})"
                         )
-                    callees[name].add(e.stmt.callee)
+                    callees[name].add(s.callee)
         # Depth-first over sorted callees with an explicit stack: a nested
         # function calling itself would leave a reference cycle per call.
         order: list[str] = []

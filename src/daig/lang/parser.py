@@ -374,19 +374,9 @@ def parse_program(text: str) -> Program:
     if "main" not in program.procedures:
         raise CfgError("no procedure named 'main'")
 
-    for name, proc in program.procedures.items():
-        for e in proc.cfg.edges:
-            s = e.stmt
-            if isinstance(s, Call):
-                if s.callee not in program.procedures:
-                    raise CfgError(f"call to unknown procedure {s.callee!r} in {name!r}")
-                callee = program.procedures[s.callee]
-                if callee.param is None and s.actual is not None:
-                    raise CfgError(f"{s.callee!r} takes no argument (call in {name!r})")
-                if callee.param is not None and s.actual is None:
-                    raise CfgError(f"{s.callee!r} requires an argument (call in {name!r})")
+    for proc in program.procedures.values():
         analyze_loops(proc.cfg)  # reducibility and reachability
-    program.call_order()  # rejects recursion
+    program.call_order()  # rejects bad calls and recursion
     return program
 
 

@@ -475,6 +475,27 @@ def test_domain_results_are_pinned():
     assert h.hexdigest() == PINNED_DIGEST
 
 
+# -- derived comparisons -------------------------------------------------------
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: d.name)
+def test_derived_comparisons_evaluate_as_their_base_forms(dom):
+    """``a > b`` is ``b < a``, ``a >= b`` is ``b <= a`` and ``a != b`` is
+    ``!(a == b)``, on seeded random operands and states."""
+    rng = random.Random(31)
+    states = _pin_states(dom, rng)
+    operands = [gen_expr(rng, 2, PIN_VARS) for _ in range(20)]
+    operands += [gen_cond(rng, 1, PIN_VARS) for _ in range(10)]
+    operands += [Var(v) for v in PIN_VARS] + [IntLit(c) for c in (-2, 0, 3)]
+    pairs = [(rng.choice(operands), rng.choice(operands)) for _ in range(60)]
+    ev = dom.evaluate
+    for s in states:
+        for a, b in pairs:
+            assert ev(Binop(">", a, b), s) == ev(Binop("<", b, a), s)
+            assert ev(Binop(">=", a, b), s) == ev(Binop("<=", b, a), s)
+            assert ev(Binop("!=", a, b), s) == ev(Not(Binop("==", a, b)), s)
+
+
 # -- magnitude limit -----------------------------------------------------------
 
 

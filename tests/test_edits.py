@@ -157,7 +157,7 @@ def test_stable_join_indices_reject_a_delta_that_misses_a_moved_edge():
         stable_join_indices(old, partial, analyze_loops(new_cfg))
 
 
-def test_adjacency_is_a_cache_that_copies_and_pickles_drop():
+def test_adjacency_is_a_cache_that_copies_and_pickles_carry():
     for cfg in edited_cfgs(43, programs=4, edits=4):
         assert "adjacency" in vars(cfg)  # derived by the edit or built by the parser's analysis
         outs, ins = cfg.adjacency
@@ -168,11 +168,15 @@ def test_adjacency_is_a_cache_that_copies_and_pickles_drop():
             assert ins[loc] == tuple(into)
         fresh = Cfg(cfg.locs, cfg.edges, cfg.entry, cfg.exit)  # no adjacency yet
         assert fresh == cfg and hash(fresh) == hash(cfg)
-        assert pickle.dumps(cfg) == pickle.dumps(fresh)
-        for twin in (pickle.loads(pickle.dumps(cfg)), copy.copy(cfg), copy.deepcopy(cfg)):
-            assert "adjacency" not in vars(twin)
+        for twin in (pickle.loads(pickle.dumps(fresh)), copy.copy(fresh), copy.deepcopy(fresh)):
+            assert "adjacency" not in vars(twin)  # nothing built, nothing carried
             assert twin == cfg and hash(twin) == hash(cfg)
-            assert twin.adjacency == cfg.adjacency
+        built = fresh.adjacency
+        assert built == cfg.adjacency
+        for twin in (pickle.loads(pickle.dumps(cfg)), copy.copy(cfg), copy.deepcopy(cfg)):
+            assert "adjacency" in vars(twin)  # carried, not rebuilt
+            assert twin.adjacency == built
+            assert twin == cfg and hash(twin) == hash(cfg)
 
 
 def test_location_ids_never_index_from_the_end():

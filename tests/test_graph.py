@@ -16,6 +16,7 @@ from daig.graph import (
     LocNames,
     Prod,
     RefCell,
+    UnsupportedCfg,
     check_ai_consistency,
     check_cfg_consistency,
     check_wf,
@@ -25,9 +26,10 @@ from daig.graph import (
     unroll,
 )
 from daig.engine import Engine, PreservationError
+from daig.lang.cfg import Cfg, Edge
 from daig.lang.edits import apply_edit
 from daig.lang.loops import analyze_loops
-from daig.lang.parser import parse_program
+from daig.lang.parser import parse_program, parse_stmt_text
 from daig.workload import gen_edit, gen_program_source
 
 from helpers import (
@@ -173,6 +175,43 @@ def test_wf_and_debug_engine_catch_a_stale_index(monkeypatch):
         Engine(cfg, INTERVAL, loops=loops)
         with pytest.raises(PreservationError, match="StaleIndex"):
             Engine(cfg, INTERVAL, loops=loops, debug=True)
+
+
+def hand_cfg(entry: int, exit: int, *edges: tuple[int, str, int]) -> Cfg:
+    """A Cfg built edge by edge, bypassing the parser's structured lowering."""
+    es = frozenset(Edge(src, parse_stmt_text(stmt), dst) for src, stmt, dst in edges)
+    return Cfg(frozenset(l for e in es for l in (e.src, e.dst)), es, entry, exit)
+
+
+def test_engine_rejects_a_loop_left_from_inside_its_body():
+    # l1 heads the loop {l2}; l2 -> l3 leaves it without passing the head.
+    cfg = hand_cfg(
+        0, 3,
+        (0, "x = 0;", 1),
+        (1, "assume(x < 3);", 2),
+        (2, "x = x + 1;", 1),
+        (2, "assume(x == 2);", 3),
+        (1, "assume(!(x < 3));", 3),
+    )
+    with pytest.raises(UnsupportedCfg) as exc:
+        Engine(cfg, INTERVAL)
+    assert str(exc.value) == (
+        "forward edge l2 -> l3 leaves the loop headed at l1 from inside its "
+        "body; loops may only be exited at their head"
+    )
+
+
+def test_engine_rejects_an_entry_inside_a_loop():
+    # The entry l0 heads the loop {l1}.
+    cfg = hand_cfg(
+        0, 2,
+        (0, "assume(x < 3);", 1),
+        (1, "x = x + 1;", 0),
+        (0, "assume(!(x < 3));", 2),
+    )
+    with pytest.raises(UnsupportedCfg) as exc:
+        Engine(cfg, INTERVAL)
+    assert str(exc.value) == "the entry location may not participate in a loop"
 
 
 def test_wf_detects_self_dependency():

@@ -178,3 +178,20 @@ def test_the_endpoint_error_names_the_least_bad_edge_under_every_seed():
     want = "edge endpoint missing from locs: Edge(src=1, stmt=Skip(), dst=50)\n"
     assert run_under_hash_seed("1", _BAD_ENDPOINTS) == want
     assert run_under_hash_seed("3", _BAD_ENDPOINTS) == want
+
+
+_BAD_CALLS = """
+from daig.lang.cfg import CfgError
+from daig.lang.parser import parse_program
+
+try:
+    parse_program("fn main() { a = p(1); b = q(2); c = r(3); d = s(4); }")
+except CfgError as exc:
+    print(exc)
+"""
+
+
+def test_the_first_bad_call_is_reported_under_every_seed():
+    want = "call to unknown procedure 'p' in 'main'\n"
+    for seed in ("0", "1", "2", "3"):
+        assert run_under_hash_seed(seed, _BAD_CALLS) == want

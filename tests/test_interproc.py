@@ -497,6 +497,25 @@ def test_edit_validation_rejects_bad_calls():
         )
 
 
+@pytest.mark.parametrize(
+    "call, phrase",
+    [("x = nope(1);", "unknown procedure"), ("x = f();", "requires an argument"),
+     ("x = g(1);", "takes no argument")],
+    ids=["unknown", "missing-argument", "extra-argument"],
+)
+def test_parser_and_forest_edit_reject_a_bad_call_with_one_message(call, phrase):
+    callees = "fn f(p) { ret = p; } fn g() { ret = 0; }"
+    with pytest.raises(CfgError) as parsed:
+        parse_program(f"fn main() {{ y = 1; {call} }} {callees}")
+    program = parse_program(f"fn main() {{ y = 1; }} {callees}")
+    forest = DaigForest(program, INTERVAL)
+    (edge,) = program.proc("main").cfg.edges
+    with pytest.raises(CfgError) as edited:
+        forest.apply_program_edit("main", InsertStmtAfter(edge.dst, parse_stmt_text(call)))
+    assert phrase in str(parsed.value)
+    assert str(edited.value) == str(parsed.value)
+
+
 def engine_states(forest):
     return {
         key: (eng.cfg, {n: c.contents for n, c in eng.daig.refs.items()})
